@@ -52,13 +52,11 @@ from .symfun import (
 from .qfun import (
     QContext,
     build_jp_matrix,
-    default_context,
     qA_two_row,
     qC_two_row,
     qI_branch,
     qI_def,
     qI_jp,
-    qI_routes,
     qI_tableau,
     q_row,
     q_single_var,

@@ -1,13 +1,20 @@
-"""Cross-verification sweeps shared by the CLI `verify` command and the test
-suite.  Each suite returns a list of (name, passed, detail) results; budgets
-cap the shape weight and the variable count."""
+"""The route table, and the cross-verification sweeps shared by the CLI
+`verify` command and the test suite.
+
+ROUTES maps (family, method) to a Route: a function of (lam, mu, spec, ctx)
+and the Domain of inputs it accepts.  The CLI `compute` command and the qfun
+sweep both read it.  Each suite returns a list of (name, passed, detail)
+results, the detail of a failed check naming its first counterexample;
+budgets cap the shape weight and the variable count."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain, permutations
+from typing import Callable
 
+from .errors import PreconditionError
 from .linalg import RingMatrix, determinant, pfaffian
 from .ring import LaurentPoly, parse_poly, series_from_linear_factors
 from .shapes import EMPTY, Partition, StrictPartition, enum_strict_between
@@ -22,15 +29,112 @@ from .symfun import (
 from .qfun import (
     QContext,
     build_jp_matrix,
+    qI_branch,
     qI_def,
     qI_jp,
-    qI_routes,
     qI_tableau,
     q_row,
     q_skew_jp,
 )
 from .tableaux import VariableSpec, enum_qt, enum_spt, qt_weight
-from .lgv import enum_path_families, family_weight
+from .lgv import enum_path_families, family_weight, lgv_weight_sum
+
+
+# -- route table ----------------------------------------------------------------
+
+
+def _strict(p: Partition, what: str) -> StrictPartition:
+    try:
+        return StrictPartition(p.parts)
+    except ValueError as exc:
+        raise PreconditionError(f"{what} must be strict: {exc}") from exc
+
+
+@dataclass(frozen=True)
+class Domain:
+    """The inputs a route accepts.
+
+    strict    lam and mu must be strict partitions
+    spec      "plain" needs k = 0, "symplectic" needs m = 0, "mixed" takes any
+    rows      lam has at most n = k + m rows
+    straight  mu must be empty
+    """
+
+    strict: bool = False
+    spec: str = "mixed"
+    rows: bool = True
+    straight: bool = False
+
+    def check(
+        self, lam: Partition, mu: Partition, spec: VariableSpec
+    ) -> tuple[Partition, Partition]:
+        """Raise PreconditionError naming the first condition the input breaks;
+        otherwise return lam and mu, as strict partitions if the route needs them."""
+        if self.strict:
+            lam, mu = _strict(lam, "lambda"), _strict(mu, "mu")
+        if self.spec == "plain" and spec.k:
+            raise PreconditionError(f"needs a plain-only spec (k = 0), got k = {spec.k}")
+        if self.spec == "symplectic" and spec.m:
+            raise PreconditionError(f"needs a symplectic-only spec (m = 0), got m = {spec.m}")
+        if self.rows and lam.length > spec.n:
+            raise PreconditionError(f"{lam.length} rows on {spec.n} variables")
+        if self.straight and mu.parts:
+            raise PreconditionError(f"needs a straight shape (mu empty), got mu = {mu}")
+        return lam, mu
+
+
+@dataclass(frozen=True)
+class Route:
+    fn: Callable[[Partition, Partition, VariableSpec, QContext], LaurentPoly]
+    domain: Domain
+
+
+def _unprimed_tableau_sum(lam, mu, spec, ctx):
+    return inter_schur(lam, spec, "tableau")
+
+
+# Per family, the first method is the CLI default (qI defaults to all of them),
+# and the order is the order of the CLI output.
+ROUTES: dict[tuple[str, str], Route] = {
+    ("schur", "definition"): Route(
+        lambda lam, mu, spec, ctx: schur_skew(lam, mu, Alphabet.type_a(spec.m)),
+        Domain(spec="plain"),
+    ),
+    ("schur", "tableau"): Route(_unprimed_tableau_sum, Domain(spec="plain", straight=True)),
+    ("symp-schur", "definition"): Route(
+        lambda lam, mu, spec, ctx: symp_schur(lam, spec.k),
+        Domain(spec="symplectic", straight=True),
+    ),
+    ("symp-schur", "tableau"): Route(
+        _unprimed_tableau_sum, Domain(spec="symplectic", straight=True)
+    ),
+    ("inter-schur", "definition"): Route(
+        lambda lam, mu, spec, ctx: inter_schur(lam, spec, "definition"), Domain(straight=True)
+    ),
+    ("inter-schur", "tableau"): Route(_unprimed_tableau_sum, Domain(straight=True)),
+    ("qA", "pfaffian"): Route(
+        lambda lam, mu, spec, ctx: q_skew_jp("A", lam, mu, spec, ctx),
+        Domain(strict=True, spec="plain"),
+    ),
+    ("qA", "tableau"): Route(qI_tableau, Domain(strict=True, spec="plain")),
+    ("qC", "pfaffian"): Route(
+        lambda lam, mu, spec, ctx: q_skew_jp("C", lam, mu, spec, ctx),
+        Domain(strict=True, spec="symplectic"),
+    ),
+    ("qC", "tableau"): Route(qI_tableau, Domain(strict=True, spec="symplectic")),
+    ("qI", "definition"): Route(qI_def, Domain(strict=True)),
+    ("qI", "tableau"): Route(qI_tableau, Domain(strict=True)),
+    ("qI", "branch"): Route(qI_branch, Domain(strict=True)),
+    # a pure spec takes any number of rows (the plain or symplectic Pfaffian);
+    # qI_jp itself enforces the row bound on mixed specs
+    ("qI", "pfaffian"): Route(qI_jp, Domain(strict=True, rows=False)),
+    ("qI", "lgv"): Route(
+        lambda lam, mu, spec, ctx: lgv_weight_sum(lam, mu, spec), Domain(strict=True)
+    ),
+}
+
+
+# -- results ---------------------------------------------------------------------
 
 
 @dataclass
@@ -43,6 +147,15 @@ class CheckResult:
         return f"{'PASS' if self.passed else 'FAIL'} {self.name}" + (
             f": {self.detail}" if self.detail else ""
         )
+
+
+def _result(name: str, first: dict[str, str], detail: str = "") -> CheckResult:
+    """A check fails iff `first` holds its first counterexample, which is then the detail."""
+    return CheckResult(name, name not in first, first.get(name, detail))
+
+
+def _case(lam: Partition, mu: Partition, spec: VariableSpec) -> str:
+    return f"lam=({lam}) mu=({mu}) spec=({spec.k},{spec.m})"
 
 
 def strict_partitions(max_part: int, max_len: int) -> list[StrictPartition]:
@@ -244,7 +357,10 @@ def schur_checks(max_weight: int = 5, max_vars: int = 4) -> list[CheckResult]:
 
 
 def is_spec_symmetric(p: LaurentPoly, spec: VariableSpec) -> bool:
-    """Invariant under each x_i -> 1/x_i (i <= k) and adjacent swaps beyond k."""
+    """Invariant under each x_i -> 1/x_i (i <= k), each adjacent swap within
+    x_1..x_k, and each adjacent swap within x_{k+1}..x_n: the generators of
+    the hyperoctahedral group on the symplectic variables times the symmetric
+    group on the plain ones."""
     n = spec.n
     base = [LaurentPoly.variable(n, j) for j in range(n)]
     for i in range(spec.k):
@@ -252,7 +368,7 @@ def is_spec_symmetric(p: LaurentPoly, spec: VariableSpec) -> bool:
         images[i] = LaurentPoly.variable(n, i, -1)
         if p.substitute(images) != p:
             return False
-    for a in range(spec.k, n - 1):
+    for a in chain(range(spec.k - 1), range(spec.k, n - 1)):
         images = list(base)
         images[a], images[a + 1] = base[a + 1], base[a]
         if p.substitute(images) != p:
@@ -263,57 +379,53 @@ def is_spec_symmetric(p: LaurentPoly, spec: VariableSpec) -> bool:
 def qfun_checks(
     max_part: int = 4, max_len: int = 3, max_vars: int = 3, seed: int = 0
 ) -> list[CheckResult]:
-    results = []
+    """Checks on the intermediate family.  Every qI row of ROUTES but lgv is
+    compared with the definition route; lgv_checks compares the lgv row's
+    path families with the enumerated tableaux."""
     ctx = QContext()
-    agree = True
-    jp_agree = True
-    symmetric = True
-    pf_sq = True
-    bad = ""
+    first: dict[str, str] = {}
     for lam, mu, spec in qi_cases(max_part, max_len, max_vars):
-        routes = qI_routes(lam, mu, spec, ["definition", "tableau", "branch"], ctx)
-        vals = list(routes.values())
-        if not (vals[0] == vals[1] == vals[2]):
-            agree = False
-            bad = f"lam={lam} mu={mu} spec=({spec.k},{spec.m})"
+        case = _case(lam, mu, spec)
+        ref = ROUTES["qI", "definition"].fn(lam, mu, spec, ctx)
+        for (family, method), route in ROUTES.items():
+            if family != "qI" or method in ("definition", "lgv"):
+                continue
+            if method == "pfaffian":
+                # below two rows qI_jp is the one-row series, checked separately
+                if lam.length < 2:
+                    continue
+                check = "qfun.pfaffian-route"
+            else:
+                check = "qfun.def-tableau-branch"
+            diff = ref - route.fn(lam, mu, spec, ctx)
+            if not diff.is_zero():
+                first.setdefault(check, f"{case} definition-{method}: {diff}")
         if lam.length >= 2:
-            if qI_jp(lam, mu, spec, ctx) != vals[0]:
-                jp_agree = False
-                bad = f"jp lam={lam} mu={mu} spec=({spec.k},{spec.m})"
             mat = build_jp_matrix("I", lam, mu, spec, ctx)
             if pfaffian(mat, spec.n) * pfaffian(mat, spec.n) != determinant(mat, spec.n):
-                pf_sq = False
-        if not is_spec_symmetric(vals[0], spec):
-            symmetric = False
-    results.append(CheckResult("qfun.def-tableau-branch", agree, bad))
-    results.append(CheckResult("qfun.pfaffian-route", jp_agree, bad))
-    results.append(CheckResult("qfun.pfaffian-square", pf_sq))
-    results.append(CheckResult("qfun.weyl-symmetry", symmetric))
-
-    degen = True
+                first.setdefault("qfun.pfaffian-square", case)
+        if not is_spec_symmetric(ref, spec):
+            first.setdefault("qfun.weyl-symmetry", case)
     for lam in strict_partitions(max_part, max_len):
         for mu in enum_strict_between(EMPTY, lam):
             for total in range(max(1, lam.length), max_vars + 1):
-                a_spec = VariableSpec(0, total)
-                c_spec = VariableSpec(total, 0)
-                if qI_def(lam, mu, a_spec, ctx) != q_skew_jp("A", lam, mu, a_spec, ctx):
-                    degen = False
-                if qI_def(lam, mu, c_spec, ctx) != q_skew_jp("C", lam, mu, c_spec, ctx):
-                    degen = False
-    results.append(CheckResult("qfun.degenerations", degen))
+                for family, spec in (("A", VariableSpec(0, total)), ("C", VariableSpec(total, 0))):
+                    diff = qI_def(lam, mu, spec, ctx) - q_skew_jp(family, lam, mu, spec, ctx)
+                    if not diff.is_zero():
+                        detail = f"{_case(lam, mu, spec)} definition-{family}: {diff}"
+                        first.setdefault("qfun.degenerations", detail)
 
-    series_ok = True
     for spec in specs_up_to(max_vars):
         for l in range(0, 7):
             lam = StrictPartition((l,)) if l else EMPTY
             if lam.length > spec.n:
                 continue
-            if qI_tableau(lam, EMPTY, spec, ctx) != q_row(l, spec, ctx):
-                series_ok = False
-    results.append(CheckResult("qfun.one-row-series", series_ok))
+            diff = qI_tableau(lam, EMPTY, spec, ctx) - q_row(l, spec, ctx)
+            if not diff.is_zero():
+                detail = f"{_case(lam, EMPTY, spec)} tableau-series: {diff}"
+                first.setdefault("qfun.one-row-series", detail)
 
     rng = random.Random(seed)
-    vanish = True
     count = 0
     lams = [p for p in strict_partitions(max_part, max_len) if p.parts]
     attempts = 0
@@ -329,46 +441,51 @@ def qfun_checks(
         if qI_tableau(lam, mu, spec, ctx).is_zero() and qI_def(lam, mu, spec, ctx).is_zero():
             count += 1
         else:
-            vanish = False
+            first["qfun.vanishing"] = f"{_case(lam, mu, spec)} is not zero"
             break
-    results.append(CheckResult("qfun.vanishing", vanish, f"{count} non-nested pairs"))
-    return results
+    names = (
+        "qfun.def-tableau-branch",
+        "qfun.pfaffian-route",
+        "qfun.pfaffian-square",
+        "qfun.weyl-symmetry",
+        "qfun.degenerations",
+        "qfun.one-row-series",
+    )
+    return [_result(name, first) for name in names] + [
+        _result("qfun.vanishing", first, f"{count} non-nested pairs")
+    ]
 
 
 # -- lattice paths -------------------------------------------------------------
 
 
 def lgv_checks(max_part: int = 4, max_len: int = 3, max_vars: int = 3) -> list[CheckResult]:
-    sums_ok = True
-    bijection_ok = True
-    bad = ""
+    first: dict[str, str] = {}
     for lam, mu, spec in qi_cases(max_part, max_len, max_vars):
+        case = _case(lam, mu, spec)
         fam_weights = []
         mapped = set()
-        count = 0
         for fam in enum_path_families(lam, mu, spec):
-            count += 1
             fam_weights.append(family_weight(fam, spec))
             mapped.add(fam.to_tableau(lam, mu))
         tabs = set(enum_qt(spec, lam, mu))
         tab_weights = [qt_weight(t, spec) for t in tabs]
-
-        def accumulate(weights):
-            acc: dict[tuple[int, ...], int] = {}
-            for w in weights:
-                acc[w] = acc.get(w, 0) + 1
-            return LaurentPoly(spec.n, acc)
-
-        if accumulate(fam_weights) != accumulate(tab_weights):
-            sums_ok = False
-            bad = f"lam={lam} mu={mu} spec=({spec.k},{spec.m})"
-        if len(mapped) != count or mapped != tabs or sorted(fam_weights) != sorted(tab_weights):
-            bijection_ok = False
-            bad = bad or f"bij lam={lam} mu={mu} spec=({spec.k},{spec.m})"
-    return [
-        CheckResult("lgv.weight-sums", sums_ok, bad),
-        CheckResult("lgv.path-tableau-bijection", bijection_ok, bad),
-    ]
+        diff = LaurentPoly.from_exponents(spec.n, tab_weights) - LaurentPoly.from_exponents(
+            spec.n, fam_weights
+        )
+        if not diff.is_zero():
+            first.setdefault("lgv.weight-sums", f"{case} tableau-lgv: {diff}")
+        if (
+            len(mapped) != len(fam_weights)
+            or mapped != tabs
+            or sorted(fam_weights) != sorted(tab_weights)
+        ):
+            first.setdefault(
+                "lgv.path-tableau-bijection",
+                f"{case} {len(fam_weights)} families map to {len(mapped)} tableaux, "
+                f"{len(mapped & tabs)} of the {len(tabs)} enumerated",
+            )
+    return [_result("lgv.weight-sums", first), _result("lgv.path-tableau-bijection", first)]
 
 
 def pfaffian_random_checks(seed: int = 0, rounds: int = 200) -> list[CheckResult]:

@@ -1,16 +1,18 @@
 """Command-line front end.
 
 Subcommands:
-  compute   one polynomial by one or several methods; `--method all`
-            cross-checks every implemented route and fails loudly on any
-            disagreement
+  compute   one polynomial by one or several methods; the (family, method)
+            pairs and the inputs each accepts come from the route table
+            `checks.ROUTES`.  `--method all` cross-checks every route of the
+            family and fails loudly on any disagreement
   series    one-row generating-series coefficients, self-verified against
             the linear-factor product
   verify    the module invariant sweeps within a size budget
 
 Exit codes: 0 success, 1 cross-method disagreement or failed verification,
-2 malformed input, 3 precondition violation (e.g. too many rows, or a
-non-strict shape for a Q-family).
+2 malformed input (including a negative count and a bad QSYM_MAX_TERMS),
+3 precondition violation (e.g. too many rows, or a non-strict shape for a
+Q-family).
 """
 
 from __future__ import annotations
@@ -19,131 +21,40 @@ import argparse
 import json
 import sys
 
-from .checks import run_suite
+from .checks import ROUTES, run_suite
 from .errors import ParseError, PreconditionError, QsymError
-from .lgv import lgv_weight_sum
-from .qfun import (
-    QContext,
-    qI_branch,
-    qI_def,
-    qI_jp,
-    qI_tableau,
-    q_row,
-    q_skew_jp,
-)
-from .ring import LaurentPoly, series_from_linear_factors
-from .shapes import Partition, StrictPartition
-from .symfun import Alphabet, inter_schur, schur_skew, symp_schur
-from .tableaux import VariableSpec, enum_qt, enum_spt, qt_weight, spt_weight
+from .qfun import QContext, q_row
+from .ring import series_from_linear_factors
+from .shapes import Partition
+from .symfun import Alphabet
+from .tableaux import VariableSpec
 
 
-def _strict(p: Partition, what: str) -> StrictPartition:
+def _count(text: str) -> int:
+    """argparse type for a nonnegative integer."""
     try:
-        return StrictPartition(p.parts)
-    except ValueError as exc:
-        raise PreconditionError(f"{what} must be strict: {exc}") from exc
-
-
-def _accumulate(weights, n: int) -> LaurentPoly:
-    acc: dict[tuple[int, ...], int] = {}
-    for w in weights:
-        acc[w] = acc.get(w, 0) + 1
-    return LaurentPoly(n, acc)
-
-
-def _tableau_sum_spt(lam: Partition, spec: VariableSpec) -> LaurentPoly:
-    return _accumulate((spt_weight(t, spec) for t in enum_spt(spec, lam)), spec.n)
-
-
-def _tableau_sum_qt(lam: StrictPartition, mu: StrictPartition, spec: VariableSpec) -> LaurentPoly:
-    if lam.length > spec.n:
-        raise PreconditionError(f"{lam.length} rows on {spec.n} variables")
-    return _accumulate((qt_weight(t, spec) for t in enum_qt(spec, lam, mu)), spec.n)
-
-
-def _compute_routes(args) -> dict[str, LaurentPoly]:
-    lam = Partition.from_string(args.lam)
-    mu = Partition.from_string(args.mu)
-    spec = VariableSpec(args.k, args.m)
-    family = args.family
-    method = args.method or ("all" if family == "qI" else None)
-    ctx = QContext()
-
-    if family in ("schur", "symp-schur", "inter-schur"):
-        if family == "schur" and args.k != 0:
-            raise PreconditionError("family schur uses plain variables only; set --k 0")
-        if family == "symp-schur" and args.m != 0:
-            raise PreconditionError("family symp-schur uses symplectic pairs only; set --m 0")
-        if lam.length > spec.n:
-            raise PreconditionError(f"{lam.length} rows on {spec.n} variables")
-        method = method or "definition"
-        routes: dict[str, LaurentPoly] = {}
-        wanted = ("definition", "tableau") if method == "all" else (method,)
-        for name in wanted:
-            if family == "schur":
-                if name == "definition":
-                    routes[name] = schur_skew(lam, mu, Alphabet.type_a(spec.m))
-                elif name == "tableau":
-                    if mu.parts:
-                        raise PreconditionError("tableau route implemented for straight shapes")
-                    routes[name] = _tableau_sum_spt(lam, spec)
-                else:
-                    raise PreconditionError(f"method {name!r} not implemented for schur")
-            elif family == "symp-schur":
-                if mu.parts:
-                    raise PreconditionError("symp-schur computes straight shapes")
-                if name == "definition":
-                    routes[name] = symp_schur(lam, spec.k)
-                elif name == "tableau":
-                    routes[name] = _tableau_sum_spt(lam, spec)
-                else:
-                    raise PreconditionError(f"method {name!r} not implemented for symp-schur")
-            else:
-                if mu.parts:
-                    raise PreconditionError("inter-schur computes straight shapes")
-                if name in ("definition", "tableau"):
-                    routes[name] = inter_schur(lam, spec, name)
-                else:
-                    raise PreconditionError(f"method {name!r} not implemented for inter-schur")
-        return routes
-
-    # q families need strict shapes
-    slam = _strict(lam, "--lambda")
-    smu = _strict(mu, "--mu")
-    if family == "qA":
-        if args.k != 0:
-            raise PreconditionError("family qA uses plain variables only; set --k 0")
-        ops = {"pfaffian": lambda: q_skew_jp("A", slam, smu, spec, ctx),
-               "tableau": lambda: _tableau_sum_qt(slam, smu, spec)}
-        method = method or "pfaffian"
-    elif family == "qC":
-        if args.m != 0:
-            raise PreconditionError("family qC uses symplectic pairs only; set --m 0")
-        ops = {"pfaffian": lambda: q_skew_jp("C", slam, smu, spec, ctx),
-               "tableau": lambda: _tableau_sum_qt(slam, smu, spec)}
-        method = method or "pfaffian"
-    elif family == "qI":
-        ops = {
-            "definition": lambda: qI_def(slam, smu, spec, ctx),
-            "tableau": lambda: qI_tableau(slam, smu, spec, ctx),
-            "branch": lambda: qI_branch(slam, smu, spec, ctx),
-            "pfaffian": lambda: qI_jp(slam, smu, spec, ctx),
-            "lgv": lambda: lgv_weight_sum(slam, smu, spec),
-        }
-    else:
-        raise ParseError(f"unknown family {family!r}")
-
-    if family in ("qA", "qC") and slam.length > spec.n:
-        raise PreconditionError(f"{slam.length} rows on {spec.n} variables")
-    if method == "all":
-        return {name: op() for name, op in ops.items()}
-    if method not in ops:
-        raise PreconditionError(f"method {method!r} not implemented for {family}")
-    return {method: ops[method]()}
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
 
 
 def cmd_compute(args) -> int:
-    routes = _compute_routes(args)
+    lam = Partition.from_string(args.lam)
+    mu = Partition.from_string(args.mu)
+    spec = VariableSpec(args.k, args.m)
+    methods = [m for f, m in ROUTES if f == args.family]
+    method = args.method or ("all" if args.family == "qI" else methods[0])
+    if method != "all":
+        if method not in methods:
+            raise PreconditionError(f"method {method!r} not implemented for {args.family}")
+        methods = [method]
+    chosen = {name: ROUTES[args.family, name] for name in methods}
+    shapes = {name: route.domain.check(lam, mu, spec) for name, route in chosen.items()}
+    ctx = QContext()
+    routes = {name: route.fn(*shapes[name], spec, ctx) for name, route in chosen.items()}
     values = list(routes.values())
     agreed = all(v == values[0] for v in values)
     if args.json:
@@ -169,8 +80,6 @@ def cmd_compute(args) -> int:
 
 
 def cmd_series(args) -> int:
-    if args.degree < 0:
-        raise PreconditionError("degree bound must be nonnegative")
     spec = VariableSpec(args.k, args.m)
     ctx = QContext()
     coeffs = [q_row(l, spec, ctx) for l in range(args.degree + 1)]
@@ -202,28 +111,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("compute", help="compute one polynomial")
-    pc.add_argument("--family", required=True,
-                    choices=["schur", "symp-schur", "inter-schur", "qA", "qC", "qI"])
+    pc.add_argument("--family", required=True, choices=list(dict.fromkeys(f for f, _ in ROUTES)))
     pc.add_argument("--lambda", dest="lam", default="", help="outer shape, e.g. 3,1")
     pc.add_argument("--mu", default="", help="inner shape (default empty)")
-    pc.add_argument("--k", type=int, default=0, help="symplectic variable pairs")
-    pc.add_argument("--m", type=int, default=0, help="plain variables")
+    pc.add_argument("--k", type=_count, default=0, help="symplectic variable pairs")
+    pc.add_argument("--m", type=_count, default=0, help="plain variables")
     pc.add_argument("--method", default=None,
-                    choices=["definition", "tableau", "pfaffian", "branch", "lgv", "all"])
+                    choices=list(dict.fromkeys(m for _, m in ROUTES)) + ["all"])
     pc.add_argument("--json", action="store_true")
     pc.set_defaults(func=cmd_compute)
 
     ps = sub.add_parser("series", help="one-row generating series coefficients")
-    ps.add_argument("--k", type=int, default=0)
-    ps.add_argument("--m", type=int, default=0)
-    ps.add_argument("--degree", "-D", type=int, default=6)
+    ps.add_argument("--k", type=_count, default=0)
+    ps.add_argument("--m", type=_count, default=0)
+    ps.add_argument("--degree", "-D", type=_count, default=6)
     ps.set_defaults(func=cmd_series)
 
     pv = sub.add_parser("verify", help="run invariant suites")
     pv.add_argument("--suite", default="all",
                     choices=["ring", "tableaux", "schur", "qfun", "lgv", "all"])
-    pv.add_argument("--max-weight", type=int, default=4)
-    pv.add_argument("--max-vars", type=int, default=3)
+    pv.add_argument("--max-weight", type=_count, default=4)
+    pv.add_argument("--max-vars", type=_count, default=3)
     pv.add_argument("--seed", type=int, default=0)
     pv.set_defaults(func=cmd_verify)
     return parser

@@ -26,7 +26,7 @@ from typing import Iterator
 from .errors import PreconditionError
 from .ring import LaurentPoly, Monomial
 from .shapes import EMPTY, StrictPartition
-from .tableaux import Letter, PrimedTableau, VariableSpec, letter
+from .tableaux import Letter, PrimedTableau, VariableSpec, _letter_weight, letter
 
 Vertex = tuple[int, int]  # (x, doubled y)
 
@@ -78,11 +78,7 @@ class PathFamily:
 
 
 def family_weight(family: PathFamily, spec: VariableSpec) -> Monomial:
-    exps = [0] * spec.n
-    for p in family.paths:
-        for x in p.letters:
-            exps[x.index - 1] += x.weight_exponent()
-    return tuple(exps)
+    return _letter_weight([x for p in family.paths for x in p.letters], spec)
 
 
 def _enum_paths_from(
@@ -218,11 +214,9 @@ def lgv_weight_sum(
     spec: VariableSpec,
 ) -> LaurentPoly:
     """Sum of family weights; the oracle side of the Pfaffian identity."""
-    acc: dict[Monomial, int] = {}
-    for fam in enum_path_families(lam, mu, spec):
-        w = family_weight(fam, spec)
-        acc[w] = acc.get(w, 0) + 1
-    return LaurentPoly(spec.n, acc)
+    return LaurentPoly.from_exponents(
+        spec.n, (family_weight(fam, spec) for fam in enum_path_families(lam, mu, spec))
+    )
 
 
 def validate_family(

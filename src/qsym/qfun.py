@@ -1,12 +1,13 @@
 """Q-polynomial evaluators: one-row series, two-row recursions, skew
 Pfaffians for the plain and symplectic families, and the intermediate family
 by four independent routes (inner-sum definition, tableau sum, branching
-chains, Pfaffian).
+chains, Pfaffian).  The table that names these routes, with the inputs each
+accepts, is `checks.ROUTES`.
 
 All evaluators are pure; a QContext carries the memo tables that the
-Pfaffian expansions hammer (one-row values, two-row values, sub-sums).  The
-module-level default context is shared; callers that want isolation pass
-their own.
+Pfaffian expansions hammer (one-row values, two-row values, sub-sums).  A
+call without a context gets a fresh one, so nothing is cached between such
+calls; callers that want reuse pass the same context to each call.
 
 Conventions used throughout: a negative subscript means the zero polynomial;
 for matrix entries, the two-row value at (r, r) is zero, at (r, 0) it is the
@@ -16,7 +17,6 @@ one-row value, and swapping the rows negates it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .errors import PreconditionError
 from .linalg import RingMatrix, determinant, pfaffian
@@ -38,15 +38,8 @@ class QContext:
     row_series: dict[VariableSpec, list[LaurentPoly]] = field(default_factory=dict)
 
 
-_DEFAULT_CONTEXT = QContext()
-
-
-def default_context() -> QContext:
-    return _DEFAULT_CONTEXT
-
-
 def _ctx(ctx: QContext | None) -> QContext:
-    return ctx if ctx is not None else _DEFAULT_CONTEXT
+    return ctx if ctx is not None else QContext()
 
 
 def q_row(l: int, spec: VariableSpec, ctx: QContext | None = None) -> LaurentPoly:
@@ -247,11 +240,7 @@ def qI_tableau(
     got = ctx.cache.get(key)
     if got is not None:
         return got
-    acc: dict[tuple[int, ...], int] = {}
-    for t in enum_qt(spec, lam, mu):
-        w = qt_weight(t, spec)
-        acc[w] = acc.get(w, 0) + 1
-    total = LaurentPoly(n, acc)
+    total = LaurentPoly.from_exponents(n, (qt_weight(t, spec) for t in enum_qt(spec, lam, mu)))
     ctx.cache[key] = total
     return total
 
@@ -350,23 +339,3 @@ def qI_jp(
     ctx.cache[key] = out
     return out
 
-
-ROUTES = {
-    "definition": qI_def,
-    "tableau": qI_tableau,
-    "branch": qI_branch,
-    "pfaffian": qI_jp,
-}
-
-
-def qI_routes(
-    lam: StrictPartition,
-    mu: StrictPartition,
-    spec: VariableSpec,
-    methods: Iterable[str] | None = None,
-    ctx: QContext | None = None,
-) -> dict[str, LaurentPoly]:
-    """Evaluate the requested routes (default: all four) on one input."""
-    ctx = _ctx(ctx)
-    wanted = list(methods) if methods is not None else list(ROUTES)
-    return {name: ROUTES[name](lam, mu, spec, ctx) for name in wanted}

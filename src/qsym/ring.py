@@ -13,7 +13,8 @@ promoting, which keeps specialization maps honest.  `embed` re-indexes a
 polynomial into a wider ring explicitly.
 
 The optional environment variable QSYM_MAX_TERMS aborts any computation whose
-intermediate results grow beyond that many terms.
+intermediate results grow beyond that many terms; a value that is not a
+nonnegative integer raises ParseError.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ from __future__ import annotations
 import json
 import os
 import re
+from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import ParseError, SubstitutionError, TermBudgetExceeded, VariableCountMismatch
 
@@ -49,7 +52,13 @@ def _term_budget() -> int | None:
     raw = os.environ.get("QSYM_MAX_TERMS")
     if not raw:
         return None
-    return int(raw)
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = -1
+    if budget < 0:
+        raise ParseError(f"QSYM_MAX_TERMS must be a nonnegative integer, got {raw!r}")
+    return budget
 
 
 class LaurentPoly:
@@ -89,6 +98,11 @@ class LaurentPoly:
         exps = [0] * n
         exps[i] = power
         return cls(n, {tuple(exps): 1})
+
+    @classmethod
+    def from_exponents(cls, n: int, exps: Iterable[Monomial]) -> "LaurentPoly":
+        """Sum of the monomials x^e over `exps`, counted with multiplicity."""
+        return cls(n, Counter(exps))
 
     @classmethod
     def monomial(cls, n: int, exps: Monomial, coeff: int = 1) -> "LaurentPoly":

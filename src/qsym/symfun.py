@@ -150,11 +150,7 @@ def inter_schur(lam: Partition, spec: VariableSpec, method: str = "definition") 
     if lam.length > n:
         raise PreconditionError(f"{lam.length} rows on {n} variables")
     if method == "tableau":
-        acc: dict[Monomial, int] = {}
-        for t in enum_spt(spec, lam):
-            w = spt_weight(t, spec)
-            acc[w] = acc.get(w, 0) + 1
-        return LaurentPoly(n, acc)
+        return LaurentPoly.from_exponents(n, (spt_weight(t, spec) for t in enum_spt(spec, lam)))
     if method != "definition":
         raise ValueError(f"unknown method {method!r}")
     symp_alpha = Alphabet.symplectic(spec.k, nvars=n)

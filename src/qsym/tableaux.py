@@ -33,7 +33,7 @@ the streams are duplicate-free by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import NotContained
 from .ring import Monomial
@@ -51,9 +51,6 @@ class Letter:
     @property
     def primed(self) -> bool:
         return not self.unprimed
-
-    def weight_exponent(self) -> int:
-        return -1 if self.barred else 1
 
     def __str__(self) -> str:
         return f"{self.index}{'b' if self.barred else ''}{'' if self.unprimed else chr(39)}"
@@ -135,10 +132,11 @@ class SpTableau:
         return "\n".join(lines)
 
 
-def _letter_weight(entries: Iterator[Letter], spec: VariableSpec) -> Monomial:
+def _letter_weight(entries: Iterable[Letter], spec: VariableSpec) -> Monomial:
+    """Exponent of x_i: unbarred occurrences of index i minus barred ones."""
     exps = [0] * spec.n
     for x in entries:
-        exps[x.index - 1] += x.weight_exponent()
+        exps[x.index - 1] += -1 if x.barred else 1
     return tuple(exps)
 
 

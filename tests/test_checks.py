@@ -1,0 +1,62 @@
+from qsym import LaurentPoly, VariableSpec, qI_tableau
+from qsym import checks
+from qsym.checks import ROUTES, Route, is_spec_symmetric, lgv_checks, qfun_checks
+
+
+def _by_name(results):
+    return {r.name: r for r in results}
+
+
+def test_failing_route_names_first_case_and_difference(monkeypatch):
+    def doubled(lam, mu, spec, ctx):
+        return qI_tableau(lam, mu, spec, ctx).scale(2)
+
+    tableau = ROUTES["qI", "tableau"]
+    monkeypatch.setitem(ROUTES, ("qI", "tableau"), Route(doubled, tableau.domain))
+    results = _by_name(qfun_checks(max_part=2, max_len=2, max_vars=2))
+    bad = results["qfun.def-tableau-branch"]
+    assert not bad.passed
+    # the first case of the sweep is the empty shape on no variables, value 1
+    assert bad.detail == "lam=() mu=() spec=(0,0) definition-tableau: -1"
+    assert bad.line() == "FAIL qfun.def-tableau-branch: " + bad.detail
+    # the other checks keep their own (empty) details
+    assert results["qfun.pfaffian-route"].passed
+    assert results["qfun.pfaffian-route"].detail == ""
+
+
+def test_failing_pfaffian_route_reports_its_own_case(monkeypatch):
+    def shifted(lam, mu, spec, ctx):
+        return ROUTES["qI", "definition"].fn(lam, mu, spec, ctx) + LaurentPoly.one(spec.n)
+
+    pfaffian = ROUTES["qI", "pfaffian"]
+    monkeypatch.setitem(ROUTES, ("qI", "pfaffian"), Route(shifted, pfaffian.domain))
+    results = _by_name(qfun_checks(max_part=2, max_len=2, max_vars=2))
+    assert results["qfun.def-tableau-branch"].passed
+    bad = results["qfun.pfaffian-route"]
+    assert bad.detail == "lam=(2,1) mu=() spec=(0,2) definition-pfaffian: -1"
+
+
+def test_lgv_failure_names_case_and_difference(monkeypatch):
+    real = checks.family_weight
+
+    def off_by_x1(fam, spec):
+        w = real(fam, spec)
+        return (w[0] + 1,) + w[1:] if w else w
+
+    monkeypatch.setattr(checks, "family_weight", off_by_x1)
+    results = _by_name(lgv_checks(max_part=1, max_len=1, max_vars=1))
+    sums = results["lgv.weight-sums"]
+    assert not sums.passed
+    # the empty family on one variable weighs x1 instead of 1
+    assert sums.detail == "lam=() mu=() spec=(0,1) tableau-lgv: 1 - x1"
+    assert results["lgv.path-tableau-bijection"].detail.startswith("lam=() mu=() spec=(0,1) ")
+
+
+def test_weyl_check_includes_symplectic_swaps():
+    x1, x2 = LaurentPoly.variable(2, 0), LaurentPoly.variable(2, 1)
+    u1 = x1 + LaurentPoly.variable(2, 0, -1)
+    u2 = x2 + LaurentPoly.variable(2, 1, -1)
+    assert not is_spec_symmetric(u1, VariableSpec(2, 0))
+    assert is_spec_symmetric(u1 + u2, VariableSpec(2, 0))
+    # no swap across the symplectic/plain boundary
+    assert is_spec_symmetric(u1, VariableSpec(1, 1))

@@ -1,5 +1,13 @@
+import contextlib
+import io
 import json
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qsym import QContext, StrictPartition, VariableSpec
+from qsym.checks import ROUTES
 from qsym.cli import main
 
 
@@ -111,3 +119,121 @@ def test_inter_schur_family(capsys):
     assert code == 0
     for line in out.strip().splitlines():
         assert line.endswith("x1 + x1^-1 + x2")
+
+
+# -- route table -----------------------------------------------------------------
+
+# one valid (k, m) per spec condition of a domain
+VALID_SPEC = {"plain": (0, 2), "symplectic": (2, 0), "mixed": (1, 1)}
+
+
+@pytest.mark.parametrize("family,method", list(ROUTES))
+def test_every_route_matches_its_function(capsys, family, method):
+    route = ROUTES[family, method]
+    k, m = VALID_SPEC[route.domain.spec]
+    mu = "" if route.domain.straight else "1"
+    code, out, _ = run(
+        capsys, "compute", "--family", family, "--method", method,
+        "--lambda", "3,1", "--mu", mu, "--k", str(k), "--m", str(m), "--json",
+    )
+    assert code == 0
+    got = json.loads(out)["routes"][method]
+    lam, sub = StrictPartition((3, 1)), StrictPartition.from_string(mu)
+    direct = route.fn(lam, sub, VariableSpec(k, m), QContext())
+    assert got == json.loads(direct.to_json())
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (["--family", "qI", "--lambda", "2,1", "--mu", "1,1", "--k", "2"], "strict"),
+        (["--family", "schur", "--lambda", "2,1", "--k", "1", "--m", "1"], "k = 0"),
+        (["--family", "qC", "--lambda", "2,1", "--k", "1", "--m", "1"], "m = 0"),
+        (["--family", "inter-schur", "--lambda", "2,1", "--mu", "1", "--k", "2"], "straight"),
+        (["--family", "schur", "--lambda", "2,1", "--mu", "1", "--m", "2", "--method", "all"],
+         "straight"),
+        (["--family", "qI", "--lambda", "3,2,1", "--k", "1", "--m", "1"], "rows"),
+        (["--family", "symp-schur", "--lambda", "2,1", "--k", "1"], "rows"),
+    ],
+)
+def test_domain_violation_exits_3_naming_the_condition(capsys, argv, named):
+    code, out, err = run(capsys, "compute", *argv)
+    assert code == 3
+    assert out == ""
+    assert named in err
+
+
+def test_method_outside_family_exits_3(capsys):
+    code, _, err = run(capsys, "compute", "--family", "qA", "--lambda", "2", "--m", "1",
+                       "--method", "branch")
+    assert code == 3
+    assert "not implemented for qA" in err
+
+
+# -- exit-code contract ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--family", "qI", "--lambda", "1", "--k", "-1", "--m", "1"],
+        ["compute", "--family", "qI", "--lambda", "1", "--m", "-2"],
+        ["series", "--k", "-1"],
+        ["series", "--degree", "-1"],
+        ["verify", "--max-weight", "-1"],
+        ["verify", "--max-vars", "-1"],
+    ],
+)
+def test_negative_count_exits_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("budget", ["abc", "-1", "1.5"])
+def test_bad_term_budget_exits_2(capsys, monkeypatch, budget):
+    monkeypatch.setenv("QSYM_MAX_TERMS", budget)
+    code, _, err = run(capsys, "compute", "--family", "qI", "--lambda", "1", "--k", "1")
+    assert code == 2
+    assert "QSYM_MAX_TERMS" in err
+
+
+def _exit_code(argv: list[str]) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+_parts = st.lists(st.integers(-1, 3), max_size=3).map(lambda ps: ",".join(map(str, ps)))
+_shape = st.one_of(_parts, st.sampled_from(["x", "2,,1", " "]))
+_count_arg = st.integers(-3, 3).map(str)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["compute", "series"]))
+    if command == "series":
+        return ["series", "--k", draw(_count_arg), "--m", draw(_count_arg),
+                "--degree", draw(st.integers(-2, 4).map(str))]
+    argv = ["compute", "--family", draw(st.sampled_from(sorted({f for f, _ in ROUTES}))),
+            "--lambda", draw(_shape), "--mu", draw(_shape),
+            "--k", draw(_count_arg), "--m", draw(_count_arg)]
+    method = draw(st.sampled_from([None, "all"] + sorted({m for _, m in ROUTES})))
+    if method:
+        argv += ["--method", method]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(_argv())
+def test_exit_code_contract(argv):
+    code, err = _exit_code(argv)
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        assert "DISAGREEMENT" in err

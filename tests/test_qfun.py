@@ -1,5 +1,6 @@
 import pytest
 
+import qsym.qfun
 from qsym import (
     EMPTY,
     LaurentPoly,
@@ -12,12 +13,12 @@ from qsym import (
     qI_branch,
     qI_def,
     qI_jp,
-    qI_routes,
     qI_tableau,
     q_row,
     q_single_var,
     q_skew_jp,
 )
+from qsym.checks import ROUTES
 
 
 def v(n, i, p=1):
@@ -138,9 +139,10 @@ def test_two_row_shape_frozen_value():
         + (x1 * x2 * x2).scale(4)
         + (v(2, 0, -1) * x2 * x2).scale(4)
     )
-    routes = qI_routes(sp(2, 1), EMPTY, spec)
-    for name, got in routes.items():
-        assert got == expect, name
+    qi_rows = {m: r.fn for (f, m), r in ROUTES.items() if f == "qI" and m != "lgv"}
+    assert list(qi_rows) == ["definition", "tableau", "branch", "pfaffian"]
+    for name, fn in qi_rows.items():
+        assert fn(sp(2, 1), EMPTY, spec, QContext()) == expect, name
 
 
 def test_q_single_var():
@@ -173,3 +175,9 @@ def test_context_cache_matches_fresh():
     fresh = qI_def(sp(3, 1), sp(1), spec, QContext())
     assert warm == again == fresh
     assert ("Idef", (3, 1), (1,), spec) in ctx.cache
+
+
+def test_context_less_call_leaves_no_module_cache():
+    qI_def(sp(3, 1), sp(1), VariableSpec(1, 1))
+    contexts = [c for c in vars(qsym.qfun).values() if isinstance(c, QContext)]
+    assert all(not c.cache and not c.row_series for c in contexts)
