@@ -60,7 +60,6 @@ from .qfun import (
     qI_tableau,
     q_row,
     q_single_var,
-    q_skew_jp,
 )
 from .lgv import (
     LatticePath,

@@ -31,22 +31,10 @@ from .tableaux import Letter, PrimedTableau, VariableSpec, _letter_weight, lette
 Vertex = tuple[int, int]  # (x, doubled y)
 
 
-_LETTER_CACHE: dict[tuple[int, int, bool], Letter] = {}
-
-
 def _level_letter(spec: VariableSpec, level: int, primed: bool) -> Letter:
-    key = (spec.k, level, primed)
-    got = _LETTER_CACHE.get(key)
-    if got is None:
-        if level <= 2 * spec.k:
-            index = (level + 1) // 2
-            barred = level % 2 == 0
-        else:
-            index = level - spec.k
-            barred = False
-        got = letter(index, barred=barred, primed=primed)
-        _LETTER_CACHE[key] = got
-    return got
+    if level <= 2 * spec.k:
+        return letter((level + 1) // 2, barred=level % 2 == 0, primed=primed)
+    return letter(level - spec.k, primed=primed)
 
 
 @dataclass(frozen=True)
@@ -86,14 +74,16 @@ def _enum_paths_from(
     first_letter: Letter | None,
     sink_x: int,
     top: int,
-    spec: VariableSpec,
+    unprimed: list[Letter],
+    primed: list[Letter],
     used: set[Vertex],
 ) -> Iterator[LatticePath]:
     """Paths from `start` to (sink_x, top) avoiding `used` vertices.
 
     `first_letter` is the letter of the boundary-exit step for left-boundary
     starts (the start vertex is then off-lattice at x = 0); bottom starts
-    pass None and begin on the lattice.
+    pass None and begin on the lattice.  `unprimed` and `primed` hold the
+    letters of levels 1..K, indexed by level - 1.
     """
     verts: list[Vertex] = [start]
     letters: list[Letter] = []
@@ -128,7 +118,7 @@ def _enum_paths_from(
             if v not in used:
                 verts.append(v)
                 used.add(v)
-                letters.append(_level_letter(spec, dy // 2, primed=False))
+                letters.append(unprimed[dy // 2 - 1])
                 yield from rec()
                 letters.pop()
                 used.discard(v)
@@ -139,7 +129,7 @@ def _enum_paths_from(
             if v not in used:
                 verts.append(v)
                 used.add(v)
-                letters.append(_level_letter(spec, dy // 2 + 1, primed=True))
+                letters.append(primed[dy // 2])
                 yield from rec()
                 letters.pop()
                 used.discard(v)
@@ -164,6 +154,8 @@ def enum_path_families(
     k_levels = 2 * spec.k + spec.m
     top = 2 * k_levels
     l, m = lam.length, mu.length
+    unprimed = [_level_letter(spec, level, False) for level in range(1, k_levels + 1)]
+    primed = [_level_letter(spec, level, True) for level in range(1, k_levels + 1)]
     used: set[Vertex] = set()
 
     def rec(i: int, acc: list[LatticePath], prev_entry_index: int) -> Iterator[PathFamily]:
@@ -176,7 +168,7 @@ def enum_path_families(
             if start in used:
                 return
             used.add(start)
-            for path in _enum_paths_from(start, None, sink_x, top, spec, used):
+            for path in _enum_paths_from(start, None, sink_x, top, unprimed, primed, used):
                 path_verts = set(path.vertices) - {start}
                 used.update(path_verts)
                 acc.append(path)
@@ -186,15 +178,16 @@ def enum_path_families(
             used.discard(start)
         else:
             for level in range(1, k_levels + 1):
-                for primed in (False, True):
-                    first = _level_letter(spec, level, primed)
+                for first in (unprimed[level - 1], primed[level - 1]):
                     if first.index <= prev_entry_index:
                         continue
-                    start = (0, 2 * level - 1) if primed else (0, 2 * level)
+                    start = (0, 2 * level - 1) if first.primed else (0, 2 * level)
                     if start in used:
                         continue
                     used.add(start)
-                    for path in _enum_paths_from(start, first, sink_x, top, spec, used):
+                    for path in _enum_paths_from(
+                        start, first, sink_x, top, unprimed, primed, used
+                    ):
                         path_verts = set(path.vertices) - {start}
                         used.update(path_verts)
                         acc.append(path)

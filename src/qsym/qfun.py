@@ -1,8 +1,11 @@
-"""Q-polynomial evaluators: one-row series, two-row recursions, skew
-Pfaffians for the plain and symplectic families, and the intermediate family
-by four independent routes (inner-sum definition, tableau sum, branching
-chains, Pfaffian).  The table that names these routes, with the inputs each
-accepts, is `checks.ROUTES`.
+"""Q-polynomial evaluators: the one-row series, the closed two-row forms of
+the plain and symplectic families, and the intermediate family by four
+independent routes (inner-sum definition, tableau sum, branching chains,
+Pfaffian).  The table that names these routes, with the inputs each accepts,
+is `checks.ROUTES`.
+
+The spec is the family: k = 0 gives the plain family (Schur's Q-functions),
+m = 0 the symplectic one (Okada's), and each route evaluates all three.
 
 All evaluators are pure; a QContext carries the memo tables that the
 Pfaffian expansions hammer (one-row values, two-row values, sub-sums).  A
@@ -106,31 +109,23 @@ def qC_two_row(r: int, s: int, k: int, ctx: QContext | None = None) -> LaurentPo
     return total
 
 
-def _pair_value(family: str, r: int, s: int, spec: VariableSpec, ctx: QContext) -> LaurentPoly:
-    """Two-row matrix entry with the boundary conventions."""
+def _pair_value(r: int, s: int, spec: VariableSpec, ctx: QContext) -> LaurentPoly:
+    """Two-row matrix entry with the boundary conventions.  Pure specs have
+    closed two-row forms; mixed ones fall back to the inner-sum definition."""
     if r == s:
         return LaurentPoly.zero(spec.n)
     if r < s:
-        return -_pair_value(family, s, r, spec, ctx)
+        return -_pair_value(s, r, spec, ctx)
     if s == 0:
         return q_row(r, spec, ctx)
-    if family == "A":
-        return qA_two_row(r, s, spec.n, ctx)
-    if family == "C":
+    if spec.m == 0:
         return qC_two_row(r, s, spec.k, ctx)
-    if family == "I":
-        # pure specs have closed two-row recursions; mixed ones fall back to
-        # the inner-sum definition
-        if spec.m == 0:
-            return qC_two_row(r, s, spec.k, ctx)
-        if spec.k == 0:
-            return qA_two_row(r, s, spec.m, ctx)
-        return qI_def(StrictPartition((r, s)), EMPTY, spec, ctx)
-    raise ValueError(f"unknown family {family!r}")
+    if spec.k == 0:
+        return qA_two_row(r, s, spec.m, ctx)
+    return qI_def(StrictPartition((r, s)), EMPTY, spec, ctx)
 
 
 def build_jp_matrix(
-    family: str,
     lam: StrictPartition,
     mu: StrictPartition,
     spec: VariableSpec,
@@ -148,7 +143,7 @@ def build_jp_matrix(
     rows = [[zero] * size for _ in range(size)]
     for i in range(l):
         for j in range(i + 1, l):
-            v = _pair_value(family, lam_parts[i], lam_parts[j], spec, ctx)
+            v = _pair_value(lam_parts[i], lam_parts[j], spec, ctx)
             rows[i][j] = v
             rows[j][i] = -v
     for i in range(l):
@@ -157,34 +152,6 @@ def build_jp_matrix(
             rows[i][l + j] = v
             rows[l + j][i] = -v
     return RingMatrix.from_rows(rows)
-
-
-def q_skew_jp(
-    family: str,
-    lam: StrictPartition,
-    mu: StrictPartition,
-    spec: VariableSpec,
-    ctx: QContext | None = None,
-) -> LaurentPoly:
-    """Skew Q-polynomial by the Pfaffian formula, families "A" and "C".
-
-    Family A needs a spec with k = 0, family C one with m = 0; the result
-    vanishes when mu is not contained in lam.
-    """
-    if family == "A" and spec.k != 0:
-        raise PreconditionError("family A runs on a (0, n) spec")
-    if family == "C" and spec.m != 0:
-        raise PreconditionError("family C runs on a (k, 0) spec")
-    if family not in ("A", "C"):
-        raise ValueError(f"unknown family {family!r}")
-    ctx = _ctx(ctx)
-    key = ("jp", family, lam.parts, mu.parts, spec)
-    got = ctx.cache.get(key)
-    if got is not None:
-        return got
-    out = pfaffian(build_jp_matrix(family, lam, mu, spec, ctx), spec.n)
-    ctx.cache[key] = out
-    return out
 
 
 def qI_def(
@@ -214,10 +181,10 @@ def qI_def(
     a_spec = VariableSpec(0, spec.m)
     total = LaurentPoly.zero(n)
     for nu in enum_strict_between(mu, lam):
-        c_part = q_skew_jp("C", nu, mu, c_spec, ctx)
+        c_part = qI_jp(nu, mu, c_spec, ctx)
         if c_part.is_zero():
             continue
-        a_part = q_skew_jp("A", lam, nu, a_spec, ctx)
+        a_part = qI_jp(lam, nu, a_spec, ctx)
         if a_part.is_zero():
             continue
         total = total + c_part.embed(n, 0) * a_part.embed(n, spec.k)
@@ -246,19 +213,19 @@ def qI_tableau(
 
 
 def q_single_var(
-    family: str,
     lam: StrictPartition,
     mu: StrictPartition,
+    spec: VariableSpec,
     ctx: QContext | None = None,
 ) -> LaurentPoly:
-    """Skew value in a single variable (pair): zero when the shape grows by
-    more than one row, otherwise a determinant of one-row values."""
-    if family not in ("A", "C"):
-        raise ValueError(f"unknown family {family!r}")
+    """Skew value on a one-variable spec, (1, 0) or (0, 1): zero when the
+    shape grows by more than one row, otherwise a determinant of one-row
+    values."""
+    if spec.n != 1:
+        raise PreconditionError(f"needs a one-variable spec, got ({spec.k}, {spec.m})")
     if lam.length - mu.length > 1 or mu.length > lam.length:
         return LaurentPoly.zero(1)
     ctx = _ctx(ctx)
-    spec = VariableSpec(1, 0) if family == "C" else VariableSpec(0, 1)
     size = lam.length
     rows = [
         [q_row(lam.part(i) - mu.part(j), spec, ctx) for j in range(1, size + 1)]
@@ -287,10 +254,10 @@ def qI_branch(
         got = ctx.cache.get(key)
         if got is not None:
             return got
-        family = "C" if i <= spec.k else "A"
+        step_spec = VariableSpec(1, 0) if i <= spec.k else VariableSpec(0, 1)
         total = LaurentPoly.zero(n)
         for nxt in enum_strict_between(cur, lam):
-            step = q_single_var(family, nxt, cur, ctx)
+            step = q_single_var(nxt, cur, step_spec, ctx)
             if step.is_zero():
                 continue
             rest = suffix(i + 1, nxt)
@@ -311,14 +278,16 @@ def qI_jp(
     spec: VariableSpec,
     ctx: QContext | None = None,
 ) -> LaurentPoly:
-    """Intermediate value by the Pfaffian formula.
+    """Skew value by the Pfaffian formula; it vanishes when mu is not
+    contained in lam.
 
-    The two-row matrix entries are themselves intermediate values (computed
-    by the inner-sum definition for mixed specs; no closed two-row form is
-    available there), the one-row entries come from the generating series.
-    Shapes with fewer than two rows fall back to the one-row series directly.
-    Pure specs take any number of rows, where this is just the plain or
-    symplectic skew Pfaffian.
+    On a pure spec this is the plain (k = 0) or symplectic (m = 0) skew
+    Pfaffian, whose two-row entries have closed forms; it takes any number
+    of rows there, as the inner sums of qI_def need.  On a mixed spec the
+    two-row entries are themselves intermediate values, computed by the
+    inner-sum definition (no closed two-row form is available), and lam may
+    have at most n rows.  The one-row entries come from the generating
+    series, and shapes with fewer than two rows use it directly.
     """
     n = spec.n
     if lam.length > n and spec.k > 0 and spec.m > 0:
@@ -335,7 +304,7 @@ def qI_jp(
     got = ctx.cache.get(key)
     if got is not None:
         return got
-    out = pfaffian(build_jp_matrix("I", lam, mu, spec, ctx), spec.n)
+    out = pfaffian(build_jp_matrix(lam, mu, spec, ctx), spec.n)
     ctx.cache[key] = out
     return out
 

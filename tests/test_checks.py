@@ -19,9 +19,14 @@ def test_failing_route_names_first_case_and_difference(monkeypatch):
     # the first case of the sweep is the empty shape on no variables, value 1
     assert bad.detail == "lam=() mu=() spec=(0,0) definition-tableau: -1"
     assert bad.line() == "FAIL qfun.def-tableau-branch: " + bad.detail
-    # the other checks keep their own (empty) details
+    # the other checks keep their own details.  The pfaffian route's detail
+    # counts its dependent cases: lam = (2,1), four mu inside it and three
+    # two-variable specs; two specs are pure, and one case is the mixed straight (2,1)
     assert results["qfun.pfaffian-route"].passed
-    assert results["qfun.pfaffian-route"].detail == ""
+    assert results["qfun.pfaffian-route"].detail == (
+        "12 cases of two or more rows, not independent on 8 pure-spec "
+        "and 1 mixed straight two-row cases"
+    )
 
 
 def test_failing_pfaffian_route_reports_its_own_case(monkeypatch):

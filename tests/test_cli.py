@@ -154,6 +154,7 @@ def test_every_route_matches_its_function(capsys, family, method):
          "straight"),
         (["--family", "qI", "--lambda", "3,2,1", "--k", "1", "--m", "1"], "rows"),
         (["--family", "symp-schur", "--lambda", "2,1", "--k", "1"], "rows"),
+        (["--family", "qI", "--method", "pfaffian", "--lambda", "2,1", "--m", "1"], "rows"),
     ],
 )
 def test_domain_violation_exits_3_naming_the_condition(capsys, argv, named):

@@ -1,5 +1,6 @@
 import pytest
 
+import qsym.lgv
 import qsym.qfun
 from qsym import (
     EMPTY,
@@ -14,9 +15,9 @@ from qsym import (
     qI_def,
     qI_jp,
     qI_tableau,
+    lgv_weight_sum,
     q_row,
     q_single_var,
-    q_skew_jp,
 )
 from qsym.checks import ROUTES
 
@@ -66,21 +67,12 @@ def test_qC_two_row_matches_tableau_sum():
     assert got == qI_tableau(sp(2, 1), EMPTY, VariableSpec(2, 0))
 
 
-def test_q_skew_jp_values():
+def test_qI_jp_pure_spec_values():
     x1, x2 = v(2, 0), v(2, 1)
-    assert q_skew_jp("A", sp(2, 1), EMPTY, VariableSpec(0, 2)) == (
-        x1 * x2 * (x1 + x2)
-    ).scale(4)
-    assert q_skew_jp("A", sp(1), sp(2), VariableSpec(0, 2)) == LaurentPoly.zero(2)
-    assert q_skew_jp("C", sp(1), EMPTY, VariableSpec(1, 0)) == u_of(1, 0).scale(2)
-    assert q_skew_jp("C", sp(2, 1), sp(2, 1), VariableSpec(1, 0)) == LaurentPoly.one(1)
-
-
-def test_q_skew_jp_spec_guard():
-    with pytest.raises(PreconditionError):
-        q_skew_jp("A", sp(1), EMPTY, VariableSpec(1, 0))
-    with pytest.raises(PreconditionError):
-        q_skew_jp("C", sp(1), EMPTY, VariableSpec(0, 1))
+    assert qI_jp(sp(2, 1), EMPTY, VariableSpec(0, 2)) == (x1 * x2 * (x1 + x2)).scale(4)
+    assert qI_jp(sp(1), sp(2), VariableSpec(0, 2)) == LaurentPoly.zero(2)
+    assert qI_jp(sp(1), EMPTY, VariableSpec(1, 0)) == u_of(1, 0).scale(2)
+    assert qI_jp(sp(2, 1), sp(2, 1), VariableSpec(1, 0)) == LaurentPoly.one(1)
 
 
 def test_qI_def_one_cell():
@@ -93,8 +85,8 @@ def test_qI_def_degenerations():
         for mu in (EMPTY, sp(1), sp(2)):
             a_spec = VariableSpec(0, 2)
             c_spec = VariableSpec(2, 0)
-            assert qI_def(lam, mu, a_spec) == q_skew_jp("A", lam, mu, a_spec)
-            assert qI_def(lam, mu, c_spec) == q_skew_jp("C", lam, mu, c_spec)
+            assert qI_def(lam, mu, a_spec) == qI_jp(lam, mu, a_spec)
+            assert qI_def(lam, mu, c_spec) == qI_jp(lam, mu, c_spec)
 
 
 def test_qI_tableau_examples():
@@ -120,8 +112,8 @@ def test_qI_jp_examples():
     assert qI_jp(sp(2, 1), EMPTY, VariableSpec(0, 2)) == (x1 * x2 * (x1 + x2)).scale(4)
     spec = VariableSpec(1, 1)
     assert qI_jp(sp(2, 1), sp(1), spec) == qI_tableau(sp(2, 1), sp(1), spec)
-    c_spec = VariableSpec(1, 0)
-    assert qI_jp(sp(3, 1), EMPTY, c_spec) == q_skew_jp("C", sp(3, 1), EMPTY, c_spec)
+    # two rows on a single symplectic pair vanish, as in the tableau family
+    assert qI_jp(sp(3, 1), EMPTY, VariableSpec(1, 0)) == LaurentPoly.zero(1)
     # one-row fallback
     assert qI_jp(sp(3), sp(1), spec) == q_row(2, spec)
     assert qI_jp(EMPTY, EMPTY, spec) == LaurentPoly.one(2)
@@ -146,12 +138,15 @@ def test_two_row_shape_frozen_value():
 
 
 def test_q_single_var():
-    assert q_single_var("A", sp(2), sp(1)) == v(1, 0).scale(2)
-    assert q_single_var("A", sp(2, 1), EMPTY) == LaurentPoly.zero(1)
-    assert q_single_var("C", sp(2, 1), sp(2, 1)) == LaurentPoly.one(1)
-    assert q_single_var("C", sp(3, 1), sp(1)) == (
+    plain, symplectic = VariableSpec(0, 1), VariableSpec(1, 0)
+    assert q_single_var(sp(2), sp(1), plain) == v(1, 0).scale(2)
+    assert q_single_var(sp(2, 1), EMPTY, plain) == LaurentPoly.zero(1)
+    assert q_single_var(sp(2, 1), sp(2, 1), symplectic) == LaurentPoly.one(1)
+    assert q_single_var(sp(3, 1), sp(1), symplectic) == (
         v(1, 0, 3) + v(1, 0).scale(4) + v(1, 0, -1).scale(4) + v(1, 0, -3)
     ).scale(2)
+    with pytest.raises(PreconditionError):
+        q_single_var(sp(2), sp(1), VariableSpec(1, 1))
 
 
 def test_row_count_preconditions():
@@ -162,9 +157,7 @@ def test_row_count_preconditions():
     # so only mixed specs enforce the row bound
     with pytest.raises(PreconditionError):
         qI_jp(sp(3, 2, 1), EMPTY, VariableSpec(1, 1))
-    assert qI_jp(sp(2, 1), EMPTY, VariableSpec(0, 1)) == q_skew_jp(
-        "A", sp(2, 1), EMPTY, VariableSpec(0, 1)
-    )
+    assert qI_jp(sp(2, 1), EMPTY, VariableSpec(0, 1)) == LaurentPoly.zero(1)
 
 
 def test_context_cache_matches_fresh():
@@ -181,3 +174,6 @@ def test_context_less_call_leaves_no_module_cache():
     qI_def(sp(3, 1), sp(1), VariableSpec(1, 1))
     contexts = [c for c in vars(qsym.qfun).values() if isinstance(c, QContext)]
     assert all(not c.cache and not c.row_series for c in contexts)
+    lgv_weight_sum(sp(3, 1), sp(1), VariableSpec(1, 1))
+    tables = [t for name, t in vars(qsym.lgv).items() if isinstance(t, dict) and name[:2] != "__"]
+    assert not any(tables)
