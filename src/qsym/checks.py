@@ -3,9 +3,11 @@
 
 ROUTES maps (family, method) to a Route: a function of (lam, mu, spec, ctx)
 and the Domain of inputs it accepts.  The CLI `compute` command and the qfun
-sweep both read it.  Each suite returns a list of (name, passed, detail)
-results, the detail of a failed check naming its first counterexample;
-budgets cap the shape weight and the variable count."""
+sweep both read it.  SUITES is the one list of check suites, and "all" runs
+its rows in order.  A suite returns (name, passed, detail) results; the
+detail of every failed check names its first counterexample, and the
+difference where two polynomials are compared.  Budgets cap the shape weight
+and the variable count."""
 
 from __future__ import annotations
 
@@ -209,33 +211,29 @@ def _random_poly(rng: random.Random, n: int, terms: int = 4) -> LaurentPoly:
 
 def ring_checks(seed: int = 0, rounds: int = 60) -> list[CheckResult]:
     rng = random.Random(seed)
-    ok_axioms = ok_roundtrip = ok_series = True
-    detail = ""
+    first: dict[str, str] = {}
     for _ in range(rounds):
         n = rng.randint(0, 3)
         a, b, c = (_random_poly(rng, n) for _ in range(3))
         if a * b != b * a or (a * b) * c != a * (b * c) or a * (b + c) != a * b + a * c:
-            ok_axioms = False
-        if parse_poly(str(a), n) != a or LaurentPoly.from_json(a.to_json()) != a:
-            ok_roundtrip = False
-            detail = str(a)
-        if str(parse_poly(str(a), n)) != str(a):
-            ok_roundtrip = False
+            first.setdefault("ring.axioms", f"n={n} a={a} b={b} c={c}")
+        parsed = parse_poly(str(a), n)
+        if parsed != a or str(parsed) != str(a) or LaurentPoly.from_json(a.to_json()) != a:
+            first.setdefault("ring.roundtrip", f"n={n} a={a} parsed as {parsed}")
     for _ in range(max(1, rounds // 3)):
         n = rng.randint(1, 3)
         nums = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(0, 3))]
         dens = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(0, 3))]
         deg = rng.randint(0, 5)
-        series = series_from_linear_factors(nums, dens, deg, n)
-        back = series
+        back = series_from_linear_factors(nums, dens, deg, n)
         for v in dens:
             back = back.mul_linear(v, -1)
         if back != series_from_linear_factors(nums, [], deg, n):
-            ok_series = False
+            first.setdefault("ring.series-inverse", f"n={n} nums={nums} dens={dens} deg={deg}")
     return [
-        CheckResult("ring.axioms", ok_axioms, f"{rounds} random triples"),
-        CheckResult("ring.roundtrip", ok_roundtrip, detail),
-        CheckResult("ring.series-inverse", ok_series),
+        _result("ring.axioms", first, f"{rounds} random triples"),
+        _result("ring.roundtrip", first),
+        _result("ring.series-inverse", first),
     ]
 
 
@@ -243,20 +241,18 @@ def ring_checks(seed: int = 0, rounds: int = 60) -> list[CheckResult]:
 
 
 def tableaux_checks(max_weight: int = 6, max_vars: int = 3) -> list[CheckResult]:
-    results = []
-    dup_free = True
+    first: dict[str, str] = {}
     for lam, mu, spec in qi_cases(max_part=4, max_len=3, max_vars=max_vars):
         if lam.weight > max_weight:
             continue
         tabs = list(enum_qt(spec, lam, mu))
         if len(set(tabs)) != len(tabs):
-            dup_free = False
-    results.append(CheckResult("tableaux.duplicate-free", dup_free))
+            detail = f"{_case(lam, mu, spec)} {len(tabs)} tableaux, {len(set(tabs))} distinct"
+            first.setdefault("tableaux.duplicate-free", detail)
 
     def qt_count(spec, lam, mu=EMPTY):
         return sum(1 for _ in enum_qt(spec, lam, mu))
 
-    split_ok = True
     for lam in strict_partitions(4, 3):
         if lam.weight > max_weight:
             continue
@@ -269,13 +265,12 @@ def tableaux_checks(max_weight: int = 6, max_vars: int = 3) -> list[CheckResult]
                     if c:
                         rhs += c * qt_count(VariableSpec(0, spec.m), lam, nu)
                 if lhs != rhs:
-                    split_ok = False
-    results.append(CheckResult("tableaux.split-counts", split_ok))
+                    detail = f"{_case(lam, mu, spec)} {lhs} tableaux, {rhs} split"
+                    first.setdefault("tableaux.split-counts", detail)
 
     def spt_count(spec, outer, inner=Partition()):
         return sum(1 for _ in enum_spt(spec, outer, inner))
 
-    spt_ok = True
     for lam in partitions_up_to_weight(min(max_weight, 5), max_len=3):
         for spec in specs_up_to(max_vars):
             if lam.length > spec.n:
@@ -287,62 +282,67 @@ def tableaux_checks(max_weight: int = 6, max_vars: int = 3) -> list[CheckResult]
                 if c:
                     rhs += c * spt_count(VariableSpec(0, spec.m), lam, mu)
             if lhs != rhs:
-                spt_ok = False
-    results.append(CheckResult("tableaux.split-counts-unprimed", spt_ok))
-    return results
+                detail = f"{_case(lam, EMPTY, spec)} {lhs} tableaux, {rhs} split"
+                first.setdefault("tableaux.split-counts-unprimed", detail)
+    names = (
+        "tableaux.duplicate-free",
+        "tableaux.split-counts",
+        "tableaux.split-counts-unprimed",
+    )
+    return [_result(name, first) for name in names]
 
 
 # -- schur side ---------------------------------------------------------------
 
 
 def schur_checks(max_weight: int = 5, max_vars: int = 4) -> list[CheckResult]:
-    results = []
-    agree = True
-    union_ok = True
-    symmetric = True
+    first: dict[str, str] = {}
     for lam in partitions_up_to_weight(max_weight):
         for spec in specs_up_to(max_vars):
             if lam.length > spec.n:
                 continue
+            case = _case(lam, EMPTY, spec)
             d = inter_schur(lam, spec, "definition")
-            if d != inter_schur(lam, spec, "tableau"):
-                agree = False
+            diff = d - inter_schur(lam, spec, "tableau")
+            if not diff.is_zero():
+                detail = f"{case} definition-tableau: {diff}"
+                first.setdefault("schur.definition-vs-tableau", detail)
             if lam.length <= spec.k + 1 and not check_union_identity(lam, spec):
-                union_ok = False
+                first.setdefault("schur.union-alphabet", case)
             if lam.weight <= 4 and not is_spec_symmetric(d, spec):
-                symmetric = False
-    results.append(CheckResult("schur.definition-vs-tableau", agree))
-    results.append(CheckResult("schur.union-alphabet", union_ok))
-    results.append(CheckResult("schur.weyl-symmetry", symmetric))
+                first.setdefault("schur.weyl-symmetry", case)
 
-    jt_ok = True
-    alphabets = (
-        Alphabet.type_a(2),
-        Alphabet.symplectic(1),
-        Alphabet.mixed(VariableSpec(1, 1)),
-    )
+    specs = (VariableSpec(0, 2), VariableSpec(1, 0), VariableSpec(1, 1))
     for lam in partitions_up_to_weight(6):
         for mu in list(lam.subpartitions())[:3]:
-            for a in alphabets:
-                if schur_skew(lam, mu, a) != schur_skew_e(lam, mu, a):
-                    jt_ok = False
-    results.append(CheckResult("schur.jacobi-trudi-h-vs-e", jt_ok))
+            for spec in specs:
+                a = Alphabet.mixed(spec)
+                diff = schur_skew(lam, mu, a) - schur_skew_e(lam, mu, a)
+                if not diff.is_zero():
+                    detail = f"{_case(lam, mu, spec)} h-e: {diff}"
+                    first.setdefault("schur.jacobi-trudi-h-vs-e", detail)
 
-    inv_ok = True
     k = 2
     for lam in partitions_up_to_weight(4, max_len=2):
         p = symp_schur(lam, k)
+        case = _case(lam, EMPTY, VariableSpec(k, 0))
         for i in range(k):
             images = [LaurentPoly.variable(k, j) for j in range(k)]
             images[i] = LaurentPoly.variable(k, i, -1)
             if p.substitute(images) != p:
-                inv_ok = False
+                first.setdefault("schur.symplectic-invariance", f"{case} x{i + 1} -> 1/x{i + 1}")
         for sigma in permutations(range(k)):
             images = [LaurentPoly.variable(k, sigma[j]) for j in range(k)]
             if p.substitute(images) != p:
-                inv_ok = False
-    results.append(CheckResult("schur.symplectic-invariance", inv_ok))
-    return results
+                first.setdefault("schur.symplectic-invariance", f"{case} permutation {sigma}")
+    names = (
+        "schur.definition-vs-tableau",
+        "schur.union-alphabet",
+        "schur.weyl-symmetry",
+        "schur.jacobi-trudi-h-vs-e",
+        "schur.symplectic-invariance",
+    )
+    return [_result(name, first) for name in names]
 
 
 # -- q side -------------------------------------------------------------------
@@ -398,7 +398,11 @@ def qfun_checks(
                 check = "qfun.def-tableau-branch"
             diff = ref - route.fn(lam, mu, spec, ctx)
             if not diff.is_zero():
-                first.setdefault(check, f"{case} definition-{method}: {diff}")
+                detail = f"{case} definition-{method}: {diff}"
+                first.setdefault(check, detail)
+                # on a pure spec the definition is Schur's or Okada's Pfaffian
+                if method != "pfaffian" and not (spec.k and spec.m):
+                    first.setdefault("qfun.degenerations", detail)
         if lam.length >= 2:
             jp_cases += 1
             if not (spec.k and spec.m):
@@ -406,18 +410,12 @@ def qfun_checks(
             elif lam.length == 2 and not mu.parts:
                 jp_two_row += 1
             mat = build_jp_matrix(lam, mu, spec, ctx)
-            if pfaffian(mat, spec.n) * pfaffian(mat, spec.n) != determinant(mat, spec.n):
-                first.setdefault("qfun.pfaffian-square", case)
+            diff = pfaffian(mat, spec.n) * pfaffian(mat, spec.n) - determinant(mat, spec.n)
+            if not diff.is_zero():
+                detail = f"{case} pfaffian^2-determinant: {diff}"
+                first.setdefault("qfun.pfaffian-square", detail)
         if not is_spec_symmetric(ref, spec):
             first.setdefault("qfun.weyl-symmetry", case)
-    for lam in strict_partitions(max_part, max_len):
-        for mu in enum_strict_between(EMPTY, lam):
-            for total in range(max(1, lam.length), max_vars + 1):
-                for spec in (VariableSpec(0, total), VariableSpec(total, 0)):
-                    diff = qI_def(lam, mu, spec, ctx) - qI_jp(lam, mu, spec, ctx)
-                    if not diff.is_zero():
-                        detail = f"{_case(lam, mu, spec)} definition-pfaffian: {diff}"
-                        first.setdefault("qfun.degenerations", detail)
 
     for spec in specs_up_to(max_vars):
         for l in range(0, 7):
@@ -498,8 +496,8 @@ def lgv_checks(max_part: int = 4, max_len: int = 3, max_vars: int = 3) -> list[C
 
 def pfaffian_random_checks(seed: int = 0, rounds: int = 200) -> list[CheckResult]:
     rng = random.Random(seed)
-    ok = True
-    for _ in range(rounds):
+    first: dict[str, str] = {}
+    for r in range(rounds):
         size = 2 * rng.randint(1, 3)
         n = rng.randint(1, 2)
         zero = LaurentPoly.zero(n)
@@ -510,11 +508,14 @@ def pfaffian_random_checks(seed: int = 0, rounds: int = 200) -> list[CheckResult
                 rows[i][j] = v
                 rows[j][i] = -v
         mat = RingMatrix.from_rows(rows)
-        if pfaffian(mat, n) * pfaffian(mat, n) != determinant(mat, n):
-            ok = False
-    return [CheckResult("linalg.pfaffian-square-random", ok, f"{rounds} matrices")]
+        diff = pfaffian(mat, n) * pfaffian(mat, n) - determinant(mat, n)
+        if not diff.is_zero():
+            detail = f"matrix {r} ({size}x{size}, n={n}) pfaffian^2-determinant: {diff}"
+            first.setdefault("linalg.pfaffian-square-random", detail)
+    return [_result("linalg.pfaffian-square-random", first, f"{rounds} matrices")]
 
 
+# Each suite takes (max_weight, max_vars, seed); "all" runs them in this order.
 SUITES = {
     "ring": lambda max_weight, max_vars, seed: ring_checks(seed=seed),
     "tableaux": lambda max_weight, max_vars, seed: tableaux_checks(max_weight, max_vars),
@@ -525,16 +526,12 @@ SUITES = {
     "lgv": lambda max_weight, max_vars, seed: lgv_checks(
         max_part=min(max_weight, 4), max_len=3, max_vars=max_vars
     ),
+    "linalg": lambda max_weight, max_vars, seed: pfaffian_random_checks(seed=seed, rounds=50),
 }
 
 
 def run_suite(name: str, max_weight: int, max_vars: int, seed: int = 0) -> list[CheckResult]:
-    if name == "all":
-        out = []
-        for key in SUITES:
-            out.extend(SUITES[key](max_weight, max_vars, seed))
-        out.extend(pfaffian_random_checks(seed=seed, rounds=50))
-        return out
-    if name not in SUITES:
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return SUITES[name](max_weight, max_vars, seed)
+    names = SUITES if name == "all" else [name]
+    return [r for key in names for r in SUITES[key](max_weight, max_vars, seed)]

@@ -25,7 +25,7 @@ from typing import Iterator
 
 from .errors import PreconditionError
 from .ring import LaurentPoly, Monomial
-from .shapes import EMPTY, StrictPartition
+from .shapes import StrictPartition
 from .tableaux import Letter, PrimedTableau, VariableSpec, _letter_weight, letter
 
 Vertex = tuple[int, int]  # (x, doubled y)
@@ -139,16 +139,12 @@ def _enum_paths_from(
 
 
 def enum_path_families(
-    lam: StrictPartition,
-    mu: StrictPartition = EMPTY,
-    spec: VariableSpec | None = None,
+    lam: StrictPartition, mu: StrictPartition, spec: VariableSpec
 ) -> Iterator[PathFamily]:
     """All vertex-disjoint families for the shape of lam over mu.
 
     Empty stream when mu is not contained in lam (a sink would sit left of
     its source, forcing a crossing)."""
-    if spec is None:
-        raise ValueError("spec is required")
     if lam.length > spec.n:
         raise PreconditionError(f"{lam.length} rows on {spec.n} variables")
     k_levels = 2 * spec.k + spec.m

@@ -65,11 +65,7 @@ class Partition:
             for p in range(1, min(prev, self.parts[i]) + 1):
                 yield from rec(i + 1, p, acc + (p,))
 
-        seen = set()
-        for mu in rec(0, self.parts[0] if self.parts else 0, ()):
-            if mu not in seen:
-                seen.add(mu)
-                yield mu
+        yield from rec(0, self.parts[0] if self.parts else 0, ())
 
     def __str__(self) -> str:
         return ",".join(str(p) for p in self.parts)

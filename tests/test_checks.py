@@ -1,6 +1,16 @@
+import pytest
+
 from qsym import LaurentPoly, VariableSpec, qI_tableau
 from qsym import checks
-from qsym.checks import ROUTES, Route, is_spec_symmetric, lgv_checks, qfun_checks
+from qsym.checks import (
+    ROUTES,
+    SUITES,
+    Route,
+    is_spec_symmetric,
+    lgv_checks,
+    qfun_checks,
+    run_suite,
+)
 
 
 def _by_name(results):
@@ -19,6 +29,11 @@ def test_failing_route_names_first_case_and_difference(monkeypatch):
     # the first case of the sweep is the empty shape on no variables, value 1
     assert bad.detail == "lam=() mu=() spec=(0,0) definition-tableau: -1"
     assert bad.line() == "FAIL qfun.def-tableau-branch: " + bad.detail
+    # on a pure spec the definition is Schur's or Okada's Pfaffian, so the
+    # same case breaks the degeneration
+    degenerations = results["qfun.degenerations"]
+    assert not degenerations.passed
+    assert degenerations.detail == bad.detail
     # the other checks keep their own details.  The pfaffian route's detail
     # counts its dependent cases: lam = (2,1), four mu inside it and three
     # two-variable specs; two specs are pure, and one case is the mixed straight (2,1)
@@ -65,3 +80,51 @@ def test_weyl_check_includes_symplectic_swaps():
     assert is_spec_symmetric(u1 + u2, VariableSpec(2, 0))
     # no swap across the symplectic/plain boundary
     assert is_spec_symmetric(u1, VariableSpec(1, 1))
+
+
+def _plus_one(fn):
+    def wrapped(*args):
+        got = fn(*args)
+        return got + LaurentPoly.one(got.n)
+
+    return wrapped
+
+
+def _each_twice(enum):
+    def wrapped(*args):
+        for item in enum(*args):
+            yield item
+            yield item
+
+    return wrapped
+
+
+@pytest.mark.parametrize(
+    "suite, dependency, corrupt, check, case",
+    [
+        ("ring", "parse_poly", _plus_one, "ring.roundtrip", "n="),
+        ("tableaux", "enum_qt", _each_twice, "tableaux.duplicate-free", "lam=() mu=() spec=(0,0)"),
+        (
+            "schur", "schur_skew_e", _plus_one, "schur.jacobi-trudi-h-vs-e",
+            "lam=() mu=() spec=(0,2) h-e: -1",
+        ),
+        ("linalg", "determinant", _plus_one, "linalg.pfaffian-square-random", "matrix 0 "),
+    ],
+    ids=["ring", "tableaux", "schur", "linalg"],
+)
+def test_failing_suite_names_its_first_case(monkeypatch, suite, dependency, corrupt, check, case):
+    monkeypatch.setattr(checks, dependency, corrupt(getattr(checks, dependency)))
+    bad = _by_name(run_suite(suite, max_weight=2, max_vars=2))[check]
+    assert not bad.passed
+    assert bad.detail.startswith(case)
+    if dependency == "determinant":
+        # the determinant is one too large, so the difference is -1
+        assert bad.detail.endswith(" pfaffian^2-determinant: -1")
+
+
+def test_all_runs_every_suite_in_order():
+    expected = [r for suite in SUITES.values() for r in suite(0, 1, 0)]
+    assert run_suite("all", 0, 1) == expected
+    assert expected[-1].name == "linalg.pfaffian-square-random"
+    with pytest.raises(ValueError):
+        run_suite("nope", 0, 1)

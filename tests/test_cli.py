@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsym import QContext, StrictPartition, VariableSpec
+from qsym import LaurentPoly, QContext, StrictPartition, VariableSpec
+from qsym import cli, qfun
 from qsym.checks import ROUTES
 from qsym.cli import main
+from qsym.ring import TruncatedSeries, series_from_linear_factors
 
 
 def run(capsys, *argv):
@@ -94,6 +96,23 @@ def test_series_no_variables(capsys):
     code, out, _ = run(capsys, "series", "--degree", "3")
     assert code == 0
     assert out.strip().splitlines() == ["1", "0", "0", "0"]
+
+
+def test_series_self_check_catches_a_wrong_coefficient(capsys, monkeypatch):
+    def wrong_z1(numerators, denominators, degree, nvars):
+        series = series_from_linear_factors(numerators, denominators, degree, nvars)
+        if not denominators:
+            return series
+        coeffs = list(series.coeffs)
+        coeffs[1] = coeffs[1] + LaurentPoly.one(nvars)
+        return TruncatedSeries(tuple(coeffs))
+
+    # the one-row values and the check's own expansion go wrong together
+    monkeypatch.setattr(qfun, "series_from_linear_factors", wrong_z1)
+    monkeypatch.setattr(cli, "series_from_linear_factors", wrong_z1)
+    code, _, err = run(capsys, "series", "--k", "1", "--degree", "3")
+    assert code == 1
+    assert "disagree" in err
 
 
 def test_verify_small_budget(capsys):
