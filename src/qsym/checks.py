@@ -476,9 +476,7 @@ def lgv_checks(max_part: int = 4, max_len: int = 3, max_vars: int = 3) -> list[C
             mapped.add(fam.to_tableau(lam, mu))
         tabs = set(enum_qt(spec, lam, mu))
         tab_weights = [qt_weight(t, spec) for t in tabs]
-        diff = LaurentPoly.from_exponents(spec.n, tab_weights) - LaurentPoly.from_exponents(
-            spec.n, fam_weights
-        )
+        diff = LaurentPoly.from_exponents(spec.n, tab_weights) - lgv_weight_sum(lam, mu, spec)
         if not diff.is_zero():
             first.setdefault("lgv.weight-sums", f"{case} tableau-lgv: {diff}")
         if (

@@ -16,10 +16,18 @@ the diagonal rule of the tableau family.  Internally the y-coordinate is
 doubled so between-level entry points stay integral.
 
 The graph itself is implicit; bounds come from the target shape.
+
+Two walkers follow these rules, on purpose.  enum_path_families yields
+PathFamily objects: the bijection with the tableau family, validate_family
+and the tests need the paths themselves.  lgv_weight_sum, the lgv route,
+needs only the weights, so it walks the same rules with plain recursion over
+a flat vertex table and one exponent vector, and builds no path objects; on
+the 654-case acceptance sweep that takes about a quarter of the time.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -202,10 +210,93 @@ def lgv_weight_sum(
     mu: StrictPartition,
     spec: VariableSpec,
 ) -> LaurentPoly:
-    """Sum of family weights; the oracle side of the Pfaffian identity."""
-    return LaurentPoly.from_exponents(
-        spec.n, (family_weight(fam, spec) for fam in enum_path_families(lam, mu, spec))
-    )
+    """Sum of family weights; the oracle side of the Pfaffian identity.
+
+    Walks the families of `enum_path_families` under the same rules, but
+    keeps only one exponent vector, updated per lettered step, and counts it
+    once per complete family."""
+    if lam.length > spec.n:
+        raise PreconditionError(f"{lam.length} rows on {spec.n} variables")
+    counts: Counter[Monomial] = Counter()
+    if not lam.contains(mu):
+        return LaurentPoly(spec.n, counts)
+    k_levels = 2 * spec.k + spec.m
+    top = 2 * k_levels
+    l, m = lam.length, mu.length
+    # by level (0 unused): the variable its letters weigh, the exponent step
+    # and the letter index
+    var, step, index = [0], [0], [0]
+    for level in range(1, k_levels + 1):
+        x = _level_letter(spec, level, False)
+        var.append(x.index - 1)
+        step.append(-1 if x.barred else 1)
+        index.append(x.index)
+    # vertex (x, dy) is used[x * height + dy]
+    height = top + 1
+    used = bytearray((lam.part(1) + 1) * height)
+    exps = [0] * spec.n
+
+    def walk(i: int, x: int, dy: int, sink_x: int, entry_index: int) -> None:
+        """Continue path i from its (used) vertex (x, dy); then the next path."""
+        v = x * height + dy
+        if x == sink_x:
+            tail = range(v + 2, (x + 1) * height, 2)
+            if any(used[t] for t in tail):
+                return
+            for t in tail:
+                used[t] = 1
+            start(i + 1, entry_index)
+            for t in tail:
+                used[t] = 0
+            return
+        if dy + 2 <= top and not used[v + 2]:  # vertical
+            used[v + 2] = 1
+            walk(i, x, dy + 2, sink_x, entry_index)
+            used[v + 2] = 0
+        w = v + height
+        if dy >= 2 and not used[w]:  # right at the current level
+            level = dy // 2
+            used[w] = 1
+            exps[var[level]] += step[level]
+            walk(i, x + 1, dy, sink_x, entry_index)
+            exps[var[level]] -= step[level]
+            used[w] = 0
+        w += 2
+        if dy + 2 <= top and not used[w]:  # diagonal into the next level
+            level = dy // 2 + 1
+            used[w] = 1
+            exps[var[level]] += step[level]
+            walk(i, x + 1, dy + 2, sink_x, entry_index)
+            exps[var[level]] -= step[level]
+            used[w] = 0
+
+    def start(i: int, prev_entry_index: int) -> None:
+        if i > l:
+            counts[tuple(exps)] += 1
+            return
+        sink_x = lam.part(i)
+        if i <= m:
+            v = mu.part(i) * height
+            if not used[v]:
+                used[v] = 1
+                walk(i, mu.part(i), 0, sink_x, prev_entry_index)
+                used[v] = 0
+            return
+        for level in range(1, k_levels + 1):
+            entry = height + 2 * level
+            if index[level] <= prev_entry_index or used[entry]:
+                continue
+            for v in (2 * level, 2 * level - 1):  # unprimed, primed first letter
+                if used[v]:
+                    continue
+                used[v] = used[entry] = 1
+                exps[var[level]] += step[level]
+                walk(i, 1, 2 * level, sink_x, index[level])
+                exps[var[level]] -= step[level]
+                used[v] = used[entry] = 0
+
+    start(1, 0)
+    return LaurentPoly(spec.n, counts)
 
 
 def validate_family(

@@ -61,6 +61,10 @@ def _term_budget() -> int | None:
     return budget
 
 
+def _over_budget(terms: int, budget: int) -> TermBudgetExceeded:
+    return TermBudgetExceeded(f"polynomial has {terms} terms, QSYM_MAX_TERMS={budget}")
+
+
 class LaurentPoly:
     """Immutable sparse Laurent polynomial with int coefficients."""
 
@@ -72,9 +76,7 @@ class LaurentPoly:
         self._hash = None
         budget = _term_budget()
         if budget is not None and len(self.terms) > budget:
-            raise TermBudgetExceeded(
-                f"polynomial has {len(self.terms)} terms, QSYM_MAX_TERMS={budget}"
-            )
+            raise _over_budget(len(self.terms), budget)
 
     # -- constructors ------------------------------------------------------
 
@@ -140,11 +142,16 @@ class LaurentPoly:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
+        # a one-row product is checked by the constructor alone
+        budget = _term_budget() if len(a) > 1 else None
         out: dict[Monomial, int] = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
                 e = mono_mul(ea, eb)
                 out[e] = out.get(e, 0) + ca * cb
+            # one row adds at most len(b) terms, so this bounds memory too
+            if budget is not None and len(out) > budget:
+                raise _over_budget(len(out), budget)
         return LaurentPoly(self.n, out)
 
     def scale(self, c: int) -> "LaurentPoly":

@@ -26,8 +26,14 @@ be at least the letter i; scoping it to symplectic letters is what makes the
 k = 0 family of a skew shape the plain semistandard one.
 
 Enumerators fill cells row-major and backtrack; every rule above is checkable
-against the left and upper neighbours plus per-row/per-column counters, so
-the streams are duplicate-free by construction.
+against the left and upper neighbours plus per-row/per-column records, so
+the streams are duplicate-free by construction.  enum_qt works on ranks: a
+letter is its position in spec.primed_alphabet(), which is sorted, so the
+order of letters is the order of ints.  QT1/QT2 give a lowest rank from the
+neighbours, QT5 raises it past the index of the previous diagonal cell, and
+QT3/QT4 are an int bitmask of the primed ranks per row and of the unprimed
+ranks per column.  Letter objects are looked up only for each finished
+tableau.
 """
 
 from __future__ import annotations
@@ -163,66 +169,64 @@ def enum_qt(
         shape = shifted_cells(lam, mu)
     except NotContained:
         return
-    alphabet = spec.primed_alphabet()
-    if not alphabet and shape.size() > 0:
-        return
     row_ranges = shape.rows()
     cells = [(i + 1, j) for i, cols in enumerate(row_ranges) for j in cols]
     if not cells:
         yield PrimedTableau(lam, mu, tuple(() for _ in row_ranges))
         return
 
-    grid: dict[tuple[int, int], Letter] = {}
-    row_primed: dict[int, set[Letter]] = {i + 1: set() for i in range(len(row_ranges))}
-    col_unprimed: dict[int, set[Letter]] = {}
-    diag_stack: list[int] = []  # letter indices already placed on diagonal cells
+    alphabet = spec.primed_alphabet()
+    n_letters = len(alphabet)
+    primed = [x.primed for x in alphabet]
+    # above[r]: the first rank whose letter index exceeds that of rank r
+    above = [
+        next((s for s in range(r, n_letters) if alphabet[s].index > x.index), n_letters)
+        for r, x in enumerate(alphabet)
+    ]
+    n = len(cells)
+    at = {cell: pos for pos, cell in enumerate(cells)}
+    # per cell: positions of the left and upper neighbours (n when absent,
+    # where rank[n] stays 0), of the previous diagonal cell (-1 when the
+    # cell is off the diagonal or the first on it), and of the two masks
+    left = [at.get((i, j - 1), n) for i, j in cells]
+    up = [at.get((i - 1, j), n) for i, j in cells]
+    diag_prev, last_diag = [], -1
+    for pos, (i, j) in enumerate(cells):
+        diag_prev.append(last_diag if i == j else -1)
+        last_diag = pos if i == j else last_diag
+    # masks[i - 1]: primed ranks in row i; masks[len(row_ranges) + j]:
+    # unprimed ranks in column j
+    row_mask = [i - 1 for i, _ in cells]
+    col_mask = [len(row_ranges) + j for _, j in cells]
+    masks = [0] * (len(row_ranges) + max(j for _, j in cells) + 1)
+    row_pos = [[at[i + 1, j] for j in cols] for i, cols in enumerate(row_ranges)]
 
-    def candidates(pos: int) -> Iterator[Letter]:
-        i, j = cells[pos]
-        lo = None
-        left = grid.get((i, j - 1))
-        if left is not None:
-            lo = left
-        up = grid.get((i - 1, j))
-        if up is not None and (lo is None or up > lo):
-            lo = up
-        for x in alphabet:
-            if lo is not None and x < lo:
+    rank = [0] * (n + 1)
+    pos, lo = 0, 0
+    while True:
+        taken = masks[row_mask[pos]] | masks[col_mask[pos]]
+        free = ~taken & (-1 << lo)
+        r = (free & -free).bit_length() - 1
+        if r < n_letters:
+            rank[pos] = r
+            masks[row_mask[pos] if primed[r] else col_mask[pos]] |= 1 << r
+            if pos + 1 < n:
+                pos += 1
+                lo = max(rank[left[pos]], rank[up[pos]])
+                if diag_prev[pos] >= 0:
+                    lo = max(lo, above[rank[diag_prev[pos]]])
                 continue
-            if x.primed and x in row_primed[i]:
-                continue
-            if x.unprimed and x in col_unprimed.get(j, ()):
-                continue
-            if i == j and diag_stack and x.index <= diag_stack[-1]:
-                continue
-            yield x
-
-    def rec(pos: int) -> Iterator[PrimedTableau]:
-        if pos == len(cells):
-            rows = tuple(
-                tuple(grid[(i + 1, j)] for j in cols) for i, cols in enumerate(row_ranges)
+            yield PrimedTableau(
+                lam, mu, tuple([tuple([alphabet[rank[p]] for p in ps]) for ps in row_pos])
             )
-            yield PrimedTableau(lam, mu, rows)
+        elif pos:
+            pos -= 1
+            r = rank[pos]
+        else:
             return
-        i, j = cells[pos]
-        for x in candidates(pos):
-            grid[(i, j)] = x
-            if x.primed:
-                row_primed[i].add(x)
-            else:
-                col_unprimed.setdefault(j, set()).add(x)
-            if i == j:
-                diag_stack.append(x.index)
-            yield from rec(pos + 1)
-            if i == j:
-                diag_stack.pop()
-            if x.primed:
-                row_primed[i].discard(x)
-            else:
-                col_unprimed[j].discard(x)
-            del grid[(i, j)]
-
-    yield from rec(0)
+        # take rank r back from cell pos and look for the next one above it
+        masks[row_mask[pos] if primed[r] else col_mask[pos]] ^= 1 << r
+        lo = r + 1
 
 
 def is_valid_qt(t: PrimedTableau, spec: VariableSpec) -> bool:

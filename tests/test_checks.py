@@ -57,18 +57,29 @@ def test_failing_pfaffian_route_reports_its_own_case(monkeypatch):
 
 
 def test_lgv_failure_names_case_and_difference(monkeypatch):
-    real = checks.family_weight
+    real_sum, real_weight = checks.lgv_weight_sum, checks.family_weight
+
+    def sum_times_x1(lam, mu, spec):
+        got = real_sum(lam, mu, spec)
+        return got * LaurentPoly.variable(spec.n, 0) if spec.n else got
 
     def off_by_x1(fam, spec):
-        w = real(fam, spec)
+        w = real_weight(fam, spec)
         return (w[0] + 1,) + w[1:] if w else w
 
-    monkeypatch.setattr(checks, "family_weight", off_by_x1)
+    # the weight sums come from the walker, the bijection from the families
+    monkeypatch.setattr(checks, "lgv_weight_sum", sum_times_x1)
     results = _by_name(lgv_checks(max_part=1, max_len=1, max_vars=1))
     sums = results["lgv.weight-sums"]
     assert not sums.passed
     # the empty family on one variable weighs x1 instead of 1
     assert sums.detail == "lam=() mu=() spec=(0,1) tableau-lgv: 1 - x1"
+    assert results["lgv.path-tableau-bijection"].passed
+
+    monkeypatch.setattr(checks, "lgv_weight_sum", real_sum)
+    monkeypatch.setattr(checks, "family_weight", off_by_x1)
+    results = _by_name(lgv_checks(max_part=1, max_len=1, max_vars=1))
+    assert results["lgv.weight-sums"].passed
     assert results["lgv.path-tableau-bijection"].detail.startswith("lam=() mu=() spec=(0,1) ")
 
 

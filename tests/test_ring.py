@@ -127,6 +127,17 @@ def test_term_budget(monkeypatch):
     LaurentPoly(1, {(0,): 1, (1,): 1, (2,): 1})
 
 
+def test_term_budget_stops_a_product_before_it_is_built(monkeypatch):
+    # 90 x 90 distinct monomials: the full product has 8100 terms
+    a = LaurentPoly(2, {(i, 0): 1 for i in range(90)})
+    b = LaurentPoly(2, {(0, j): 1 for j in range(90)})
+    monkeypatch.setenv("QSYM_MAX_TERMS", "100")
+    with pytest.raises(TermBudgetExceeded) as info:
+        a * b
+    terms = int(info.value.args[0].split()[2])
+    assert 100 < terms <= 100 + len(b.terms)
+
+
 @given(a=poly_strategy(2), b=poly_strategy(2), c=poly_strategy(2))
 @settings(max_examples=60, deadline=None)
 def test_ring_axioms(a, b, c):

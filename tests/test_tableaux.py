@@ -1,3 +1,5 @@
+import hashlib
+
 from qsym import (
     EMPTY,
     LaurentPoly,
@@ -11,6 +13,7 @@ from qsym import (
     qt_weight,
     spt_weight,
 )
+from qsym.checks import qi_cases, specs_up_to
 from qsym.shapes import enum_strict_between
 from qsym.tableaux import is_valid_qt
 
@@ -90,6 +93,27 @@ def test_enumeration_duplicate_free():
     for spec in (VariableSpec(1, 1), VariableSpec(2, 0), VariableSpec(0, 2)):
         tabs = list(enum_qt(spec, sp(3, 1)))
         assert len(set(tabs)) == len(tabs)
+
+
+def test_enumeration_stream_is_pinned():
+    # every tableau, in order, over the acceptance cases of weight <= 6
+    digest, count = hashlib.sha256(), 0
+    for lam, mu, spec in qi_cases(max_part=4, max_len=3, max_vars=3):
+        if lam.weight <= 6:
+            for t in enum_qt(spec, lam, mu):
+                digest.update(str(t.rows).encode())
+                count += 1
+    assert count == 107105
+    assert digest.hexdigest() == (
+        "1fc098673fea0b7e9c5dbb79c16d7c53b5599ad7d1267e993aacd7eb21fcf0f7"
+    )
+
+
+def test_primed_alphabet_is_sorted():
+    # enum_qt compares letters by their rank in this list
+    for spec in specs_up_to(4):
+        alphabet = spec.primed_alphabet()
+        assert alphabet == sorted(alphabet)
 
 
 def test_qt_split_counts_small():
