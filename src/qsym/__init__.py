@@ -7,12 +7,12 @@ enumeration) and the methods are cross-verified against each other.
 """
 
 from .errors import (
+    ExponentOverflow,
     MatrixError,
     NotContained,
     ParseError,
     PreconditionError,
     QsymError,
-    SubstitutionError,
     TermBudgetExceeded,
     VariableCountMismatch,
 )

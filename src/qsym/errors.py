@@ -9,8 +9,8 @@ class VariableCountMismatch(QsymError):
     """Two ring elements with different variable counts were combined."""
 
 
-class SubstitutionError(QsymError):
-    """A non-invertible image was substituted into a negatively-exponented variable."""
+class ExponentOverflow(QsymError):
+    """An exponent reached 2^15 in absolute value, the width of a packed monomial field."""
 
 
 class NotContained(QsymError):

@@ -1,11 +1,30 @@
 """Sparse multivariate Laurent polynomials with exact integer coefficients.
 
-A polynomial in n variables is a map from exponent vectors to nonzero Python
-ints.  Exponents may be negative, so every element lives in
+A polynomial in n variables is a map from monomials to nonzero Python ints.
+Exponents may be negative, so every element lives in
 Z[x1^{+-1}, ..., xn^{+-1}].
 
-  Monomial = tuple[int, ...]     one exponent per variable
-  terms    = {Monomial: int}     canonical: no zero coefficient is stored
+Inside, the monomial x1^e1 * ... * xn^en is one packed int key,
+
+  key   = e1 + e2 * 2^16 + ... + en * 2^(16(n-1))
+  terms = {key: int}     canonical: no zero coefficient is stored
+
+Each exponent is a signed 16-bit field, |e| < 2^15.  Python ints are signed
+and unbounded, so the fields need no bias: a monomial product is the sum of
+the keys, `embed` shifts a key left by 16 bits per offset variable, and
+inverting every variable negates it.  The key of x^0 is 0 in every ring.
+
+Overflow never wraps.  Each polynomial carries a bound on max |e_i| over its
+terms, exact where it is built from exponent tuples and the sum of the
+factors' bounds for a product.  A product whose bound reaches 2^15, or an
+exponent tuple with |e| >= 2^15, raises ExponentOverflow; `parse_poly` and
+`from_json` raise ParseError instead.
+
+Exponent tuples (Monomial, one exponent per variable) appear only at the
+edges: the constructor `LaurentPoly(n, {Monomial: int})`, `from_exponents`,
+`monomial`, `variable`, `mul_linear` and `series_from_linear_factors` take
+them; `sorted_terms`, `str`, `to_json`, `from_json` and `parse_poly` give or
+read them.
 
 Values are immutable after construction and safe to share.  The variable
 count is fixed per polynomial; combining mismatched counts raises instead of
@@ -14,7 +33,7 @@ polynomial into a wider ring explicitly.
 
 The optional environment variable QSYM_MAX_TERMS aborts any computation whose
 intermediate results grow beyond that many terms; a value that is not a
-nonnegative integer raises ParseError.
+nonnegative integer raises ParseError.  Each ring operation reads it once.
 """
 
 from __future__ import annotations
@@ -24,19 +43,31 @@ import os
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .errors import ParseError, SubstitutionError, TermBudgetExceeded, VariableCountMismatch
+from .errors import ExponentOverflow, ParseError, TermBudgetExceeded, VariableCountMismatch
 
 Monomial = tuple[int, ...]
 
+_BITS = 16
+_MASK = (1 << _BITS) - 1
+_LIMIT = 1 << (_BITS - 1)  # every exponent and every bound stays below this in absolute value
 
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+
+def _pack(exps: Monomial) -> int:
+    key = 0
+    for e in reversed(exps):
+        key = (key << _BITS) + e
+    return key
 
 
-def mono_pow(a: Monomial, e: int) -> Monomial:
-    return tuple(x * e for x in a)
+def _unpack(key: int, n: int) -> Monomial:
+    exps = []
+    for _ in range(n):
+        e = ((key + _LIMIT) & _MASK) - _LIMIT  # the low field, signed
+        exps.append(e)
+        key = (key - e) >> _BITS
+    return tuple(exps)
 
 
 def term_sort_key(exps: Monomial):
@@ -48,10 +79,17 @@ def term_sort_key(exps: Monomial):
     return tuple((i, -e) for i, e in enumerate(exps) if e)
 
 
+# os.environ keeps the encoded environment in `_data`.  A get there is one
+# dict lookup, where os.environ.get raises and catches a KeyError whenever the
+# variable is unset.  Both stay current under os.environ writes.
+_ENV_DATA = os.environ._data
+_BUDGET_KEY = os.environ.encodekey("QSYM_MAX_TERMS")
+
+
 def _term_budget() -> int | None:
-    raw = os.environ.get("QSYM_MAX_TERMS")
-    if not raw:
+    if not _ENV_DATA.get(_BUDGET_KEY):
         return None
+    raw = os.environ["QSYM_MAX_TERMS"]
     try:
         budget = int(raw)
     except ValueError:
@@ -65,32 +103,55 @@ def _over_budget(terms: int, budget: int) -> TermBudgetExceeded:
     return TermBudgetExceeded(f"polynomial has {terms} terms, QSYM_MAX_TERMS={budget}")
 
 
+def _fill(p: "LaurentPoly", n: int, terms: dict[int, int], bound: int) -> "LaurentPoly":
+    """Set p's fields from canonical packed terms, after the term budget check."""
+    budget = _term_budget()
+    if budget is not None and len(terms) > budget:
+        raise _over_budget(len(terms), budget)
+    p.n = n
+    p.terms = terms
+    p._bound = bound
+    p._hash = None
+    return p
+
+
+def _poly(n: int, terms: dict[int, int], bound: int) -> "LaurentPoly":
+    return _fill(object.__new__(LaurentPoly), n, terms, bound)
+
+
 class LaurentPoly:
     """Immutable sparse Laurent polynomial with int coefficients."""
 
-    __slots__ = ("n", "terms", "_hash")
+    __slots__ = ("n", "terms", "_bound", "_hash")
 
     def __init__(self, n: int, terms: dict[Monomial, int]):
-        self.n = n
-        self.terms = {e: c for e, c in terms.items() if c != 0}
-        self._hash = None
-        budget = _term_budget()
-        if budget is not None and len(self.terms) > budget:
-            raise _over_budget(len(self.terms), budget)
+        packed: dict[int, int] = {}
+        bound = 0
+        for exps, c in terms.items():
+            if not c:
+                continue
+            if len(exps) != n:
+                raise VariableCountMismatch(f"exponent vector of length {len(exps)}, n={n}")
+            if exps:
+                bound = max(bound, max(exps), -min(exps))
+            packed[_pack(exps)] = c
+        if bound >= _LIMIT:
+            raise ExponentOverflow(f"exponent of size {bound}, the limit is {_LIMIT - 1}")
+        _fill(self, n, packed, bound)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, n: int) -> "LaurentPoly":
-        return cls(n, {})
+        return _poly(n, {}, 0)
 
     @classmethod
     def one(cls, n: int) -> "LaurentPoly":
-        return cls(n, {(0,) * n: 1})
+        return _poly(n, {0: 1}, 0)
 
     @classmethod
     def const(cls, n: int, c: int) -> "LaurentPoly":
-        return cls(n, {(0,) * n: c})
+        return _poly(n, {0: c} if c else {}, 0)
 
     @classmethod
     def variable(cls, n: int, i: int, power: int = 1) -> "LaurentPoly":
@@ -108,8 +169,6 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, n: int, exps: Monomial, coeff: int = 1) -> "LaurentPoly":
-        if len(exps) != n:
-            raise VariableCountMismatch(f"exponent vector of length {len(exps)}, n={n}")
         return cls(n, {tuple(exps): coeff})
 
     # -- ring operations ---------------------------------------------------
@@ -122,55 +181,62 @@ class LaurentPoly:
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(self.n, out)
+        a, b = self.terms, other.terms
+        if len(a) < len(b):
+            a, b = b, a
+        out = dict(a)
+        for e, c in b.items():
+            c += out.get(e, 0)
+            if c:
+                out[e] = c
+            else:
+                del out[e]
+        return _poly(self.n, out, max(self._bound, other._bound))
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, 0) - c
-        return LaurentPoly(self.n, out)
+            c = out.get(e, 0) - c
+            if c:
+                out[e] = c
+            else:
+                del out[e]
+        return _poly(self.n, out, max(self._bound, other._bound))
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.n, {e: -c for e, c in self.terms.items()})
+        return _poly(self.n, {e: -c for e, c in self.terms.items()}, self._bound)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
+        bound = self._bound + other._bound
+        if bound >= _LIMIT:
+            raise ExponentOverflow(
+                f"a product's exponents may reach {bound}, the limit is {_LIMIT - 1}"
+            )
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        # a one-row product is checked by the constructor alone
-        budget = _term_budget() if len(a) > 1 else None
-        out: dict[Monomial, int] = {}
+        if len(a) == 1:
+            # adding one key is injective: no two terms meet, none cancels
+            ((ea, ca),) = a.items()
+            return _poly(self.n, {ea + eb: ca * cb for eb, cb in b.items()}, bound)
+        budget = _term_budget()
+        out: dict[int, int] = {}
+        get = out.get
         for ea, ca in a.items():
             for eb, cb in b.items():
-                e = mono_mul(ea, eb)
-                out[e] = out.get(e, 0) + ca * cb
+                e = ea + eb
+                out[e] = get(e, 0) + ca * cb
             # one row adds at most len(b) terms, so this bounds memory too
             if budget is not None and len(out) > budget:
                 raise _over_budget(len(out), budget)
-        return LaurentPoly(self.n, out)
+        return _poly(self.n, {e: c for e, c in out.items() if c}, bound)
 
     def scale(self, c: int) -> "LaurentPoly":
-        return LaurentPoly(self.n, {e: c * v for e, v in self.terms.items()})
-
-    def __pow__(self, e: int) -> "LaurentPoly":
-        if e < 0:
-            inv = self.unit_inverse()
-            if inv is None:
-                raise SubstitutionError("negative power of a non-unit")
-            return inv ** (-e)
-        result = LaurentPoly.one(self.n)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        if not c:
+            return _poly(self.n, {}, 0)
+        return _poly(self.n, {e: c * v for e, v in self.terms.items()}, self._bound)
 
     def __eq__(self, other) -> bool:
         return (
@@ -187,73 +253,38 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_unit_monomial(self) -> bool:
-        """True for +-(single monomial), the units of the Laurent ring."""
-        return len(self.terms) == 1 and next(iter(self.terms.values())) in (1, -1)
+    # -- variable maps -----------------------------------------------------
 
-    def unit_inverse(self) -> "LaurentPoly | None":
-        if not self.is_unit_monomial():
-            return None
-        ((e, c),) = self.terms.items()
-        return LaurentPoly(self.n, {mono_pow(e, -1): c})
-
-    # -- substitution ------------------------------------------------------
-
-    def substitute(self, images: list["LaurentPoly"]) -> "LaurentPoly":
-        """Ring-homomorphic image sending x_{i+1} to images[i].
-
-        An image must be a unit monomial wherever the variable occurs with a
-        negative exponent (0 or x1+x2 there is an error, since the ring has
-        no fractions).
-        """
-        if len(images) != self.n:
-            raise VariableCountMismatch(f"{len(images)} images for {self.n} variables")
-        if not images:
-            return self
-        m = images[0].n
-        for img in images:
-            if img.n != m:
-                raise VariableCountMismatch("images disagree on variable count")
-        power_cache: dict[tuple[int, int], LaurentPoly] = {}
-
-        def img_power(i: int, e: int) -> LaurentPoly:
-            key = (i, e)
-            got = power_cache.get(key)
-            if got is not None:
-                return got
-            if e < 0:
-                inv = images[i].unit_inverse()
-                if inv is None:
-                    raise SubstitutionError(
-                        f"variable x{i + 1} occurs with exponent {e} but its image is not a unit"
-                    )
-                val = inv ** (-e)
-            else:
-                val = images[i] ** e
-            power_cache[key] = val
-            return val
-
-        total = LaurentPoly.zero(m)
-        for exps, c in self.terms.items():
-            term = LaurentPoly.const(m, c)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * img_power(i, e)
-            total = total + term
-        return total
+    def permute(self, perm: Sequence[int], inverted: Iterable[int] = ()) -> "LaurentPoly":
+        """Image under the signed permutation sending x_{i+1} to x_{perm[i]+1},
+        or to its inverse when i is in `inverted` (0-based indices)."""
+        n = self.n
+        if sorted(perm) != list(range(n)):
+            raise ValueError(f"{tuple(perm)} is not a permutation of {n} variables")
+        inverted = set(inverted)
+        moves = [(-1 if i in inverted else 1, _BITS * perm[i]) for i in range(n)]
+        out = {}
+        for key, c in self.terms.items():
+            fields = zip(moves, _unpack(key, n))
+            out[sum((sign * e) << shift for (sign, shift), e in fields)] = c
+        return _poly(n, out, self._bound)
 
     def embed(self, n: int, offset: int = 0) -> "LaurentPoly":
         """Re-index into an n-variable ring, shifting variables by offset."""
         if offset < 0 or offset + self.n > n:
             raise VariableCountMismatch(f"cannot embed {self.n} vars at offset {offset} into {n}")
-        pre = (0,) * offset
-        post = (0,) * (n - offset - self.n)
-        return LaurentPoly(n, {pre + e + post: c for e, c in self.terms.items()})
+        if not offset:
+            return _poly(n, self.terms, self._bound)
+        shift = _BITS * offset
+        return _poly(n, {e << shift: c for e, c in self.terms.items()}, self._bound)
 
     # -- serialization -----------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
-        return [(e, self.terms[e]) for e in sorted(self.terms, key=term_sort_key)]
+        n = self.n
+        items = [(_unpack(e, n), c) for e, c in self.terms.items()]
+        items.sort(key=lambda item: term_sort_key(item[0]))
+        return items
 
     def __str__(self) -> str:
         if not self.terms:
@@ -304,7 +335,7 @@ class LaurentPoly:
                     raise ParseError(f"exponent vector {exps} does not match n={n}")
                 terms[exps] = terms.get(exps, 0) + int(item["coeff"])
             return cls(n, terms)
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, ValueError, json.JSONDecodeError, ExponentOverflow) as exc:
             raise ParseError(f"bad polynomial JSON: {exc}") from exc
 
 
@@ -343,7 +374,10 @@ def parse_poly(text: str, n: int) -> LaurentPoly:
                 raise ParseError(f"bad factor {factor!r} in {text!r}")
         key = tuple(exps)
         terms[key] = terms.get(key, 0) + sign * coeff
-    return LaurentPoly(n, terms)
+    try:
+        return LaurentPoly(n, terms)
+    except ExponentOverflow as exc:
+        raise ParseError(f"{exc} in {text!r}") from exc
 
 
 @dataclass(frozen=True)

@@ -110,13 +110,6 @@ class PrimedTableau:
         for row in self.rows:
             yield from row
 
-    def pretty(self) -> str:
-        lines = []
-        for i, row in enumerate(self.rows):
-            pad = "   " * (self.inner.part(i + 1) + i)
-            lines.append(pad + " ".join(f"{str(x):>3}" for x in row))
-        return "\n".join(lines)
-
 
 @dataclass(frozen=True)
 class SpTableau:
@@ -129,13 +122,6 @@ class SpTableau:
     def entries(self) -> Iterator[Letter]:
         for row in self.rows:
             yield from row
-
-    def pretty(self) -> str:
-        lines = []
-        for i, row in enumerate(self.rows):
-            pad = "   " * self.inner.part(i + 1)
-            lines.append(pad + " ".join(f"{str(x):>3}" for x in row))
-        return "\n".join(lines)
 
 
 def _letter_weight(entries: Iterable[Letter], spec: VariableSpec) -> Monomial:

@@ -1,10 +1,12 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import poly_strategy
 from qsym import (
+    ExponentOverflow,
     LaurentPoly,
-    SubstitutionError,
+    ParseError,
     TermBudgetExceeded,
     VariableCountMismatch,
     parse_poly,
@@ -41,27 +43,25 @@ def test_variable_count_mismatch():
 
 
 def test_substitute_inverse_pair():
+    # substitution by the signed permutation inverting every variable
     p = v(2, 0) * v(2, 1)
-    images = [v(1, 0), v(1, 0, -1)]
-    assert p.substitute(images) == LaurentPoly.one(1)
-
-
-def test_substitute_truncation():
-    p = v(2, 0) + v(2, 1)
-    assert p.substitute([v(1, 0), LaurentPoly.zero(1)]) == v(1, 0)
-
-
-def test_substitute_zero_into_negative_power_fails():
-    p = v(1, 0, -1)
-    with pytest.raises(SubstitutionError):
-        p.substitute([LaurentPoly.zero(1)])
-    with pytest.raises(SubstitutionError):
-        p.substitute([v(2, 0) + v(2, 1)])
+    inverse = p.permute([0, 1], {0, 1})
+    assert inverse == v(2, 0, -1) * v(2, 1, -1)
+    assert p * inverse == LaurentPoly.one(2)
 
 
 def test_substitute_identity():
-    p = v(2, 0, -2) + v(2, 1).scale(5)
-    assert p.substitute([v(2, 0), v(2, 1)]) == p
+    q = v(2, 0, -2) + v(2, 1).scale(5)
+    assert q.permute([0, 1]) == q
+
+
+def test_permute_swap():
+    q = v(2, 0, -2) + v(2, 1).scale(5)
+    assert q.permute([1, 0]) == v(2, 1, -2) + v(2, 0).scale(5)
+    # the sign belongs to the source variable: x1 -> 1/x2, x2 -> x1
+    assert q.permute([1, 0], {0}) == v(2, 1, 2) + v(2, 0).scale(5)
+    with pytest.raises(ValueError):
+        q.permute([0, 0])
 
 
 def test_series_single_ratio():
@@ -153,3 +153,94 @@ def test_serialize_parse_identity(a):
     assert parse_poly(str(a), 3) == a
     assert str(parse_poly(str(a), 3)) == str(a)
     assert LaurentPoly.from_json(a.to_json()).to_json() == a.to_json()
+
+
+# -- the packed kernel against a tuple-keyed reference ------------------------
+
+
+def ref_canon(d):
+    return {e: c for e, c in d.items() if c}
+
+
+def ref_add(a, b, sign):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return ref_canon(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return ref_canon(out)
+
+
+def ref_permute(a, perm, inverted):
+    out = {}
+    for e, c in a.items():
+        image = [0] * len(e)
+        for i, x in enumerate(e):
+            image[perm[i]] = -x if i in inverted else x
+        out[tuple(image)] = c
+    return out
+
+
+def as_tuples(p):
+    return dict(p.sorted_terms())
+
+
+@st.composite
+def ring_cases(draw):
+    n = draw(st.integers(0, 3))
+    # small exponents make terms meet and cancel; large ones fill the fields
+    exponent = st.one_of(st.integers(-2, 2), st.integers(-(2**13), 2**13))
+    terms = st.dictionaries(st.tuples(*[exponent] * n), st.integers(-3, 3), max_size=5)
+    a, b = draw(terms), draw(terms)
+    perm = draw(st.permutations(range(n)))
+    inverted = draw(st.sets(st.integers(0, n - 1), max_size=n)) if n else set()
+    width = draw(st.integers(n, n + 2))
+    offset = draw(st.integers(0, width - n))
+    return n, a, b, draw(st.integers(-3, 3)), perm, inverted, width, offset
+
+
+@given(case=ring_cases())
+@settings(max_examples=150, deadline=None)
+def test_packed_ring_matches_tuple_reference(case):
+    n, da, db, c, perm, inverted, width, offset = case
+    a, b = LaurentPoly(n, da), LaurentPoly(n, db)
+    ra, rb = ref_canon(da), ref_canon(db)
+    assert as_tuples(a) == ra
+    assert as_tuples(a + b) == ref_add(ra, rb, 1)
+    assert as_tuples(a - b) == ref_add(ra, rb, -1)
+    assert as_tuples(-a) == ref_add({}, ra, -1)
+    assert as_tuples(a * b) == ref_mul(ra, rb)
+    assert as_tuples(a.scale(c)) == ref_canon({e: c * x for e, x in ra.items()})
+    pre, post = (0,) * offset, (0,) * (width - n - offset)
+    assert as_tuples(a.embed(width, offset)) == {pre + e + post: x for e, x in ra.items()}
+    assert as_tuples(a.permute(perm, inverted)) == ref_permute(ra, perm, inverted)
+    assert parse_poly(str(a), n) == a
+    assert LaurentPoly.from_json(a.to_json()) == a
+
+
+def test_product_past_the_field_width_raises_instead_of_wrapping():
+    half = v(2, 0, 2**14)
+    assert half * v(2, 0, 2**14 - 1) == v(2, 0, 2**15 - 1)
+    # x1^(2^15) would carry into the field of x2
+    with pytest.raises(ExponentOverflow):
+        half * half
+    low = v(2, 1, -(2**14))
+    with pytest.raises(ExponentOverflow):
+        low * low
+    for e in (2**15, -(2**15)):
+        with pytest.raises(ExponentOverflow):
+            v(1, 0, e)
+
+
+def test_exponent_past_the_field_width_is_a_parse_error():
+    with pytest.raises(ParseError):
+        parse_poly("x1^40000", 1)
+    with pytest.raises(ParseError):
+        LaurentPoly.from_json('{"n": 1, "terms": [{"exps": [40000], "coeff": "1"}]}')
