@@ -17,18 +17,24 @@ doubled so between-level entry points stay integral.
 
 The graph itself is implicit; bounds come from the target shape.
 
-Two walkers follow these rules, on purpose.  enum_path_families yields
+Two evaluators follow these rules, on purpose.  enum_path_families yields
 PathFamily objects: the bijection with the tableau family, validate_family
-and the tests need the paths themselves.  lgv_weight_sum, the lgv route,
-needs only the weights, so it walks the same rules with plain recursion over
-a flat vertex table and one exponent vector, and builds no path objects; on
-the 654-case acceptance sweep that takes about a quarter of the time.
+and the tests need the paths themselves, so it costs at least one step per
+family.  lgv_weight_sum, the lgv route, needs only the weight sum.  The rules
+are local in x: a path enters column x at one vertex, rises, and leaves right
+or diagonally, and left-boundary paths enter only at x = 1, where the index
+rule is decided once.  So it runs a transfer matrix column by column (Stanley,
+EC1 section 4.7), over states that are the ascending tuples of the levels at
+which the active paths arrive; the graph is planar, so path 1 is always the
+lowest active path.  Its cost is polynomial in the number of states, at most
+C(K + 1, rows) per column, rather than in the number of families.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterator
 
 from .errors import PreconditionError
@@ -74,7 +80,7 @@ class PathFamily:
 
 
 def family_weight(family: PathFamily, spec: VariableSpec) -> Monomial:
-    return _letter_weight([x for p in family.paths for x in p.letters], spec)
+    return _letter_weight(family.row_letters(), spec)
 
 
 def _enum_paths_from(
@@ -212,91 +218,75 @@ def lgv_weight_sum(
 ) -> LaurentPoly:
     """Sum of family weights; the oracle side of the Pfaffian identity.
 
-    Walks the families of `enum_path_families` under the same rules, but
-    keeps only one exponent vector, updated per lettered step, and counts it
-    once per complete family."""
+    A transfer matrix over the columns x = 1..lam_1.  A state is the
+    ascending tuple of levels (vertex (x, 2b) is at level b, the bottom
+    boundary is level 0) at which the active paths arrive in column x; its
+    value sums the weights of the partial families that reach it.  A step
+    right at level b and a diagonal step up from level b - 1 both arrive at
+    level b and weigh the letters of level b, so a transition multiplies by
+    the one monomial of its arrival levels, and a left-boundary entry weighs
+    twice its level's letter.  Every state value is a LaurentPoly, so
+    QSYM_MAX_TERMS stops the walk at the first value that outgrows it."""
     if lam.length > spec.n:
         raise PreconditionError(f"{lam.length} rows on {spec.n} variables")
-    counts: Counter[Monomial] = Counter()
+    n = spec.n
     if not lam.contains(mu):
-        return LaurentPoly(spec.n, counts)
+        return LaurentPoly.zero(n)
     k_levels = 2 * spec.k + spec.m
-    top = 2 * k_levels
-    l, m = lam.length, mu.length
-    # by level (0 unused): the variable its letters weigh, the exponent step
-    # and the letter index
-    var, step, index = [0], [0], [0]
-    for level in range(1, k_levels + 1):
-        x = _level_letter(spec, level, False)
-        var.append(x.index - 1)
-        step.append(-1 if x.barred else 1)
-        index.append(x.index)
-    # vertex (x, dy) is used[x * height + dy]
-    height = top + 1
-    used = bytearray((lam.part(1) + 1) * height)
-    exps = [0] * spec.n
+    letters = [None] + [_level_letter(spec, level, False) for level in range(1, k_levels + 1)]
 
-    def walk(i: int, x: int, dy: int, sink_x: int, entry_index: int) -> None:
-        """Continue path i from its (used) vertex (x, dy); then the next path."""
-        v = x * height + dy
-        if x == sink_x:
-            tail = range(v + 2, (x + 1) * height, 2)
-            if any(used[t] for t in tail):
-                return
-            for t in tail:
-                used[t] = 1
-            start(i + 1, entry_index)
-            for t in tail:
-                used[t] = 0
-            return
-        if dy + 2 <= top and not used[v + 2]:  # vertical
-            used[v + 2] = 1
-            walk(i, x, dy + 2, sink_x, entry_index)
-            used[v + 2] = 0
-        w = v + height
-        if dy >= 2 and not used[w]:  # right at the current level
-            level = dy // 2
-            used[w] = 1
-            exps[var[level]] += step[level]
-            walk(i, x + 1, dy, sink_x, entry_index)
-            exps[var[level]] -= step[level]
-            used[w] = 0
-        w += 2
-        if dy + 2 <= top and not used[w]:  # diagonal into the next level
-            level = dy // 2 + 1
-            used[w] = 1
-            exps[var[level]] += step[level]
-            walk(i, x + 1, dy + 2, sink_x, entry_index)
-            exps[var[level]] -= step[level]
-            used[w] = 0
+    def weight(state: tuple[int, ...]) -> LaurentPoly:
+        return LaurentPoly.monomial(n, _letter_weight([[letters[b] for b in state if b]], spec))
 
-    def start(i: int, prev_entry_index: int) -> None:
-        if i > l:
-            counts[tuple(exps)] += 1
-            return
-        sink_x = lam.part(i)
-        if i <= m:
-            v = mu.part(i) * height
-            if not used[v]:
-                used[v] = 1
-                walk(i, mu.part(i), 0, sink_x, prev_entry_index)
-                used[v] = 0
-            return
-        for level in range(1, k_levels + 1):
-            entry = height + 2 * level
-            if index[level] <= prev_entry_index or used[entry]:
-                continue
-            for v in (2 * level, 2 * level - 1):  # unprimed, primed first letter
-                if used[v]:
-                    continue
-                used[v] = used[entry] = 1
-                exps[var[level]] += step[level]
-                walk(i, 1, 2 * level, sink_x, index[level])
-                exps[var[level]] -= step[level]
-                used[v] = used[entry] = 0
+    # left-boundary paths enter column 1 on levels of strictly increasing
+    # letter index, each by a primed or an unprimed first letter
+    lefts = lam.length - mu.length
+    states = {
+        levels: weight(levels).scale(2**lefts)
+        for levels in combinations(range(1, k_levels + 1), lefts)
+        if all(letters[a].index < letters[b].index for a, b in zip(levels, levels[1:]))
+    }
+    joins, sinks = set(mu.parts), set(lam.parts)
+    for x in range(1, lam.part(1) + 1):
+        if x in joins:  # a bottom path starts below every active one
+            states = {(0,) + s: v for s, v in states.items()}
+        sink = x in sinks  # the highest active path rises to the top and ends
+        sums: dict[tuple[int, ...], LaurentPoly] = {}
+        for s, v in states.items():
+            for t, c in _column_moves(s, sink, k_levels).items():
+                cv = v.scale(c) if c > 1 else v
+                sums[t] = sums[t] + cv if t in sums else cv
+        states = {t: weight(t) * v for t, v in sums.items()}
+    return states.get((), LaurentPoly.zero(n))
 
-    start(1, 0)
-    return LaurentPoly(spec.n, counts)
+
+def _column_moves(
+    state: tuple[int, ...], sink: bool, k_levels: int
+) -> Counter[tuple[int, ...]]:
+    """Arrival levels in the next column, with the number of ways to reach them.
+
+    Path j rises from its arrival level to a level b below the next path's
+    arrival and leaves right (b >= 1) or diagonally (b < k_levels); the paths
+    stay vertex-disjoint exactly when the new levels strictly increase.  With
+    `sink`, the highest path takes the rest of the column and leaves none."""
+    tops = [a - 1 for a in state[1:]] + [k_levels]
+    if sink:
+        state, tops = state[:-1], tops[:-1]
+    partial: Counter[tuple[int, ...]] = Counter({(): 1})
+    for a, top in zip(state, tops):
+        ways: Counter[int] = Counter()
+        for b in range(a, top + 1):
+            if b >= 1:
+                ways[b] += 1
+            if b < k_levels:
+                ways[b + 1] += 1
+        grown: Counter[tuple[int, ...]] = Counter()
+        for t, c in partial.items():
+            for b, w in ways.items():
+                if not t or b > t[-1]:
+                    grown[t + (b,)] += c * w
+        partial = grown
+    return partial
 
 
 def validate_family(

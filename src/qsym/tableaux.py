@@ -106,10 +106,6 @@ class PrimedTableau:
     inner: StrictPartition
     rows: tuple[tuple[Letter, ...], ...]
 
-    def entries(self) -> Iterator[Letter]:
-        for row in self.rows:
-            yield from row
-
 
 @dataclass(frozen=True)
 class SpTableau:
@@ -119,26 +115,23 @@ class SpTableau:
     inner: Partition
     rows: tuple[tuple[Letter, ...], ...]
 
-    def entries(self) -> Iterator[Letter]:
-        for row in self.rows:
-            yield from row
 
-
-def _letter_weight(entries: Iterable[Letter], spec: VariableSpec) -> Monomial:
+def _letter_weight(rows: Iterable[Iterable[Letter]], spec: VariableSpec) -> Monomial:
     """Exponent of x_i: unbarred occurrences of index i minus barred ones."""
     exps = [0] * spec.n
-    for x in entries:
-        exps[x.index - 1] += -1 if x.barred else 1
+    for row in rows:
+        for x in row:
+            exps[x.index - 1] += -1 if x.barred else 1
     return tuple(exps)
 
 
 def qt_weight(t: PrimedTableau, spec: VariableSpec) -> Monomial:
     """Exponent of x_i: unbarred occurrences minus barred ones, primes ignored."""
-    return _letter_weight(t.entries(), spec)
+    return _letter_weight(t.rows, spec)
 
 
 def spt_weight(t: SpTableau, spec: VariableSpec) -> Monomial:
-    return _letter_weight(t.entries(), spec)
+    return _letter_weight(t.rows, spec)
 
 
 def enum_qt(

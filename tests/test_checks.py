@@ -67,7 +67,7 @@ def test_lgv_failure_names_case_and_difference(monkeypatch):
         w = real_weight(fam, spec)
         return (w[0] + 1,) + w[1:] if w else w
 
-    # the weight sums come from the walker, the bijection from the families
+    # the weight sums come from the transfer matrix, the bijection from the families
     monkeypatch.setattr(checks, "lgv_weight_sum", sum_times_x1)
     results = _by_name(lgv_checks(max_part=1, max_len=1, max_vars=1))
     sums = results["lgv.weight-sums"]

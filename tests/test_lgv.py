@@ -1,3 +1,5 @@
+import pytest
+
 from qsym import (
     EMPTY,
     LatticePath,
@@ -11,10 +13,13 @@ from qsym import (
     family_weight,
     letter,
     lgv_weight_sum,
+    qI_branch,
     qI_tableau,
     qt_weight,
     validate_family,
 )
+from qsym.checks import qi_cases
+from qsym.errors import PreconditionError
 
 L = letter
 
@@ -122,3 +127,47 @@ def test_dump_format():
     fam = next(iter(enum_path_families(sp(1), EMPTY, spec)))
     text = fam.dump()
     assert "letters:" in text and "(" in text
+
+
+def _family_sum(lam, mu, spec):
+    return LaurentPoly.from_exponents(
+        spec.n, (family_weight(f, spec) for f in enum_path_families(lam, mu, spec))
+    )
+
+
+def test_transfer_matrix_equals_family_enumeration():
+    for lam, mu, spec in qi_cases(3, 3, 3):
+        assert lgv_weight_sum(lam, mu, spec) == _family_sum(lam, mu, spec), (lam, mu, spec)
+
+
+def test_transfer_matrix_keeps_the_index_rule():
+    # the first sweep case where the rule has content: ordering the entries by
+    # level alone admits 136 more families, two of them entering on 1 and 1b
+    lam, mu, spec = sp(4, 3), EMPTY, VariableSpec(1, 1)
+    total = lgv_weight_sum(lam, mu, spec)
+    assert total == _family_sum(lam, mu, spec) == qI_tableau(lam, mu, spec)
+    assert sum(total.terms.values()) == 56
+
+
+def test_transfer_matrix_edges():
+    spec = VariableSpec(1, 1)
+    assert lgv_weight_sum(EMPTY, EMPTY, spec) == LaurentPoly.one(2)
+    assert lgv_weight_sum(sp(2, 1), sp(3), spec).is_zero()
+    with pytest.raises(PreconditionError):
+        lgv_weight_sum(sp(3, 2, 1), EMPTY, spec)
+
+
+@pytest.mark.parametrize(
+    "lam, mu, spec",
+    [
+        ((6, 4, 2), (), (2, 2)),
+        ((6, 4, 2), (), (3, 1)),
+        ((6, 4, 2), (), (3, 2)),
+        ((7, 5, 3, 1), (), (2, 2)),
+        ((7, 5, 3, 1), (3, 1), (2, 2)),
+        ((6, 4, 2), (2,), (3, 2)),
+    ],
+)
+def test_lgv_equals_branch_beyond_enumeration(lam, mu, spec):
+    lam, mu, spec = sp(*lam), sp(*mu), VariableSpec(*spec)
+    assert lgv_weight_sum(lam, mu, spec) == qI_branch(lam, mu, spec)
