@@ -242,13 +242,23 @@ def ring_checks(seed: int = 0, rounds: int = 60) -> list[CheckResult]:
 
 def tableaux_checks(max_weight: int = 6, max_vars: int = 3) -> list[CheckResult]:
     first: dict[str, str] = {}
-    for lam, mu, spec in qi_cases(max_part=4, max_len=3, max_vars=max_vars):
-        if lam.weight > max_weight:
-            continue
-        tabs = list(enum_qt(spec, lam, mu))
+    streams = [
+        (_case(lam, mu, spec), enum_qt(spec, lam, mu))
+        for lam, mu, spec in qi_cases(max_part=4, max_len=3, max_vars=max_vars)
+        if lam.weight <= max_weight
+    ]
+    primed = len(streams)
+    streams += [
+        (_case(lam, EMPTY, spec), enum_spt(spec, lam))
+        for lam in partitions_up_to_weight(min(max_weight, 5), max_len=3)
+        for spec in specs_up_to(max_vars)
+    ]
+    for case, stream in streams:
+        tabs = list(stream)
         if len(set(tabs)) != len(tabs):
-            detail = f"{_case(lam, mu, spec)} {len(tabs)} tableaux, {len(set(tabs))} distinct"
+            detail = f"{case} {len(tabs)} tableaux, {len(set(tabs))} distinct"
             first.setdefault("tableaux.duplicate-free", detail)
+    dup_streams = f"{primed} primed and {len(streams) - primed} unprimed streams"
 
     def qt_count(spec, lam, mu=EMPTY):
         return sum(1 for _ in enum_qt(spec, lam, mu))
@@ -284,12 +294,11 @@ def tableaux_checks(max_weight: int = 6, max_vars: int = 3) -> list[CheckResult]
             if lhs != rhs:
                 detail = f"{_case(lam, EMPTY, spec)} {lhs} tableaux, {rhs} split"
                 first.setdefault("tableaux.split-counts-unprimed", detail)
-    names = (
-        "tableaux.duplicate-free",
-        "tableaux.split-counts",
-        "tableaux.split-counts-unprimed",
-    )
-    return [_result(name, first) for name in names]
+    return [
+        _result("tableaux.duplicate-free", first, dup_streams),
+        _result("tableaux.split-counts", first),
+        _result("tableaux.split-counts-unprimed", first),
+    ]
 
 
 # -- schur side ---------------------------------------------------------------

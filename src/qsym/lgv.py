@@ -251,12 +251,11 @@ def lgv_weight_sum(
         if x in joins:  # a bottom path starts below every active one
             states = {(0,) + s: v for s, v in states.items()}
         sink = x in sinks  # the highest active path rises to the top and ends
-        sums: dict[tuple[int, ...], LaurentPoly] = {}
+        sources: dict[tuple[int, ...], list[tuple[LaurentPoly, int]]] = {}
         for s, v in states.items():
             for t, c in _column_moves(s, sink, k_levels).items():
-                cv = v.scale(c) if c > 1 else v
-                sums[t] = sums[t] + cv if t in sums else cv
-        states = {t: weight(t) * v for t, v in sums.items()}
+                sources.setdefault(t, []).append((v, c))
+        states = {t: weight(t) * LaurentPoly.lincomb(n, vs) for t, vs in sources.items()}
     return states.get((), LaurentPoly.zero(n))
 
 

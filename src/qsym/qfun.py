@@ -75,10 +75,9 @@ def qA_two_row(r: int, s: int, n: int, ctx: QContext | None = None) -> LaurentPo
     def q(i: int) -> LaurentPoly:
         return q_row(i, spec, ctx)
 
-    total = q(r) * q(s)
-    for t in range(1, s + 1):
-        term = q(r + t) * q(s - t)
-        total = total + term.scale(2 if t % 2 == 0 else -2)
+    total = LaurentPoly.lincomb(
+        n, ((q(r + t) * q(s - t), 2 * (-1) ** t if t else 1) for t in range(s + 1))
+    )
     ctx.cache[key] = total
     return total
 
@@ -98,13 +97,11 @@ def qC_two_row(r: int, s: int, k: int, ctx: QContext | None = None) -> LaurentPo
     def q(i: int) -> LaurentPoly:
         return q_row(i, spec, ctx)
 
-    total = q(r) * q(s)
+    terms = [(q(r) * q(s), 1)]
     for t in range(1, s + 1):
-        inner = q(r + t) + q(r - t)
-        for i in range(1, t):
-            inner = inner + q(r + t - 2 * i).scale(2)
-        term = inner * q(s - t)
-        total = total + term.scale(2 if t % 2 == 0 else -2)
+        echo = [(q(r + t), 1), (q(r - t), 1)] + [(q(r + t - 2 * i), 2) for i in range(1, t)]
+        terms.append((LaurentPoly.lincomb(k, echo) * q(s - t), 2 if t % 2 == 0 else -2))
+    total = LaurentPoly.lincomb(k, terms)
     ctx.cache[key] = total
     return total
 

@@ -52,6 +52,7 @@ Monomial = tuple[int, ...]
 _BITS = 16
 _MASK = (1 << _BITS) - 1
 _LIMIT = 1 << (_BITS - 1)  # every exponent and every bound stays below this in absolute value
+_GAP = 1 << _BITS  # the sort digit of a zero exponent that a nonzero one follows
 
 
 def _pack(exps: Monomial) -> int:
@@ -61,13 +62,15 @@ def _pack(exps: Monomial) -> int:
     return key
 
 
+def _bias(n: int) -> int:
+    """The key with every one of n fields at _LIMIT.  Adding it to a key
+    lifts each field into [1, 2^16), so the fields unpack without borrows."""
+    return _LIMIT * (((1 << (_BITS * n)) - 1) // _MASK)
+
+
 def _unpack(key: int, n: int) -> Monomial:
-    exps = []
-    for _ in range(n):
-        e = ((key + _LIMIT) & _MASK) - _LIMIT  # the low field, signed
-        exps.append(e)
-        key = (key - e) >> _BITS
-    return tuple(exps)
+    key += _bias(n)
+    return tuple([((key >> s) & _MASK) - _LIMIT for s in range(0, _BITS * n, _BITS)])
 
 
 def term_sort_key(exps: Monomial):
@@ -75,6 +78,7 @@ def term_sort_key(exps: Monomial):
 
     Sorting by this key puts x1-led terms before x2-led ones and, within a
     variable, positive powers before negative ones, e.g. x1, x1^-1, x2.
+    `LaurentPoly.sorted_terms` sorts by an int that orders terms the same way.
     """
     return tuple((i, -e) for i, e in enumerate(exps) if e)
 
@@ -117,6 +121,14 @@ def _fill(p: "LaurentPoly", n: int, terms: dict[int, int], bound: int) -> "Laure
 
 def _poly(n: int, terms: dict[int, int], bound: int) -> "LaurentPoly":
     return _fill(object.__new__(LaurentPoly), n, terms, bound)
+
+
+def _check(n: int, other: "LaurentPoly") -> None:
+    """Raise unless `other` is a polynomial in n variables."""
+    if not isinstance(other, LaurentPoly):
+        raise TypeError(f"expected LaurentPoly, got {type(other).__name__}")
+    if n != other.n:
+        raise VariableCountMismatch(f"variable counts differ: {n} vs {other.n}")
 
 
 class LaurentPoly:
@@ -173,14 +185,8 @@ class LaurentPoly:
 
     # -- ring operations ---------------------------------------------------
 
-    def _check(self, other: "LaurentPoly") -> None:
-        if not isinstance(other, LaurentPoly):
-            raise TypeError(f"expected LaurentPoly, got {type(other).__name__}")
-        if self.n != other.n:
-            raise VariableCountMismatch(f"variable counts differ: {self.n} vs {other.n}")
-
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check(other)
+        _check(self.n, other)
         a, b = self.terms, other.terms
         if len(a) < len(b):
             a, b = b, a
@@ -194,7 +200,7 @@ class LaurentPoly:
         return _poly(self.n, out, max(self._bound, other._bound))
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check(other)
+        _check(self.n, other)
         out = dict(self.terms)
         for e, c in other.terms.items():
             c = out.get(e, 0) - c
@@ -208,7 +214,7 @@ class LaurentPoly:
         return _poly(self.n, {e: -c for e, c in self.terms.items()}, self._bound)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check(other)
+        _check(self.n, other)
         bound = self._bound + other._bound
         if bound >= _LIMIT:
             raise ExponentOverflow(
@@ -232,6 +238,31 @@ class LaurentPoly:
             if budget is not None and len(out) > budget:
                 raise _over_budget(len(out), budget)
         return _poly(self.n, {e: c for e, c in out.items() if c}, bound)
+
+    @classmethod
+    def lincomb(cls, n: int, pairs: Iterable[tuple["LaurentPoly", int]]) -> "LaurentPoly":
+        """Sum of c * p over the (p, c) in `pairs`, filled into one dict
+        instead of copying a growing sum once per addend."""
+        budget = _term_budget()
+        out: dict[int, int] = {}
+        get = out.get
+        bound, merged = 0, False
+        for p, c in pairs:
+            _check(n, p)
+            if not c:
+                continue
+            if not out:  # nothing to meet yet: copy at C speed
+                out.update(p.terms if c == 1 else {e: c * v for e, v in p.terms.items()})
+            else:
+                merged = True
+                for e, v in p.terms.items():
+                    out[e] = get(e, 0) + c * v
+            bound = max(bound, p._bound)
+            if budget is not None and len(out) > budget:
+                raise _over_budget(len(out), budget)
+        if merged:  # only a merge can cancel a term
+            out = {e: c for e, c in out.items() if c}
+        return _poly(n, out, bound)
 
     def scale(self, c: int) -> "LaurentPoly":
         if not c:
@@ -281,10 +312,35 @@ class LaurentPoly:
     # -- serialization -----------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
+        """Terms in `term_sort_key` order.
+
+        The sort key is an int with one 17-bit digit per variable, x1 the
+        most significant: _LIMIT - e for an exponent e != 0, and for a zero
+        2^16 when a nonzero exponent follows it, else 0.  Where two terms
+        first differ, a nonzero exponent e sorts by -e, before a zero that
+        a later variable follows and after one that ends the term, exactly
+        as the tuples of `term_sort_key` compare.
+        """
         n = self.n
-        items = [(_unpack(e, n), c) for e, c in self.terms.items()]
-        items.sort(key=lambda item: term_sort_key(item[0]))
-        return items
+        bias = _bias(n)
+        # per variable: its field's shift and the biased key of the fields
+        # above it when all of them are zero
+        fields = [(s, bias >> (s + _BITS)) for s in range(0, _BITS * n, _BITS)]
+        decorated = []
+        for key, c in self.terms.items():
+            key += bias
+            exps, order = [], 0
+            for s, zero_tail in fields:
+                e = ((key >> s) & _MASK) - _LIMIT
+                exps.append(e)
+                if e:
+                    digit = _LIMIT - e
+                else:
+                    digit = _GAP if key >> (s + _BITS) != zero_tail else 0
+                order = (order << (_BITS + 1)) + digit
+            decorated.append((order, tuple(exps), c))
+        decorated.sort()  # the orders differ, so no two exponent tuples are compared
+        return [(exps, c) for _, exps, c in decorated]
 
     def __str__(self) -> str:
         if not self.terms:

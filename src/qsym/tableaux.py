@@ -25,15 +25,26 @@ On straight shapes ST3 forces every entry in row i, plain ones included, to
 be at least the letter i; scoping it to symplectic letters is what makes the
 k = 0 family of a skew shape the plain semistandard one.
 
-Enumerators fill cells row-major and backtrack; every rule above is checkable
-against the left and upper neighbours plus per-row/per-column records, so
-the streams are duplicate-free by construction.  enum_qt works on ranks: a
-letter is its position in spec.primed_alphabet(), which is sorted, so the
-order of letters is the order of ints.  QT1/QT2 give a lowest rank from the
-neighbours, QT5 raises it past the index of the previous diagonal cell, and
-QT3/QT4 are an int bitmask of the primed ranks per row and of the unprimed
-ranks per column.  Letter objects are looked up only for each finished
-tableau.
+Enumerators fill cells row-major and backtrack in one generator frame, and
+every rule above is checkable against the left and upper neighbours plus
+per-row/per-column records, so the streams are duplicate-free by
+construction.  Both work on ranks: a letter is its position in its alphabet
+list, which is sorted, so the order of letters is the order of ints, and
+Letter objects are looked up only for each finished tableau.
+
+  enum_qt   QT1/QT2 give a lowest rank from the neighbours, QT5 raises it
+            past the index of the previous diagonal cell, and QT3/QT4 are
+            an int bitmask of the primed ranks per row and of the unprimed
+            ranks per column.
+  enum_spt  ST1-ST3 are all floors: the left neighbour's rank, one past the
+            upper neighbour's, and the ST3 floor of row i: the rank of the
+            unbarred letter i when i <= k, of the first plain letter when
+            i > k.  Every rank from the highest floor to the end of the
+            alphabet is legal, so nothing is rejected.
+
+Both rebuild, for each tableau, only the rows from the lowest cell assigned
+since the previous tableau down; the rows above are the same immutable
+tuples as in the previous tableau.
 """
 
 from __future__ import annotations
@@ -134,6 +145,14 @@ def spt_weight(t: SpTableau, spec: VariableSpec) -> Monomial:
     return _letter_weight(t.rows, spec)
 
 
+def _row_starts(row_ranges: list) -> list[int]:
+    """Cell positions where each row starts in row-major order, then the cell count."""
+    starts = [0]
+    for cols in row_ranges:
+        starts.append(starts[-1] + len(cols))
+    return starts
+
+
 def enum_qt(
     spec: VariableSpec, lam: StrictPartition, mu: StrictPartition = EMPTY
 ) -> Iterator[PrimedTableau]:
@@ -178,10 +197,12 @@ def enum_qt(
     row_mask = [i - 1 for i, _ in cells]
     col_mask = [len(row_ranges) + j for _, j in cells]
     masks = [0] * (len(row_ranges) + max(j for _, j in cells) + 1)
-    row_pos = [[at[i + 1, j] for j in cols] for i, cols in enumerate(row_ranges)]
+    starts = _row_starts(row_ranges)
+    rows = [()] * len(row_ranges)
+    get = alphabet.__getitem__
 
     rank = [0] * (n + 1)
-    pos, lo = 0, 0
+    pos, lo, low = 0, 0, 0
     while True:
         taken = masks[row_mask[pos]] | masks[col_mask[pos]]
         free = ~taken & (-1 << lo)
@@ -195,11 +216,16 @@ def enum_qt(
                 if diag_prev[pos] >= 0:
                     lo = max(lo, above[rank[diag_prev[pos]]])
                 continue
-            yield PrimedTableau(
-                lam, mu, tuple([tuple([alphabet[rank[p]] for p in ps]) for ps in row_pos])
-            )
+            # rebuild the rows from that of the lowest cell assigned since
+            # the last tableau down (row_mask[p] is the row of cell p)
+            for i in range(row_mask[low], len(rows)):
+                rows[i] = tuple(map(get, rank[starts[i] : starts[i + 1]]))
+            yield PrimedTableau(lam, mu, tuple(rows))
+            low = pos
         elif pos:
             pos -= 1
+            if pos < low:
+                low = pos
             r = rank[pos]
         else:
             return
@@ -265,38 +291,57 @@ def enum_spt(
     """
     if not outer.contains(inner):
         return
-    alphabet = spec.unprimed_alphabet()
     row_ranges = [
-        list(range(inner.part(i) + 1, outer.part(i) + 1))
-        for i in range(1, outer.length + 1)
+        range(inner.part(i) + 1, outer.part(i) + 1) for i in range(1, outer.length + 1)
     ]
     cells = [(i + 1, j) for i, cols in enumerate(row_ranges) for j in cols]
     if not cells:
         yield SpTableau(outer, inner, tuple(() for _ in row_ranges))
         return
-    row_minimum = {i: letter(i) for i in range(1, outer.length + 1)}
 
-    grid: dict[tuple[int, int], Letter] = {}
+    alphabet = spec.unprimed_alphabet()
+    n_letters = len(alphabet)
+    # floor[i - 1]: the lowest rank ST3 allows in row i, the first letter
+    # that is plain or at least the unbarred letter i
+    floor = [
+        next((r for r, x in enumerate(alphabet) if x.index > spec.k or x >= letter(i)), n_letters)
+        for i in range(1, len(row_ranges) + 1)
+    ]
+    n = len(cells)
+    at = {cell: pos for pos, cell in enumerate(cells)}
+    # per cell: its row, its floor, and the positions of its left and upper
+    # neighbours, n when absent, where rank[n] = -1 stays below every floor
+    row_of = [i - 1 for i, _ in cells]
+    cell_floor = [floor[i - 1] for i, _ in cells]
+    left = [at.get((i, j - 1), n) for i, j in cells]
+    up = [at.get((i - 1, j), n) for i, j in cells]
+    starts = _row_starts(row_ranges)
+    rows = [()] * len(row_ranges)
+    get = alphabet.__getitem__
 
-    def rec(pos: int) -> Iterator[SpTableau]:
-        if pos == len(cells):
-            rows = tuple(
-                tuple(grid[(i + 1, j)] for j in cols) for i, cols in enumerate(row_ranges)
-            )
-            yield SpTableau(outer, inner, rows)
+    # ST1-ST3 are all lower bounds, so every rank from a cell's lowest one to
+    # the end of the alphabet is legal and the walk rejects nothing
+    rank = [0] * n + [-1]
+    pos, r, low = 0, cell_floor[0], 0
+    while True:
+        if r < n_letters:
+            rank[pos] = r
+            if pos + 1 < n:
+                pos += 1
+                r = rank[left[pos]]
+                if rank[up[pos]] >= r:
+                    r = rank[up[pos]] + 1
+                if cell_floor[pos] > r:
+                    r = cell_floor[pos]
+                continue
+            for i in range(row_of[low], len(rows)):
+                rows[i] = tuple(map(get, rank[starts[i] : starts[i + 1]]))
+            yield SpTableau(outer, inner, tuple(rows))
+            low = pos
+        elif pos:
+            pos -= 1
+            if pos < low:
+                low = pos
+        else:
             return
-        i, j = cells[pos]
-        left = grid.get((i, j - 1))
-        up = grid.get((i - 1, j))
-        for x in alphabet:
-            if left is not None and x < left:
-                continue
-            if up is not None and x <= up:
-                continue
-            if x.index <= spec.k and x < row_minimum[i]:
-                continue
-            grid[(i, j)] = x
-            yield from rec(pos + 1)
-            del grid[(i, j)]
-
-    yield from rec(0)
+        r = rank[pos] + 1

@@ -115,13 +115,14 @@ def _each_twice(enum):
     [
         ("ring", "parse_poly", _plus_one, "ring.roundtrip", "n="),
         ("tableaux", "enum_qt", _each_twice, "tableaux.duplicate-free", "lam=() mu=() spec=(0,0)"),
+        ("tableaux", "enum_spt", _each_twice, "tableaux.duplicate-free", "lam=() mu=() spec=(0,0)"),
         (
             "schur", "schur_skew_e", _plus_one, "schur.jacobi-trudi-h-vs-e",
             "lam=() mu=() spec=(0,2) h-e: -1",
         ),
         ("linalg", "determinant", _plus_one, "linalg.pfaffian-square-random", "matrix 0 "),
     ],
-    ids=["ring", "tableaux", "schur", "linalg"],
+    ids=["ring", "tableaux", "tableaux-spt", "schur", "linalg"],
 )
 def test_failing_suite_names_its_first_case(monkeypatch, suite, dependency, corrupt, check, case):
     monkeypatch.setattr(checks, dependency, corrupt(getattr(checks, dependency)))

@@ -12,6 +12,7 @@ from qsym import (
     parse_poly,
     series_from_linear_factors,
 )
+from qsym.ring import term_sort_key
 
 
 def v(n, i, p=1):
@@ -244,3 +245,55 @@ def test_exponent_past_the_field_width_is_a_parse_error():
         parse_poly("x1^40000", 1)
     with pytest.raises(ParseError):
         LaurentPoly.from_json('{"n": 1, "terms": [{"exps": [40000], "coeff": "1"}]}')
+
+
+LIMIT = 2**15 - 1
+
+
+@given(n=st.integers(0, 5), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_sorted_terms_follow_term_sort_key(n, data):
+    # zeros placed before, between and after nonzeros decide the order; the
+    # extreme exponents fill every bit of a field
+    exponent = st.sampled_from([0, 0, 1, -1, 2, -2, LIMIT, -LIMIT, LIMIT - 1, -LIMIT + 1])
+    terms = data.draw(st.dictionaries(st.tuples(*[exponent] * n), st.integers(-3, 3), max_size=12))
+    p = LaurentPoly(n, terms)
+    expected = sorted(((e, c) for e, c in terms.items() if c), key=lambda t: term_sort_key(t[0]))
+    assert p.sorted_terms() == expected
+
+
+def test_sorted_terms_edges():
+    assert LaurentPoly.const(0, 5).sorted_terms() == [((), 5)]
+    assert LaurentPoly.zero(0).sorted_terms() == []
+    p = LaurentPoly(2, {(0, 0): 1, (0, LIMIT): 2, (-LIMIT, 0): 3, (LIMIT, -LIMIT): 4, (0, -LIMIT): 5})
+    # the constant first, then x1-led terms by descending x1, then x2-led ones
+    assert p.sorted_terms() == [
+        ((0, 0), 1),
+        ((LIMIT, -LIMIT), 4),
+        ((-LIMIT, 0), 3),
+        ((0, LIMIT), 2),
+        ((0, -LIMIT), 5),
+    ]
+
+
+@given(n=st.integers(0, 3), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_lincomb_is_the_sum_of_scaled_addends(n, data):
+    pairs = data.draw(st.lists(st.tuples(poly_strategy(n), st.integers(-3, 3)), max_size=5))
+    expected = LaurentPoly.zero(n)
+    for p, c in pairs:
+        expected = expected + p.scale(c)
+    assert LaurentPoly.lincomb(n, pairs) == expected
+    assert LaurentPoly.lincomb(n, iter(pairs)) == expected
+
+
+def test_lincomb_checks_rings_and_budget(monkeypatch):
+    with pytest.raises(VariableCountMismatch):
+        LaurentPoly.lincomb(2, [(v(2, 0), 1), (v(1, 0), 1)])
+    with pytest.raises(TypeError):
+        LaurentPoly.lincomb(1, [(3, 1)])
+    # terms that cancel leave no zero coefficient behind
+    assert LaurentPoly.lincomb(1, [(v(1, 0), 2), (v(1, 0).scale(2), -1)]).is_zero()
+    monkeypatch.setenv("QSYM_MAX_TERMS", "2")
+    with pytest.raises(TermBudgetExceeded):
+        LaurentPoly.lincomb(1, [(v(1, 0), 1), (v(1, 0, 2), 1), (v(1, 0, 3), 1)])

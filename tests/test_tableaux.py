@@ -13,7 +13,7 @@ from qsym import (
     qt_weight,
     spt_weight,
 )
-from qsym.checks import qi_cases, specs_up_to
+from qsym.checks import partitions_up_to_weight, qi_cases, specs_up_to
 from qsym.shapes import enum_strict_between
 from qsym.tableaux import is_valid_qt
 
@@ -95,25 +95,51 @@ def test_enumeration_duplicate_free():
         assert len(set(tabs)) == len(tabs)
 
 
+def _stream_digest(streams):
+    # each stream is listed whole before it is hashed, so a row object that
+    # later tableaux of the stream change would show in the earlier ones
+    digest, count = hashlib.sha256(), 0
+    for stream in streams:
+        for t in list(stream):
+            digest.update(str(t.rows).encode())
+            count += 1
+    return count, digest.hexdigest()
+
+
 def test_enumeration_stream_is_pinned():
     # every tableau, in order, over the acceptance cases of weight <= 6
-    digest, count = hashlib.sha256(), 0
-    for lam, mu, spec in qi_cases(max_part=4, max_len=3, max_vars=3):
-        if lam.weight <= 6:
-            for t in enum_qt(spec, lam, mu):
-                digest.update(str(t.rows).encode())
-                count += 1
-    assert count == 107105
-    assert digest.hexdigest() == (
-        "1fc098673fea0b7e9c5dbb79c16d7c53b5599ad7d1267e993aacd7eb21fcf0f7"
+    streams = (
+        enum_qt(spec, lam, mu)
+        for lam, mu, spec in qi_cases(max_part=4, max_len=3, max_vars=3)
+        if lam.weight <= 6
+    )
+    assert _stream_digest(streams) == (
+        107105,
+        "1fc098673fea0b7e9c5dbb79c16d7c53b5599ad7d1267e993aacd7eb21fcf0f7",
+    )
+
+
+def test_spt_stream_is_pinned():
+    # every ordered pair of partitions of weight <= 6 with <= 4 rows, contained
+    # or not, so rows past the k symplectic ones meet the plain-letter floor
+    shapes = partitions_up_to_weight(6, 4)
+    streams = (
+        enum_spt(spec, outer, inner)
+        for outer in shapes
+        for inner in shapes
+        for spec in specs_up_to(3)
+    )
+    assert _stream_digest(streams) == (
+        24229,
+        "15176680004cfdee4d724a49ef161d4518671bcde2721e4c7509d94551958938",
     )
 
 
 def test_primed_alphabet_is_sorted():
-    # enum_qt compares letters by their rank in this list
+    # enum_qt and enum_spt compare letters by their rank in these lists
     for spec in specs_up_to(4):
-        alphabet = spec.primed_alphabet()
-        assert alphabet == sorted(alphabet)
+        for alphabet in (spec.primed_alphabet(), spec.unprimed_alphabet()):
+            assert alphabet == sorted(alphabet)
 
 
 def test_qt_split_counts_small():
