@@ -43,6 +43,7 @@ import os
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Sequence
 
 from .errors import ExponentOverflow, ParseError, TermBudgetExceeded, VariableCountMismatch
@@ -53,6 +54,7 @@ _BITS = 16
 _MASK = (1 << _BITS) - 1
 _LIMIT = 1 << (_BITS - 1)  # every exponent and every bound stays below this in absolute value
 _GAP = 1 << _BITS  # the sort digit of a zero exponent that a nonzero one follows
+_BATCH = 4096  # exponent tuples that from_exponents counts between budget checks
 
 
 def _pack(exps: Monomial) -> int:
@@ -176,8 +178,20 @@ class LaurentPoly:
 
     @classmethod
     def from_exponents(cls, n: int, exps: Iterable[Monomial]) -> "LaurentPoly":
-        """Sum of the monomials x^e over `exps`, counted with multiplicity."""
-        return cls(n, Counter(exps))
+        """Sum of the monomials x^e over `exps`, counted with multiplicity.
+
+        The stream is counted in batches of _BATCH, and the term budget is
+        checked after each, so a long stream stops within one batch of the
+        point where its distinct monomials outgrow the budget.
+        """
+        budget = _term_budget()
+        counts: Counter[Monomial] = Counter()
+        exps = iter(exps)
+        while batch := list(islice(exps, _BATCH)):
+            counts.update(batch)
+            if budget is not None and len(counts) > budget:
+                raise _over_budget(len(counts), budget)
+        return cls(n, counts)
 
     @classmethod
     def monomial(cls, n: int, exps: Monomial, coeff: int = 1) -> "LaurentPoly":
@@ -370,14 +384,13 @@ class LaurentPoly:
         return f"LaurentPoly({self.n}, {self})"
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "terms": [
-                    {"exps": list(e), "coeff": str(c)} for e, c in self.sorted_terms()
-                ],
-            }
+        """The text json.dumps gives for {"n": n, "terms": [{"exps": [...],
+        "coeff": "c"}, ...]}, written directly: the repr of a list of ints is
+        its JSON text, and a decimal coefficient needs no escaping."""
+        terms = ", ".join(
+            f'{{"exps": {list(e)}, "coeff": "{c}"}}' for e, c in self.sorted_terms()
         )
+        return f'{{"n": {self.n}, "terms": [{terms}]}}'
 
     @classmethod
     def from_json(cls, text: str) -> "LaurentPoly":

@@ -30,7 +30,7 @@ every rule above is checkable against the left and upper neighbours plus
 per-row/per-column records, so the streams are duplicate-free by
 construction.  Both work on ranks: a letter is its position in its alphabet
 list, which is sorted, so the order of letters is the order of ints, and
-Letter objects are looked up only for each finished tableau.
+Letter objects are looked up only to build finished rows.
 
   enum_qt   QT1/QT2 give a lowest rank from the neighbours, QT5 raises it
             past the index of the previous diagonal cell, and QT3/QT4 are
@@ -42,15 +42,26 @@ Letter objects are looked up only for each finished tableau.
             i > k.  Every rank from the highest floor to the end of the
             alphabet is legal, so nothing is rejected.
 
-Both rebuild, for each tableau, only the rows from the lowest cell assigned
-since the previous tableau down; the rows above are the same immutable
-tuples as in the previous tableau.
+Both walk cell by cell only down to the first cell of the last non-empty
+row.  Every filling of that row depends only on its first cell's lowest
+rank, the floors that the upper neighbours set on its other cells, and, in
+enum_qt, the unprimed ranks already in its columns (its own primed record
+is still empty), so the walk fills the row in one step from a dict keyed by
+exactly those ints.  The dict lives in the call; its value is the list of
+the row's fillings as tuples of letters, in ascending rank order, so each
+tableau of a batch is the rows above plus one row of the list, and the
+stream is the one a cell-by-cell walk of that row gives.  The rows above are
+rebuilt once per batch, from that of the lowest cell assigned since the
+previous batch down.
+
+Tableaux are named tuples, cheap to build.  Equality also compares the
+class, so a PrimedTableau never equals an SpTableau or a plain tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import NotContained
 from .ring import Monomial
@@ -109,22 +120,36 @@ class VariableSpec:
         return out
 
 
-@dataclass(frozen=True)
-class PrimedTableau:
+def _record_eq(a: tuple, b: object) -> bool:
+    return type(a) is type(b) and tuple.__eq__(a, b)
+
+
+def _record_ne(a: tuple, b: object) -> bool:
+    return not _record_eq(a, b)
+
+
+class PrimedTableau(NamedTuple):
     """Filling of a skew shifted shape; rows[i] lists row i+1 left to right."""
 
     outer: StrictPartition
     inner: StrictPartition
     rows: tuple[tuple[Letter, ...], ...]
 
+    __eq__ = _record_eq
+    __ne__ = _record_ne
+    __hash__ = tuple.__hash__
 
-@dataclass(frozen=True)
-class SpTableau:
+
+class SpTableau(NamedTuple):
     """Filling of an ordinary skew diagram by unprimed letters."""
 
     outer: Partition
     inner: Partition
     rows: tuple[tuple[Letter, ...], ...]
+
+    __eq__ = _record_eq
+    __ne__ = _record_ne
+    __hash__ = tuple.__hash__
 
 
 def _letter_weight(rows: Iterable[Iterable[Letter]], spec: VariableSpec) -> Monomial:
@@ -151,6 +176,32 @@ def _row_starts(row_ranges: list) -> list[int]:
     for cols in row_ranges:
         starts.append(starts[-1] + len(cols))
     return starts
+
+
+def _row_fillings(
+    floors: Sequence[int], cols: Sequence[int], alphabet: list[Letter], primed: list[bool]
+) -> list[tuple[Letter, ...]]:
+    """Every filling of one row, in ascending rank order, as letter tuples.
+
+    Cell p takes a rank of at least floors[p] and at least its left
+    neighbour's, one past it when that is primed (a row holds a primed
+    letter once), and an unprimed rank only when it is not in the column
+    mask cols[p].
+    """
+    out = []
+    n_letters, last = len(alphabet), len(floors) - 1
+
+    def fill(p: int, lo: int, row: tuple[Letter, ...]) -> None:
+        for r in range(max(lo, floors[p]), n_letters):
+            if not primed[r] and cols[p] >> r & 1:
+                continue
+            if p < last:
+                fill(p + 1, r + primed[r], row + (alphabet[r],))
+            else:
+                out.append(row + (alphabet[r],))
+
+    fill(0, 0, ())
+    return out
 
 
 def enum_qt(
@@ -198,38 +249,54 @@ def enum_qt(
     col_mask = [len(row_ranges) + j for _, j in cells]
     masks = [0] * (len(row_ranges) + max(j for _, j in cells) + 1)
     starts = _row_starts(row_ranges)
-    rows = [()] * len(row_ranges)
+    # the last non-empty row, its first cell and the empty rows below it
+    last = max(i for i, cols in enumerate(row_ranges) if cols)
+    first = starts[last]
+    tail = ((),) * (len(row_ranges) - last - 1)
+    row_ups, row_cols = up[first + 1 :], col_mask[first:]
+    rows = [()] * last
     get = alphabet.__getitem__
 
     rank = [0] * (n + 1)
+    fillings_of: dict[tuple[int, ...], list[tuple[Letter, ...]]] = {}
     pos, lo, low = 0, 0, 0
     while True:
-        taken = masks[row_mask[pos]] | masks[col_mask[pos]]
-        free = ~taken & (-1 << lo)
-        r = (free & -free).bit_length() - 1
-        if r < n_letters:
-            rank[pos] = r
-            masks[row_mask[pos] if primed[r] else col_mask[pos]] |= 1 << r
-            if pos + 1 < n:
+        if pos == first:
+            # the last row in one step: its fillings depend only on lo, the
+            # ranks above its other cells and its columns' unprimed masks
+            key = (lo, *map(rank.__getitem__, row_ups), *map(masks.__getitem__, row_cols))
+            fillings = fillings_of.get(key)
+            if fillings is None:
+                floors, cols = key[: len(row_cols)], key[len(row_cols) :]
+                fillings = fillings_of[key] = _row_fillings(floors, cols, alphabet, primed)
+            if fillings:
+                # rebuild the rows from that of the lowest cell assigned
+                # since the last batch down (row_mask[p] is the row of cell p)
+                for i in range(row_mask[low], last):
+                    rows[i] = tuple(map(get, rank[starts[i] : starts[i + 1]]))
+                head = tuple(rows)
+                for row in fillings:
+                    yield PrimedTableau(lam, mu, head + (row,) + tail)
+                low = pos
+        else:
+            taken = masks[row_mask[pos]] | masks[col_mask[pos]]
+            free = ~taken & (-1 << lo)
+            r = (free & -free).bit_length() - 1
+            if r < n_letters:
+                rank[pos] = r
+                masks[row_mask[pos] if primed[r] else col_mask[pos]] |= 1 << r
                 pos += 1
                 lo = max(rank[left[pos]], rank[up[pos]])
                 if diag_prev[pos] >= 0:
                     lo = max(lo, above[rank[diag_prev[pos]]])
                 continue
-            # rebuild the rows from that of the lowest cell assigned since
-            # the last tableau down (row_mask[p] is the row of cell p)
-            for i in range(row_mask[low], len(rows)):
-                rows[i] = tuple(map(get, rank[starts[i] : starts[i + 1]]))
-            yield PrimedTableau(lam, mu, tuple(rows))
-            low = pos
-        elif pos:
-            pos -= 1
-            if pos < low:
-                low = pos
-            r = rank[pos]
-        else:
+        if not pos:
             return
+        pos -= 1
+        if pos < low:
+            low = pos
         # take rank r back from cell pos and look for the next one above it
+        r = rank[pos]
         masks[row_mask[pos] if primed[r] else col_mask[pos]] ^= 1 << r
         lo = r + 1
 
@@ -316,32 +383,47 @@ def enum_spt(
     left = [at.get((i, j - 1), n) for i, j in cells]
     up = [at.get((i - 1, j), n) for i, j in cells]
     starts = _row_starts(row_ranges)
-    rows = [()] * len(row_ranges)
+    # the last non-empty row, its first cell, its ST3 floor and the empty
+    # rows below it; its letters are all unprimed, its columns unrecorded
+    last = max(i for i, cols in enumerate(row_ranges) if cols)
+    first = starts[last]
+    tail = ((),) * (len(row_ranges) - last - 1)
+    row_ups, row_floor = up[first + 1 :], floor[last]
+    no_cols, no_primes = [0] * (n - first), [False] * n_letters
+    rows = [()] * last
     get = alphabet.__getitem__
 
     # ST1-ST3 are all lower bounds, so every rank from a cell's lowest one to
     # the end of the alphabet is legal and the walk rejects nothing
     rank = [0] * n + [-1]
+    fillings_of: dict[tuple[int, ...], list[tuple[Letter, ...]]] = {}
     pos, r, low = 0, cell_floor[0], 0
     while True:
-        if r < n_letters:
-            rank[pos] = r
-            if pos + 1 < n:
-                pos += 1
-                r = rank[left[pos]]
-                if rank[up[pos]] >= r:
-                    r = rank[up[pos]] + 1
-                if cell_floor[pos] > r:
-                    r = cell_floor[pos]
-                continue
-            for i in range(row_of[low], len(rows)):
-                rows[i] = tuple(map(get, rank[starts[i] : starts[i + 1]]))
-            yield SpTableau(outer, inner, tuple(rows))
-            low = pos
-        elif pos:
-            pos -= 1
-            if pos < low:
+        if pos == first:
+            # the last row in one step, keyed by the floors of its cells
+            key = (r, *[max(rank[u] + 1, row_floor) for u in row_ups])
+            fillings = fillings_of.get(key)
+            if fillings is None:
+                fillings = fillings_of[key] = _row_fillings(key, no_cols, alphabet, no_primes)
+            if fillings:
+                for i in range(row_of[low], last):
+                    rows[i] = tuple(map(get, rank[starts[i] : starts[i + 1]]))
+                head = tuple(rows)
+                for row in fillings:
+                    yield SpTableau(outer, inner, head + (row,) + tail)
                 low = pos
-        else:
+        elif r < n_letters:
+            rank[pos] = r
+            pos += 1
+            r = rank[left[pos]]
+            if rank[up[pos]] >= r:
+                r = rank[up[pos]] + 1
+            if cell_floor[pos] > r:
+                r = cell_floor[pos]
+            continue
+        if not pos:
             return
+        pos -= 1
+        if pos < low:
+            low = pos
         r = rank[pos] + 1

@@ -229,6 +229,18 @@ def test_term_budget_stops_the_lgv_route(capsys, monkeypatch):
     assert "QSYM_MAX_TERMS=100" in err
 
 
+def test_term_budget_stops_the_tableau_route(capsys, monkeypatch):
+    # 2,154,496 tableaux; the weights pass 100 distinct ones within the first batch
+    monkeypatch.setenv("QSYM_MAX_TERMS", "100")
+    code, _, err = run(
+        capsys,
+        "compute", "--family", "qI", "--method", "tableau",
+        "--lambda", "6,4,2", "--k", "2", "--m", "2",
+    )
+    assert code == 3
+    assert "QSYM_MAX_TERMS=100" in err
+
+
 def _exit_code(argv: list[str]) -> tuple[int, str]:
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

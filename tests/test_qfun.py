@@ -2,13 +2,18 @@ import pytest
 
 import qsym.lgv
 import qsym.qfun
+import qsym.tableaux
 from qsym import (
     EMPTY,
     LaurentPoly,
+    Partition,
     PreconditionError,
     QContext,
     StrictPartition,
+    TermBudgetExceeded,
     VariableSpec,
+    enum_qt,
+    enum_spt,
     qA_two_row,
     qC_two_row,
     qI_branch,
@@ -18,8 +23,10 @@ from qsym import (
     lgv_weight_sum,
     q_row,
     q_single_var,
+    qt_weight,
 )
 from qsym.checks import ROUTES
+from qsym.ring import _BATCH
 
 
 def v(n, i, p=1):
@@ -177,3 +184,33 @@ def test_context_less_call_leaves_no_module_cache():
     lgv_weight_sum(sp(3, 1), sp(1), VariableSpec(1, 1))
     tables = [t for name, t in vars(qsym.lgv).items() if isinstance(t, dict) and name[:2] != "__"]
     assert not any(tables)
+    # the last-row memos of the tableau streams live in the call
+    assert sum(1 for _ in enum_qt(VariableSpec(1, 1), sp(3, 1))) > 0
+    assert sum(1 for _ in enum_spt(VariableSpec(1, 1), Partition((2, 1)))) > 0
+    tables = [
+        t for name, t in vars(qsym.tableaux).items() if isinstance(t, dict) and name[:2] != "__"
+    ]
+    assert not any(tables)
+
+
+def test_term_budget_stops_the_tableau_route_within_one_batch(monkeypatch):
+    lam, spec, budget = sp(6, 4, 2), VariableSpec(2, 2), 100
+    # the stream position at which the distinct weights first pass the budget
+    seen = set()
+    for passed, t in enumerate(enum_qt(spec, lam), 1):
+        seen.add(qt_weight(t, spec))
+        if len(seen) > budget:
+            break
+    drawn = 0
+
+    def counted(*args):
+        nonlocal drawn
+        for t in enum_qt(*args):
+            drawn += 1
+            yield t
+
+    monkeypatch.setattr(qsym.qfun, "enum_qt", counted)
+    monkeypatch.setenv("QSYM_MAX_TERMS", str(budget))
+    with pytest.raises(TermBudgetExceeded):
+        qI_tableau(lam, EMPTY, spec, QContext())
+    assert passed <= drawn <= passed + _BATCH

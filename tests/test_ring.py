@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,7 @@ from qsym import (
     parse_poly,
     series_from_linear_factors,
 )
-from qsym.ring import term_sort_key
+from qsym.ring import _BATCH, term_sort_key
 
 
 def v(n, i, p=1):
@@ -137,6 +139,45 @@ def test_term_budget_stops_a_product_before_it_is_built(monkeypatch):
         a * b
     terms = int(info.value.args[0].split()[2])
     assert 100 < terms <= 100 + len(b.terms)
+
+
+def test_term_budget_stops_a_stream_within_one_batch(monkeypatch):
+    # monomials x1^(i // 3), i from 0: the 101st distinct one is the 301st item
+    drawn = 0
+
+    def stream():
+        nonlocal drawn
+        for i in range(100 * _BATCH):
+            drawn += 1
+            yield (i // 3,)
+
+    monkeypatch.setenv("QSYM_MAX_TERMS", "100")
+    with pytest.raises(TermBudgetExceeded):
+        LaurentPoly.from_exponents(1, stream())
+    assert 301 <= drawn <= 301 + _BATCH
+
+
+def _json_dumps_form(p):
+    terms = [{"exps": list(e), "coeff": str(c)} for e, c in p.sorted_terms()]
+    return json.dumps({"n": p.n, "terms": terms})
+
+
+_wide_terms = st.lists(
+    st.tuples(
+        st.lists(st.integers(-(2**15) + 1, 2**15 - 1), min_size=3, max_size=3),
+        st.integers(-(10**30), 10**30),
+    ),
+    max_size=6,
+)
+
+
+@given(n=st.integers(0, 3), items=_wide_terms)
+@settings(max_examples=80, deadline=None)
+def test_to_json_is_the_json_dumps_text(n, items):
+    # n = 0, the zero polynomial, negative and big coefficients, extreme exponents
+    p = LaurentPoly(n, {tuple(e[:n]): c for e, c in items})
+    assert p.to_json() == _json_dumps_form(p)
+    assert LaurentPoly.from_json(p.to_json()) == p
 
 
 @given(a=poly_strategy(2), b=poly_strategy(2), c=poly_strategy(2))

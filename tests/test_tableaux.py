@@ -1,10 +1,14 @@
 import hashlib
+from itertools import product
+
+import pytest
 
 from qsym import (
     EMPTY,
     LaurentPoly,
     Partition,
     PrimedTableau,
+    SpTableau,
     StrictPartition,
     VariableSpec,
     enum_qt,
@@ -13,8 +17,9 @@ from qsym import (
     qt_weight,
     spt_weight,
 )
+from qsym import checks
 from qsym.checks import partitions_up_to_weight, qi_cases, specs_up_to
-from qsym.shapes import enum_strict_between
+from qsym.shapes import enum_strict_between, shifted_cells
 from qsym.tableaux import is_valid_qt
 
 L = letter
@@ -190,3 +195,116 @@ def test_spt_skew_plain_is_semistandard():
     # single cell in row 2: both letters allowed once the shape is skew
     tabs = list(enum_spt(VariableSpec(0, 2), Partition((1, 1)), Partition((1,))))
     assert {t.rows[1][0] for t in tabs} == {L(1), L(2)}
+
+
+def _fillings(row_ranges, alphabet):
+    """Every filling of the rows by the alphabet, in row-major rank order."""
+    sizes = [len(cols) for cols in row_ranges]
+    for flat in product(alphabet, repeat=sum(sizes)):
+        rows, at = [], 0
+        for size in sizes:
+            rows.append(flat[at : at + size])
+            at += size
+        yield tuple(rows)
+
+
+@pytest.mark.parametrize(
+    "lam, mu, spec",
+    [
+        (sp(1), EMPTY, VariableSpec(1, 1)),  # single cell
+        (sp(3), EMPTY, VariableSpec(1, 1)),  # single row
+        (sp(4), sp(1), VariableSpec(0, 2)),  # single skew row
+        (sp(4, 1), sp(4), VariableSpec(1, 1)),  # empty leading row
+        (sp(3, 1), sp(2, 1), VariableSpec(1, 1)),  # trailing empty row
+        (sp(2, 1), EMPTY, VariableSpec(1, 0)),  # more rows than indices: empty
+        (sp(3, 2, 1), EMPTY, VariableSpec(0, 2)),  # more rows than indices: empty
+        (sp(3, 2, 1), sp(1), VariableSpec(1, 1)),  # three rows, two diagonal cells
+        (sp(3, 1), EMPTY, VariableSpec(2, 0)),
+        (sp(3, 1), sp(1), VariableSpec(1, 1)),
+    ],
+)
+def test_enum_qt_is_every_valid_filling_in_rank_order(lam, mu, spec):
+    row_ranges = shifted_cells(lam, mu).rows()
+    expected = [
+        t
+        for rows in _fillings(row_ranges, spec.primed_alphabet())
+        if is_valid_qt(t := PrimedTableau(lam, mu, rows), spec)
+    ]
+    assert list(enum_qt(spec, lam, mu)) == expected
+
+
+def _is_valid_spt(rows, row_ranges, spec):
+    """ST1-ST3 on a filling of an ordinary skew diagram, cell by cell."""
+    grid = {(i, j): x for i, cols in enumerate(row_ranges, 1) for j, x in zip(cols, rows[i - 1])}
+    for (i, j), x in grid.items():
+        left, up = grid.get((i, j - 1)), grid.get((i - 1, j))
+        if left is not None and x < left:  # ST1
+            return False
+        if up is not None and x <= up:  # ST2
+            return False
+        if x.index <= spec.k and x < L(i):  # ST3
+            return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "outer, inner, spec",
+    [
+        (Partition((1,)), Partition(), VariableSpec(1, 1)),  # single cell
+        (Partition((3,)), Partition(), VariableSpec(1, 1)),  # single row
+        (Partition((4, 1)), Partition((4,)), VariableSpec(1, 1)),  # empty leading row
+        (Partition((3, 1)), Partition((2, 1)), VariableSpec(1, 1)),  # trailing empty row
+        (Partition((1, 1, 1)), Partition(), VariableSpec(1, 0)),  # more rows than letters: empty
+        (Partition((2, 1, 1)), Partition(), VariableSpec(1, 2)),  # rows past k take plain letters
+        (Partition((3, 2, 1)), Partition((1,)), VariableSpec(2, 0)),
+        (Partition((2, 2)), Partition((1,)), VariableSpec(0, 3)),
+    ],
+)
+def test_enum_spt_is_every_valid_filling_in_rank_order(outer, inner, spec):
+    row_ranges = [
+        range(inner.part(i) + 1, outer.part(i) + 1) for i in range(1, outer.length + 1)
+    ]
+    expected = [
+        SpTableau(outer, inner, rows)
+        for rows in _fillings(row_ranges, spec.unprimed_alphabet())
+        if _is_valid_spt(rows, row_ranges, spec)
+    ]
+    assert list(enum_spt(spec, outer, inner)) == expected
+
+
+def test_tableau_records_compare_by_class_and_fields():
+    rows = ((L(1), L(1, barred=True)),)
+    a = PrimedTableau(sp(2), EMPTY, rows)
+    b = PrimedTableau(sp(2), EMPTY, tuple(tuple(list(r)) for r in rows))
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert a != PrimedTableau(sp(2), EMPTY, ((L(1), L(1)),))
+    # the same fields in the other record class, or in a plain tuple, never match
+    others = (SpTableau(sp(2), EMPTY, rows), (sp(2), EMPTY, rows))
+    for other in others:
+        assert a != other and not a == other
+        assert other != a and not other == a
+    assert PrimedTableau(EMPTY, EMPTY, ()) != SpTableau(EMPTY, EMPTY, ())
+    assert len({a, b, *others}) == 3
+    assert repr(PrimedTableau(sp(1), EMPTY, ((L(1),),))) == (
+        "PrimedTableau(outer=StrictPartition(parts=(1,)), inner=StrictPartition(parts=()), "
+        "rows=((Letter(index=1, barred=False, unprimed=True),),))"
+    )
+    assert repr(SpTableau(Partition((1,)), Partition(), ((L(1, barred=True),),))) == (
+        "SpTableau(outer=Partition(parts=(1,)), inner=Partition(parts=()), "
+        "rows=((Letter(index=1, barred=True, unprimed=True),),))"
+    )
+
+
+@pytest.mark.parametrize("enum", ["enum_qt", "enum_spt"])
+def test_duplicate_check_catches_an_equal_copy(monkeypatch, enum):
+    # each tableau again as a new record with new row tuples: equal, not identical
+    real = getattr(checks, enum)
+
+    def with_copies(*args):
+        for t in real(*args):
+            yield t
+            yield type(t)(t.outer, t.inner, tuple(tuple(list(row)) for row in t.rows))
+
+    monkeypatch.setattr(checks, enum, with_copies)
+    results = {r.name: r for r in checks.tableaux_checks(max_weight=2, max_vars=2)}
+    assert not results["tableaux.duplicate-free"].passed
