@@ -46,26 +46,38 @@ Both walk cell by cell only down to the first cell of the last non-empty
 row.  Every filling of that row depends only on its first cell's lowest
 rank, the floors that the upper neighbours set on its other cells, and, in
 enum_qt, the unprimed ranks already in its columns (its own primed record
-is still empty), so the walk fills the row in one step from a dict keyed by
-exactly those ints.  The dict lives in the call; its value is the list of
-the row's fillings as tuples of letters, in ascending rank order, so each
+is still empty), so the walk fills the row in one step from a memo keyed
+by exactly those ints.  The memo lives in the call; its value is the list
+of the row's fillings as tuples of letters, in ascending rank order, so each
 tableau of a batch is the rows above plus one row of the list, and the
 stream is the one a cell-by-cell walk of that row gives.  The rows above are
 rebuilt once per batch, from that of the lowest cell assigned since the
-previous batch down.
+previous batch down.  The memo pays when keys repeat, that is when the last
+row is short next to the rows above (in the sweep of shapes (4, 3, 2) and
+below, 95 % of last-row visits hit).  It holds at most _MEMO_SIZE key ints
+and row letters: a row with more fillings than that streams them unkept,
+and a memo that would pass the cap is emptied first, so a long last row, or
+one whose keys never repeat, costs bounded memory.
 
 Tableaux are named tuples, cheap to build.  Equality also compares the
-class, so a PrimedTableau never equals an SpTableau or a plain tuple.
+class, so a PrimedTableau never equals an SpTableau or a plain tuple, and
+ordering records raises TypeError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import NotContained
 from .ring import Monomial
 from .shapes import EMPTY, Partition, SkewShiftedShape, StrictPartition, shifted_cells
+
+# the most key ints plus row letters that the last-row memo of one
+# enum_qt/enum_spt call holds; the largest sweep case, shifted (4, 3), needs
+# about 60,000
+_MEMO_SIZE = 1 << 16
 
 
 @dataclass(frozen=True, order=True)
@@ -128,6 +140,10 @@ def _record_ne(a: tuple, b: object) -> bool:
     return not _record_eq(a, b)
 
 
+def _record_unordered(a: tuple, b: object) -> bool:
+    raise TypeError(f"{type(a).__name__} records have no order")
+
+
 class PrimedTableau(NamedTuple):
     """Filling of a skew shifted shape; rows[i] lists row i+1 left to right."""
 
@@ -138,6 +154,7 @@ class PrimedTableau(NamedTuple):
     __eq__ = _record_eq
     __ne__ = _record_ne
     __hash__ = tuple.__hash__
+    __lt__ = __le__ = __gt__ = __ge__ = _record_unordered
 
 
 class SpTableau(NamedTuple):
@@ -150,6 +167,7 @@ class SpTableau(NamedTuple):
     __eq__ = _record_eq
     __ne__ = _record_ne
     __hash__ = tuple.__hash__
+    __lt__ = __le__ = __gt__ = __ge__ = _record_unordered
 
 
 def _letter_weight(rows: Iterable[Iterable[Letter]], spec: VariableSpec) -> Monomial:
@@ -180,28 +198,79 @@ def _row_starts(row_ranges: list) -> list[int]:
 
 def _row_fillings(
     floors: Sequence[int], cols: Sequence[int], alphabet: list[Letter], primed: list[bool]
-) -> list[tuple[Letter, ...]]:
+) -> Iterator[tuple[Letter, ...]]:
     """Every filling of one row, in ascending rank order, as letter tuples.
 
     Cell p takes a rank of at least floors[p] and at least its left
     neighbour's, one past it when that is primed (a row holds a primed
     letter once), and an unprimed rank only when it is not in the column
-    mask cols[p].
+    mask cols[p].  The fillings are made one at a time.
+
+    Cell p's options are fixed by its left neighbour's rank alone, and a
+    higher left rank leaves it fewer, so when a rank of cell p leads to no
+    filling, no higher rank of cell p does either, and the walk backs up
+    past it.  A row whose fillings all stop at one cell is then given up
+    after one try per cell, not after a try of every prefix.
     """
-    out = []
     n_letters, last = len(alphabet), len(floors) - 1
-
-    def fill(p: int, lo: int, row: tuple[Letter, ...]) -> None:
-        for r in range(max(lo, floors[p]), n_letters):
+    # rank[p]: cell p's rank; made_at[p]: fillings made before it took it
+    rank, made_at = [0] * last, [0] * last
+    # prefix[p]: the letters of the cells left of cell p
+    prefix: list[tuple[Letter, ...]] = [()] * (last + 1)
+    p, r, made = 0, floors[0], 0
+    while True:
+        if r < n_letters:
             if not primed[r] and cols[p] >> r & 1:
-                continue
-            if p < last:
-                fill(p + 1, r + primed[r], row + (alphabet[r],))
+                r += 1
+            elif p < last:
+                rank[p], made_at[p] = r, made
+                prefix[p + 1] = prefix[p] + (alphabet[r],)
+                p += 1
+                r = max(r + primed[r], floors[p])
             else:
-                out.append(row + (alphabet[r],))
+                yield prefix[p] + (alphabet[r],)
+                made += 1
+                r += 1
+            continue
+        while True:
+            if not p:
+                return
+            p -= 1
+            if made_at[p] != made:
+                break
+        r = rank[p] + 1
 
-    fill(0, 0, ())
-    return out
+
+class _LastRowMemo:
+    """The last row's fillings by key, for one call, at most _MEMO_SIZE big.
+
+    An entry's size is its key's length plus the letters of its rows.  A
+    miss reads the fillings from their stream; when they would pass the cap
+    on their own they are not kept, and the rows read so far come back
+    followed by the rest of the stream, unread.  When keeping them would
+    take the memo past the cap, it is emptied first.
+    """
+
+    __slots__ = ("lists", "size", "width")
+
+    def __init__(self, width: int):
+        self.lists: dict[tuple[int, ...], list[tuple[Letter, ...]]] = {}
+        self.size, self.width = 0, width
+
+    def fill(
+        self, key: tuple[int, ...], stream: Iterator[tuple[Letter, ...]]
+    ) -> Iterable[tuple[Letter, ...]]:
+        limit = max(_MEMO_SIZE - len(key), 0) // self.width
+        head = list(islice(stream, limit + 1))
+        if len(head) > limit:
+            return chain(head, stream)
+        size = len(key) + len(head) * self.width
+        self.size += size
+        if self.size > _MEMO_SIZE:
+            self.lists.clear()
+            self.size = size
+        self.lists[key] = head
+        return head
 
 
 def enum_qt(
@@ -258,7 +327,8 @@ def enum_qt(
     get = alphabet.__getitem__
 
     rank = [0] * (n + 1)
-    fillings_of: dict[tuple[int, ...], list[tuple[Letter, ...]]] = {}
+    memo = _LastRowMemo(len(row_cols))
+    fillings_of = memo.lists
     pos, lo, low = 0, 0, 0
     while True:
         if pos == first:
@@ -268,7 +338,7 @@ def enum_qt(
             fillings = fillings_of.get(key)
             if fillings is None:
                 floors, cols = key[: len(row_cols)], key[len(row_cols) :]
-                fillings = fillings_of[key] = _row_fillings(floors, cols, alphabet, primed)
+                fillings = memo.fill(key, _row_fillings(floors, cols, alphabet, primed))
             if fillings:
                 # rebuild the rows from that of the lowest cell assigned
                 # since the last batch down (row_mask[p] is the row of cell p)
@@ -396,7 +466,8 @@ def enum_spt(
     # ST1-ST3 are all lower bounds, so every rank from a cell's lowest one to
     # the end of the alphabet is legal and the walk rejects nothing
     rank = [0] * n + [-1]
-    fillings_of: dict[tuple[int, ...], list[tuple[Letter, ...]]] = {}
+    memo = _LastRowMemo(n - first)
+    fillings_of = memo.lists
     pos, r, low = 0, cell_floor[0], 0
     while True:
         if pos == first:
@@ -404,7 +475,7 @@ def enum_spt(
             key = (r, *[max(rank[u] + 1, row_floor) for u in row_ups])
             fillings = fillings_of.get(key)
             if fillings is None:
-                fillings = fillings_of[key] = _row_fillings(key, no_cols, alphabet, no_primes)
+                fillings = memo.fill(key, _row_fillings(key, no_cols, alphabet, no_primes))
             if fillings:
                 for i in range(row_of[low], last):
                     rows[i] = tuple(map(get, rank[starts[i] : starts[i + 1]]))

@@ -241,6 +241,18 @@ def test_term_budget_stops_the_tableau_route(capsys, monkeypatch):
     assert "QSYM_MAX_TERMS=100" in err
 
 
+def test_term_budget_stops_a_single_row_tableau_route(capsys, monkeypatch):
+    # about 2*10^7 fillings of one row, all in the last-row step: the first
+    # batch must come before the row's fillings are all made
+    monkeypatch.setenv("QSYM_MAX_TERMS", "100")
+    code, _, err = run(
+        capsys,
+        "compute", "--family", "qI", "--method", "tableau", "--lambda", "30", "--k", "2", "--m", "2",
+    )
+    assert code == 3
+    assert "QSYM_MAX_TERMS=100" in err
+
+
 def _exit_code(argv: list[str]) -> tuple[int, str]:
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

@@ -193,8 +193,10 @@ def test_context_less_call_leaves_no_module_cache():
     assert not any(tables)
 
 
-def test_term_budget_stops_the_tableau_route_within_one_batch(monkeypatch):
-    lam, spec, budget = sp(6, 4, 2), VariableSpec(2, 2), 100
+# (30): one row, whose fillings all come from the last-row step
+@pytest.mark.parametrize("lam", [sp(6, 4, 2), sp(30)])
+def test_term_budget_stops_the_tableau_route_within_one_batch(monkeypatch, lam):
+    spec, budget = VariableSpec(2, 2), 100
     # the stream position at which the distinct weights first pass the budget
     seen = set()
     for passed, t in enumerate(enum_qt(spec, lam), 1):

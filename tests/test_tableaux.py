@@ -1,4 +1,6 @@
 import hashlib
+import operator
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -285,6 +287,14 @@ def test_tableau_records_compare_by_class_and_fields():
         assert other != a and not other == a
     assert PrimedTableau(EMPTY, EMPTY, ()) != SpTableau(EMPTY, EMPTY, ())
     assert len({a, b, *others}) == 3
+    # records have no order, among themselves or against plain tuples
+    c = PrimedTableau(sp(2), EMPTY, ((L(1), L(1)),))
+    for x, y in ((a, c), (c, a), (a, others[0]), (others[0], a), (a, others[1]), (others[1], a)):
+        for op in ("__lt__", "__le__", "__gt__", "__ge__"):
+            with pytest.raises(TypeError):
+                getattr(operator, op[2:4])(x, y)
+    with pytest.raises(TypeError):
+        sorted([a, c])
     assert repr(PrimedTableau(sp(1), EMPTY, ((L(1),),))) == (
         "PrimedTableau(outer=StrictPartition(parts=(1,)), inner=StrictPartition(parts=()), "
         "rows=((Letter(index=1, barred=False, unprimed=True),),))"
@@ -308,3 +318,56 @@ def test_duplicate_check_catches_an_equal_copy(monkeypatch, enum):
     monkeypatch.setattr(checks, enum, with_copies)
     results = {r.name: r for r in checks.tableaux_checks(max_weight=2, max_vars=2)}
     assert not results["tableaux.duplicate-free"].passed
+
+
+def _peak_traced_bytes(stream) -> int:
+    tracemalloc.start()
+    try:
+        for _ in stream:
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "enum, args, sizes",
+    [
+        # one long row: a single last-row visit, with 15,648 fillings at
+        # n = 18 and 52,632 at n = 27; a memo that kept them all peaked at
+        # 3.0 and 14.2 MB
+        (enum_qt, lambda n: (VariableSpec(1, 2), sp(n)), (18, 27)),
+        # (n, n): the first row sets the key, which then seldom repeats;
+        # 8,721 tableaux at n = 16 and 27,600 at n = 22, and a memo that
+        # kept every key peaked at 1.8 and 7.2 MB
+        (enum_spt, lambda n: (VariableSpec(0, 4), Partition((n, n))), (16, 22)),
+    ],
+)
+def test_last_row_memo_memory_stays_flat(enum, args, sizes):
+    from qsym.tableaux import _MEMO_SIZE
+
+    small, large = (_peak_traced_bytes(enum(*args(n))) for n in sizes)
+    # the memo holds at most _MEMO_SIZE 8-byte slots; the bound leaves room
+    # for the entries' headers, the rows in flight and the tuple free lists
+    assert large < 32 * _MEMO_SIZE
+    assert large < 2 * small
+
+
+@pytest.mark.parametrize("size", [0, 6, 40])
+def test_a_small_memo_cap_keeps_the_streams(monkeypatch, size):
+    # with the cap this small the memo streams rows unkept, and empties
+    # itself, on nearly every visit; the streams must not change
+    import qsym.tableaux as tableaux
+
+    shapes = [
+        (sp(4, 2), EMPTY, VariableSpec(1, 1)),
+        (sp(5, 3, 1), sp(2), VariableSpec(1, 1)),
+        (sp(6), EMPTY, VariableSpec(0, 2)),
+    ]
+    spt_shapes = [(Partition((3, 3)), VariableSpec(0, 3)), (Partition((4, 2, 1)), VariableSpec(2, 1))]
+    expect = [list(enum_qt(spec, lam, mu)) for lam, mu, spec in shapes]
+    expect += [list(enum_spt(spec, lam)) for lam, spec in spt_shapes]
+    monkeypatch.setattr(tableaux, "_MEMO_SIZE", size)
+    got = [list(enum_qt(spec, lam, mu)) for lam, mu, spec in shapes]
+    got += [list(enum_spt(spec, lam)) for lam, spec in spt_shapes]
+    assert all(expect) and got == expect
