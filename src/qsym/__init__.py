@@ -16,7 +16,14 @@ from .errors import (
     TermBudgetExceeded,
     VariableCountMismatch,
 )
-from .ring import LaurentPoly, Monomial, TruncatedSeries, parse_poly, series_from_linear_factors
+from .ring import (
+    LaurentPoly,
+    Monomial,
+    TruncatedSeries,
+    parse_poly,
+    series_from_linear_factors,
+    sum_of_products,
+)
 from .shapes import (
     EMPTY,
     Partition,

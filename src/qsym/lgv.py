@@ -38,7 +38,7 @@ from itertools import combinations
 from typing import Iterator
 
 from .errors import PreconditionError
-from .ring import LaurentPoly, Monomial
+from .ring import LaurentPoly, Monomial, sum_of_products
 from .shapes import StrictPartition
 from .tableaux import Letter, PrimedTableau, VariableSpec, _letter_weight, letter
 
@@ -255,7 +255,10 @@ def lgv_weight_sum(
         for s, v in states.items():
             for t, c in _column_moves(s, sink, k_levels).items():
                 sources.setdefault(t, []).append((v, c))
-        states = {t: weight(t) * LaurentPoly.lincomb(n, vs) for t, vs in sources.items()}
+        states = {}
+        for t, vs in sources.items():
+            w = weight(t)
+            states[t] = sum_of_products(n, [(w, v, c) for v, c in vs])
     return states.get((), LaurentPoly.zero(n))
 
 

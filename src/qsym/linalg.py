@@ -2,7 +2,9 @@
 
 Both use expansion with memoization on the bitmask of surviving column or
 index sets, so repeated sub-minors (ubiquitous in the Pfaffian formulas) are
-computed once.  Matrix sizes here stay small, a dozen or so.
+computed once.  Each expansion step, a signed sum of entry times sub-minor,
+is one `sum_of_products` call, so its products are never built one by one.
+Matrix sizes here stay small, a dozen or so.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MatrixError
-from .ring import LaurentPoly
+from .ring import LaurentPoly, sum_of_products
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,7 @@ def determinant(a: RingMatrix, nvars: int | None = None) -> LaurentPoly:
         if got is not None:
             return got
         row = n - bin(mask).count("1")  # rows are consumed top-down
-        total = LaurentPoly.zero(nvars)
+        terms = []
         sign = 1
         rest = mask
         while rest:
@@ -71,11 +73,10 @@ def determinant(a: RingMatrix, nvars: int | None = None) -> LaurentPoly:
             j = low.bit_length() - 1
             e = a.entry(row, j)
             if e.terms:
-                term = rec(mask ^ low) * e
-                total = total + term if sign == 1 else total - term
+                terms.append((rec(mask ^ low), e, sign))
             sign = -sign
             rest ^= low
-        memo[mask] = total
+        total = memo[mask] = sum_of_products(nvars, terms)
         return total
 
     return rec(full)
@@ -114,7 +115,7 @@ def pfaffian(a: RingMatrix, nvars: int | None = None) -> LaurentPoly:
         low = mask & -mask
         i0 = low.bit_length() - 1
         rest = mask ^ low
-        total = LaurentPoly.zero(nvars)
+        terms = []
         sign = 1
         scan = rest
         while scan:
@@ -122,11 +123,10 @@ def pfaffian(a: RingMatrix, nvars: int | None = None) -> LaurentPoly:
             j = jb.bit_length() - 1
             e = a.entry(i0, j)
             if e.terms:
-                sub = rec(rest ^ jb)
-                total = total + sub * e if sign == 1 else total - sub * e
+                terms.append((rec(rest ^ jb), e, sign))
             sign = -sign
             scan ^= jb
-        memo[mask] = total
+        total = memo[mask] = sum_of_products(nvars, terms)
         return total
 
     return rec((1 << n) - 1)

@@ -23,11 +23,10 @@ from dataclasses import dataclass, field
 
 from .errors import PreconditionError
 from .linalg import RingMatrix, determinant, pfaffian
-from .ring import LaurentPoly
+from .ring import LaurentPoly, series_from_linear_factors, sum_of_products
 from .shapes import EMPTY, StrictPartition, enum_strict_between, pad_for_pfaffian
 from .symfun import Alphabet
 from .tableaux import VariableSpec, enum_qt, qt_weight
-from .ring import series_from_linear_factors
 
 
 @dataclass
@@ -54,8 +53,11 @@ def q_row(l: int, spec: VariableSpec, ctx: QContext | None = None) -> LaurentPol
     ctx = _ctx(ctx)
     series = ctx.row_series.get(spec)
     if series is None or len(series) <= l:
+        # past the cached degree, at least double it: asking for each next
+        # degree in turn then expands O(log l) times, not l times
+        degree = max(l, 8, 2 * (len(series) - 1) if series else 0)
         monos = list(Alphabet.mixed(spec).monomials)
-        expanded = series_from_linear_factors(monos, monos, max(l, 8), n)
+        expanded = series_from_linear_factors(monos, monos, degree, n)
         series = list(expanded.coeffs)
         ctx.row_series[spec] = series
     return series[l]
@@ -75,8 +77,8 @@ def qA_two_row(r: int, s: int, n: int, ctx: QContext | None = None) -> LaurentPo
     def q(i: int) -> LaurentPoly:
         return q_row(i, spec, ctx)
 
-    total = LaurentPoly.lincomb(
-        n, ((q(r + t) * q(s - t), 2 * (-1) ** t if t else 1) for t in range(s + 1))
+    total = sum_of_products(
+        n, ((q(r + t), q(s - t), 2 * (-1) ** t if t else 1) for t in range(s + 1))
     )
     ctx.cache[key] = total
     return total
@@ -97,11 +99,11 @@ def qC_two_row(r: int, s: int, k: int, ctx: QContext | None = None) -> LaurentPo
     def q(i: int) -> LaurentPoly:
         return q_row(i, spec, ctx)
 
-    terms = [(q(r) * q(s), 1)]
+    terms = [(q(r), q(s), 1)]
     for t in range(1, s + 1):
         echo = [(q(r + t), 1), (q(r - t), 1)] + [(q(r + t - 2 * i), 2) for i in range(1, t)]
-        terms.append((LaurentPoly.lincomb(k, echo) * q(s - t), 2 if t % 2 == 0 else -2))
-    total = LaurentPoly.lincomb(k, terms)
+        terms.append((LaurentPoly.lincomb(k, echo), q(s - t), 2 if t % 2 == 0 else -2))
+    total = sum_of_products(k, terms)
     ctx.cache[key] = total
     return total
 
@@ -176,7 +178,7 @@ def qI_def(
         return got
     c_spec = VariableSpec(spec.k, 0)
     a_spec = VariableSpec(0, spec.m)
-    total = LaurentPoly.zero(n)
+    terms = []
     for nu in enum_strict_between(mu, lam):
         c_part = qI_jp(nu, mu, c_spec, ctx)
         if c_part.is_zero():
@@ -184,8 +186,8 @@ def qI_def(
         a_part = qI_jp(lam, nu, a_spec, ctx)
         if a_part.is_zero():
             continue
-        total = total + c_part.embed(n, 0) * a_part.embed(n, spec.k)
-    ctx.cache[key] = total
+        terms.append((c_part.embed(n, 0), a_part.embed(n, spec.k), 1))
+    total = ctx.cache[key] = sum_of_products(n, terms)
     return total
 
 
@@ -252,7 +254,7 @@ def qI_branch(
         if got is not None:
             return got
         step_spec = VariableSpec(1, 0) if i <= spec.k else VariableSpec(0, 1)
-        total = LaurentPoly.zero(n)
+        terms = []
         for nxt in enum_strict_between(cur, lam):
             step = q_single_var(nxt, cur, step_spec, ctx)
             if step.is_zero():
@@ -260,8 +262,8 @@ def qI_branch(
             rest = suffix(i + 1, nxt)
             if rest.is_zero():
                 continue
-            total = total + step.embed(n, i - 1) * rest
-        ctx.cache[key] = total
+            terms.append((step.embed(n, i - 1), rest, 1))
+        total = ctx.cache[key] = sum_of_products(n, terms)
         return total
 
     if not lam.contains(mu):

@@ -15,10 +15,17 @@ the keys, `embed` shifts a key left by 16 bits per offset variable, and
 inverting every variable negates it.  The key of x^0 is 0 in every ring.
 
 Overflow never wraps.  Each polynomial carries a bound on max |e_i| over its
-terms, exact where it is built from exponent tuples and the sum of the
-factors' bounds for a product.  A product whose bound reaches 2^15, or an
-exponent tuple with |e| >= 2^15, raises ExponentOverflow; `parse_poly` and
-`from_json` raise ParseError instead.
+terms, exact where it is built from exponent tuples, the sum of the factors'
+bounds for a product, and the largest of those over a sum of products.  A
+product whose bound reaches 2^15, or an exponent tuple with |e| >= 2^15,
+raises ExponentOverflow; `parse_poly` and `from_json` raise ParseError
+instead.
+
+Terms are accumulated in one place, `sum_of_products`, which sums c * a * b
+over (a, b, c) triples into one dict.  A product is its one-triple case; a sum,
+a difference and `lincomb` are its case with the unit as second factor; the
+series builders, the Laplace and Pfaffian expansions and the evaluators' inner
+sums pass all their addends at once.
 
 Exponent tuples (Monomial, one exponent per variable) appear only at the
 edges: the constructor `LaurentPoly(n, {Monomial: int})`, `from_exponents`,
@@ -133,6 +140,68 @@ def _check(n: int, other: "LaurentPoly") -> None:
         raise VariableCountMismatch(f"variable counts differ: {n} vs {other.n}")
 
 
+def sum_of_products(
+    n: int, terms: Iterable[tuple["LaurentPoly", "LaurentPoly", int]]
+) -> "LaurentPoly":
+    """Sum of c * a * b over the (a, b, c) in `terms`, all in n variables.
+
+    Every term pair is filled into one dict, instead of building each product
+    as a polynomial and copying the growing sum once per addend; zero
+    coefficients are dropped once, at the end.  The smaller factor of each
+    product gives the rows.  A one-term factor into an empty sum cannot make
+    two terms meet, so it is filled by one comprehension, or copied when it
+    and c make the unit.
+
+    Each product raises ExponentOverflow when its factors' bounds reach 2^15,
+    even when c is 0, and the term budget is checked after each row, so a
+    large product stops within one row of passing it.  The result's bound is
+    the largest bound of any product.
+    """
+    budget = _term_budget()
+    out: dict[int, int] = {}
+    get = out.get
+    bound, merged = 0, False
+    for a, b, c in terms:
+        _check(n, a)
+        _check(n, b)
+        pb = a._bound + b._bound
+        if pb >= _LIMIT:
+            raise ExponentOverflow(
+                f"a product's exponents may reach {pb}, the limit is {_LIMIT - 1}"
+            )
+        if pb > bound:
+            bound = pb
+        ta, tb = a.terms, b.terms
+        if len(ta) > len(tb):
+            ta, tb = tb, ta
+        if not c or not ta:
+            continue
+        if not out and len(ta) == 1:
+            # adding one key is injective: no two terms meet, none cancels
+            ((ea, ca),) = ta.items()
+            ca *= c
+            if ea == 0 and ca == 1:
+                out.update(tb)
+            else:
+                out = {ea + eb: ca * cb for eb, cb in tb.items()}
+                get = out.get
+            if budget is not None and len(out) > budget:
+                raise _over_budget(len(out), budget)
+            continue
+        merged = True
+        for ea, ca in ta.items():
+            ca *= c
+            for eb, cb in tb.items():
+                e = ea + eb
+                out[e] = get(e, 0) + ca * cb
+            # one row adds at most len(tb) terms, so this bounds memory too
+            if budget is not None and len(out) > budget:
+                raise _over_budget(len(out), budget)
+    if merged and 0 in out.values():  # only a merge can cancel a term
+        out = {e: c for e, c in out.items() if c}
+    return _poly(n, out, bound)
+
+
 class LaurentPoly:
     """Immutable sparse Laurent polynomial with int coefficients."""
 
@@ -200,83 +269,22 @@ class LaurentPoly:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        _check(self.n, other)
-        a, b = self.terms, other.terms
-        if len(a) < len(b):
-            a, b = b, a
-        out = dict(a)
-        for e, c in b.items():
-            c += out.get(e, 0)
-            if c:
-                out[e] = c
-            else:
-                del out[e]
-        return _poly(self.n, out, max(self._bound, other._bound))
+        return LaurentPoly.lincomb(self.n, ((self, 1), (other, 1)))
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        _check(self.n, other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            c = out.get(e, 0) - c
-            if c:
-                out[e] = c
-            else:
-                del out[e]
-        return _poly(self.n, out, max(self._bound, other._bound))
+        return LaurentPoly.lincomb(self.n, ((self, 1), (other, -1)))
 
     def __neg__(self) -> "LaurentPoly":
         return _poly(self.n, {e: -c for e, c in self.terms.items()}, self._bound)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        _check(self.n, other)
-        bound = self._bound + other._bound
-        if bound >= _LIMIT:
-            raise ExponentOverflow(
-                f"a product's exponents may reach {bound}, the limit is {_LIMIT - 1}"
-            )
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        if len(a) == 1:
-            # adding one key is injective: no two terms meet, none cancels
-            ((ea, ca),) = a.items()
-            return _poly(self.n, {ea + eb: ca * cb for eb, cb in b.items()}, bound)
-        budget = _term_budget()
-        out: dict[int, int] = {}
-        get = out.get
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = ea + eb
-                out[e] = get(e, 0) + ca * cb
-            # one row adds at most len(b) terms, so this bounds memory too
-            if budget is not None and len(out) > budget:
-                raise _over_budget(len(out), budget)
-        return _poly(self.n, {e: c for e, c in out.items() if c}, bound)
+        return sum_of_products(self.n, ((self, other, 1),))
 
     @classmethod
     def lincomb(cls, n: int, pairs: Iterable[tuple["LaurentPoly", int]]) -> "LaurentPoly":
-        """Sum of c * p over the (p, c) in `pairs`, filled into one dict
-        instead of copying a growing sum once per addend."""
-        budget = _term_budget()
-        out: dict[int, int] = {}
-        get = out.get
-        bound, merged = 0, False
-        for p, c in pairs:
-            _check(n, p)
-            if not c:
-                continue
-            if not out:  # nothing to meet yet: copy at C speed
-                out.update(p.terms if c == 1 else {e: c * v for e, v in p.terms.items()})
-            else:
-                merged = True
-                for e, v in p.terms.items():
-                    out[e] = get(e, 0) + c * v
-            bound = max(bound, p._bound)
-            if budget is not None and len(out) > budget:
-                raise _over_budget(len(out), budget)
-        if merged:  # only a merge can cancel a term
-            out = {e: c for e, c in out.items() if c}
-        return _poly(n, out, bound)
+        """Sum of c * p over the (p, c) in `pairs`: products with the unit."""
+        one = cls.one(n)
+        return sum_of_products(n, ((p, one, c) for p, c in pairs))
 
     def scale(self, c: int) -> "LaurentPoly":
         if not c:
@@ -326,7 +334,12 @@ class LaurentPoly:
     # -- serialization -----------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
-        """Terms in `term_sort_key` order.
+        """Terms in `term_sort_key` order."""
+        n = self.n
+        return [(row[:n], row[n]) for row in self._sorted_rows()]
+
+    def _sorted_rows(self) -> list[tuple[int, ...]]:
+        """One tuple (e1, ..., en, c) per term, in `term_sort_key` order.
 
         The sort key is an int with one 17-bit digit per variable, x1 the
         most significant: _LIMIT - e for an exponent e != 0, and for a zero
@@ -343,18 +356,19 @@ class LaurentPoly:
         decorated = []
         for key, c in self.terms.items():
             key += bias
-            exps, order = [], 0
+            row, order = [], 0
             for s, zero_tail in fields:
                 e = ((key >> s) & _MASK) - _LIMIT
-                exps.append(e)
+                row.append(e)
                 if e:
                     digit = _LIMIT - e
                 else:
                     digit = _GAP if key >> (s + _BITS) != zero_tail else 0
                 order = (order << (_BITS + 1)) + digit
-            decorated.append((order, tuple(exps), c))
-        decorated.sort()  # the orders differ, so no two exponent tuples are compared
-        return [(exps, c) for _, exps, c in decorated]
+            row.append(c)
+            decorated.append((order, tuple(row)))
+        decorated.sort()  # the orders differ, so no two rows are compared
+        return [row for _, row in decorated]
 
     def __str__(self) -> str:
         if not self.terms:
@@ -385,11 +399,11 @@ class LaurentPoly:
 
     def to_json(self) -> str:
         """The text json.dumps gives for {"n": n, "terms": [{"exps": [...],
-        "coeff": "c"}, ...]}, written directly: the repr of a list of ints is
-        its JSON text, and a decimal coefficient needs no escaping."""
-        terms = ", ".join(
-            f'{{"exps": {list(e)}, "coeff": "{c}"}}' for e, c in self.sorted_terms()
-        )
+        "coeff": "c"}, ...]}, written directly from one %-template for n
+        variables: an int's %d text is its JSON text, and a decimal
+        coefficient needs no escaping."""
+        template = '{"exps": [' + ", ".join(["%d"] * self.n) + '], "coeff": "%d"}'
+        terms = ", ".join(map(template.__mod__, self._sorted_rows()))
         return f'{{"n": {self.n}, "terms": [{terms}]}}'
 
     @classmethod
@@ -484,10 +498,11 @@ class TruncatedSeries:
 
     def mul_linear(self, mono: Monomial, sign: int) -> "TruncatedSeries":
         """Multiply by (1 + sign * mono * z), truncated at the same bound."""
-        u = LaurentPoly.monomial(self.nvars, mono, sign)
+        n = self.nvars
+        one, u = LaurentPoly.one(n), LaurentPoly.monomial(n, mono, sign)
         out = list(self.coeffs)
         for d in range(self.degree, 0, -1):
-            out[d] = out[d] + out[d - 1] * u
+            out[d] = sum_of_products(n, ((out[d], one, 1), (out[d - 1], u, 1)))
         return TruncatedSeries(tuple(out))
 
     def __eq__(self, other) -> bool:
@@ -507,14 +522,15 @@ def series_from_linear_factors(
     """
     if degree < 0:
         raise ValueError("degree bound must be nonnegative")
-    coeffs = [LaurentPoly.one(nvars)] + [LaurentPoly.zero(nvars)] * degree
+    one = LaurentPoly.one(nvars)
+    coeffs = [one] + [LaurentPoly.zero(nvars)] * degree
     for u in numerators:
         up = LaurentPoly.monomial(nvars, u)
         for d in range(degree, 0, -1):
-            coeffs[d] = coeffs[d] + coeffs[d - 1] * up
+            coeffs[d] = sum_of_products(nvars, ((coeffs[d], one, 1), (coeffs[d - 1], up, 1)))
     for v in denominators:
         vp = LaurentPoly.monomial(nvars, v)
         # 1/(1 - v z): c'[d] = c[d] + v * c'[d-1], ascending so c'[d-1] is final
         for d in range(1, degree + 1):
-            coeffs[d] = coeffs[d] + coeffs[d - 1] * vp
+            coeffs[d] = sum_of_products(nvars, ((coeffs[d], one, 1), (coeffs[d - 1], vp, 1)))
     return TruncatedSeries(tuple(coeffs))

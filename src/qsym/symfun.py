@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .linalg import RingMatrix, determinant
-from .ring import LaurentPoly, Monomial, series_from_linear_factors
+from .ring import LaurentPoly, Monomial, series_from_linear_factors, sum_of_products
 from .shapes import Partition
 from .tableaux import VariableSpec, enum_spt, spt_weight
 
@@ -74,7 +74,9 @@ def complete_h(r: int, a: Alphabet) -> LaurentPoly:
         return LaurentPoly.zero(a.nvars)
     cached = _H_CACHE.get(a)
     if cached is None or len(cached) <= r:
-        series = series_from_linear_factors([], list(a.monomials), max(r, 8), a.nvars)
+        # at least double the cached degree, as q_row does
+        degree = max(r, 8, 2 * (len(cached) - 1) if cached else 0)
+        series = series_from_linear_factors([], list(a.monomials), degree, a.nvars)
         cached = list(series.coeffs)
         _H_CACHE[a] = cached
     return cached[r]
@@ -155,7 +157,7 @@ def inter_schur(lam: Partition, spec: VariableSpec, method: str = "definition") 
         raise ValueError(f"unknown method {method!r}")
     symp_alpha = Alphabet.symplectic(spec.k, nvars=n)
     a_alpha = Alphabet.type_a(spec.m, nvars=n, offset=spec.k)
-    total = LaurentPoly.zero(n)
+    terms = []
     for mu in lam.subpartitions():
         if mu.length > spec.k:
             continue
@@ -165,8 +167,8 @@ def inter_schur(lam: Partition, spec: VariableSpec, method: str = "definition") 
         a_part = schur_skew(lam, mu, a_alpha)
         if a_part.is_zero():
             continue
-        total = total + c_part * a_part
-    return total
+        terms.append((c_part, a_part, 1))
+    return sum_of_products(n, terms)
 
 
 def check_union_identity(lam: Partition, spec: VariableSpec) -> bool:

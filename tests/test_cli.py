@@ -218,12 +218,14 @@ def test_bad_term_budget_exits_2(capsys, monkeypatch, budget):
     assert "QSYM_MAX_TERMS" in err
 
 
-def test_term_budget_stops_the_lgv_route(capsys, monkeypatch):
-    # the result has 14286 terms; a state value passes 100 within the walk
+@pytest.mark.parametrize("method", ["lgv", "definition", "branch", "pfaffian"])
+def test_term_budget_stops_a_ring_route(capsys, monkeypatch, method):
+    # the result has 14286 terms; an intermediate sum of products or lgv
+    # state value passes 100 long before it
     monkeypatch.setenv("QSYM_MAX_TERMS", "100")
     code, _, err = run(
         capsys,
-        "compute", "--family", "qI", "--method", "lgv", "--lambda", "6,4,2", "--k", "3", "--m", "2",
+        "compute", "--family", "qI", "--method", method, "--lambda", "6,4,2", "--k", "3", "--m", "2",
     )
     assert code == 3
     assert "QSYM_MAX_TERMS=100" in err

@@ -177,6 +177,18 @@ def test_context_cache_matches_fresh():
     assert ("Idef", (3, 1), (1,), spec) in ctx.cache
 
 
+def test_grown_row_series_equals_fresh():
+    spec = VariableSpec(1, 1)
+    ctx = QContext()
+    assert q_row(3, spec, ctx) == q_row(3, spec, QContext())
+    assert len(ctx.row_series[spec]) == 9
+    # one past the cached degree 8 doubles it
+    assert q_row(9, spec, ctx) == q_row(9, spec, QContext())
+    assert len(ctx.row_series[spec]) == 17
+    for l in range(20):
+        assert q_row(l, spec, ctx) == q_row(l, spec, QContext())
+
+
 def test_context_less_call_leaves_no_module_cache():
     qI_def(sp(3, 1), sp(1), VariableSpec(1, 1))
     contexts = [c for c in vars(qsym.qfun).values() if isinstance(c, QContext)]

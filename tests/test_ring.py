@@ -13,6 +13,7 @@ from qsym import (
     VariableCountMismatch,
     parse_poly,
     series_from_linear_factors,
+    sum_of_products,
 )
 from qsym.ring import _BATCH, term_sort_key
 
@@ -317,24 +318,82 @@ def test_sorted_terms_edges():
     ]
 
 
+# -- sum_of_products, against the tuple-keyed reference -------------------------
+
+
+def ref_sum_of_products(terms):
+    out = {}
+    for a, b, c in terms:
+        out = ref_add(out, ref_mul(as_tuples(a), as_tuples(b)), c)
+    return out
+
+
 @given(n=st.integers(0, 3), data=st.data())
-@settings(max_examples=100, deadline=None)
-def test_lincomb_is_the_sum_of_scaled_addends(n, data):
-    pairs = data.draw(st.lists(st.tuples(poly_strategy(n), st.integers(-3, 3)), max_size=5))
-    expected = LaurentPoly.zero(n)
-    for p, c in pairs:
-        expected = expected + p.scale(c)
-    assert LaurentPoly.lincomb(n, pairs) == expected
-    assert LaurentPoly.lincomb(n, iter(pairs)) == expected
+@settings(max_examples=150, deadline=None)
+def test_sum_of_products_is_the_naive_sum(n, data):
+    # empty term lists, c = 0, zero and one-term factors all come up; the
+    # reverse triples with -c cancel the sum to zero
+    terms = data.draw(
+        st.lists(st.tuples(poly_strategy(n), poly_strategy(n), st.integers(-3, 3)), max_size=5)
+    )
+    got = sum_of_products(n, terms)
+    assert as_tuples(got) == ref_sum_of_products(terms)
+    assert 0 not in got.terms.values()
+    assert got._bound == max((a._bound + b._bound for a, b, _ in terms), default=0)
+    assert sum_of_products(n, iter(terms)) == got
+    assert sum_of_products(n, terms + [(b, a, -c) for a, b, c in terms]) == LaurentPoly.zero(n)
+    one = LaurentPoly.one(n)
+    pairs = [(a, c) for a, _, c in terms]
+    assert LaurentPoly.lincomb(n, pairs) == sum_of_products(n, [(a, one, c) for a, c in pairs])
 
 
-def test_lincomb_checks_rings_and_budget(monkeypatch):
+def test_sum_of_products_edges():
+    x = v(1, 0) + v(1, 0, -1)
+    assert sum_of_products(2, []) == LaurentPoly.zero(2)
+    assert sum_of_products(1, [(x, x, 0)]).is_zero()
+    assert sum_of_products(1, [(x, LaurentPoly.zero(1), 5)]).is_zero()
+    # a one-term factor first, then a merge that cancels it
+    assert sum_of_products(1, [(v(1, 0, 2), x, 3), (x, v(1, 0, 2), -3)]).is_zero()
+    assert sum_of_products(1, [(LaurentPoly.one(1), x, 1)]) == x
+    assert sum_of_products(1, [(x, x, 1), (LaurentPoly.one(1), LaurentPoly.one(1), -2)]) == (
+        v(1, 0, 2) + v(1, 0, -2)
+    )
+
+
+def test_sum_of_products_checks_every_factor():
+    one = LaurentPoly.one(1)
+    for bad in ([(one, 3, 1)], [(3, one, 1)], [(one, one, 1), (one, None, 1)]):
+        with pytest.raises(TypeError):
+            sum_of_products(1, bad)
+    for bad in ([(v(2, 0), one, 1)], [(one, v(2, 0), 1)], [(one, one, 1), (one, v(2, 0), 0)]):
+        with pytest.raises(VariableCountMismatch):
+            sum_of_products(1, bad)
     with pytest.raises(VariableCountMismatch):
         LaurentPoly.lincomb(2, [(v(2, 0), 1), (v(1, 0), 1)])
     with pytest.raises(TypeError):
         LaurentPoly.lincomb(1, [(3, 1)])
-    # terms that cancel leave no zero coefficient behind
-    assert LaurentPoly.lincomb(1, [(v(1, 0), 2), (v(1, 0).scale(2), -1)]).is_zero()
-    monkeypatch.setenv("QSYM_MAX_TERMS", "2")
+
+
+def test_sum_of_products_overflows_on_any_one_product():
+    half, small = v(2, 0, 2**14), v(2, 1, 3)
+    assert sum_of_products(2, [(half, v(2, 0, 2**14 - 1), 1)]) == v(2, 0, 2**15 - 1)
+    # the one product that reaches 2^15 raises, wherever it is and whatever c is
+    for c in (1, 0):
+        with pytest.raises(ExponentOverflow):
+            sum_of_products(2, [(small, small, 1), (half, half, c), (small, small, 1)])
+    with pytest.raises(ExponentOverflow):
+        sum_of_products(2, [(half, small, 1), (small, half, 1), (half, half, 1)])
+
+
+def test_sum_of_products_stops_within_one_row_of_the_budget(monkeypatch):
+    # 90 x 90 distinct monomials: the product alone has 8100 terms
+    a = LaurentPoly(2, {(i, 0): 1 for i in range(90)})
+    b = LaurentPoly(2, {(0, j): 1 for j in range(90)})
+    monkeypatch.setenv("QSYM_MAX_TERMS", "100")
+    for terms in ([(a, b, 1)], [(a, LaurentPoly.one(2), 1), (b, a, 2)]):
+        with pytest.raises(TermBudgetExceeded) as info:
+            sum_of_products(2, terms)
+        count = int(info.value.args[0].split()[2])
+        assert 100 < count <= 100 + len(b.terms)
     with pytest.raises(TermBudgetExceeded):
-        LaurentPoly.lincomb(1, [(v(1, 0), 1), (v(1, 0, 2), 1), (v(1, 0, 3), 1)])
+        LaurentPoly.lincomb(2, [(a, 1), (b, 1)])

@@ -12,8 +12,10 @@ from qsym import (
     inter_schur,
     schur_skew,
     schur_skew_e,
+    series_from_linear_factors,
     symp_schur,
 )
+from qsym.symfun import _H_CACHE
 
 
 def v(n, i, p=1):
@@ -35,6 +37,16 @@ def test_complete_h_two_plain_vars():
     a = Alphabet.type_a(2)
     x1, x2 = v(2, 0), v(2, 1)
     assert complete_h(2, a) == x1 * x1 + x1 * x2 + x2 * x2
+
+
+def test_grown_h_cache_equals_fresh():
+    a = Alphabet.type_a(2)
+    _H_CACHE.pop(a, None)
+    fresh = series_from_linear_factors([], list(a.monomials), 20, 2).coeffs
+    for r in range(21):
+        assert complete_h(r, a) == fresh[r]
+    # degree 8 first, then each growth doubles the cached degree: 16, 32
+    assert len(_H_CACHE[a]) == 33
 
 
 def test_elementary_e():
