@@ -68,13 +68,6 @@ from .qfun import (
     q_row,
     q_single_var,
 )
-from .lgv import (
-    LatticePath,
-    PathFamily,
-    enum_path_families,
-    family_weight,
-    lgv_weight_sum,
-    validate_family,
-)
+from .lgv import enum_path_families, family_weight, lgv_weight_sum
 
 __version__ = "0.1.0"

@@ -12,37 +12,45 @@ vertical steps are silent.  Row i of the skew shape is read off path i:
 
 Families are vertex-disjoint, and the first-letter indices of the
 left-boundary paths strictly increase from the first to the last, mirroring
-the diagonal rule of the tableau family.  Internally the y-coordinate is
-doubled so between-level entry points stay integral.
+the diagonal rule of the tableau family.
 
 The graph itself is implicit; bounds come from the target shape.
 
-Two evaluators follow these rules, on purpose.  enum_path_families yields
-PathFamily objects: the bijection with the tableau family, validate_family
-and the tests need the paths themselves, so it costs at least one step per
-family.  lgv_weight_sum, the lgv route, needs only the weight sum.  The rules
-are local in x: a path enters column x at one vertex, rises, and leaves right
-or diagonally, and left-boundary paths enter only at x = 1, where the index
-rule is decided once.  So it runs a transfer matrix column by column (Stanley,
-EC1 section 4.7), over states that are the ascending tuples of the levels at
-which the active paths arrive; the graph is planar, so path 1 is always the
-lowest active path.  Its cost is polynomial in the number of states, at most
-C(K + 1, rows) per column, rather than in the number of families.
+Two evaluators follow these rules, on purpose.  Both use that the rules are
+local in x: a path arrives in column x at one level a, rises to a level d,
+and leaves right (to level d of column x + 1) or diagonally (to level d + 1);
+in its sink column it rises to K.  So a path holds the levels a..d of each
+column, and a family is vertex-disjoint exactly when these intervals are
+disjoint in every column.  The left boundary is column 0, left at any level.
+
+enum_path_families yields each family as its rows of letters, the rows of its
+tableau; the bijection check needs the families, so it costs at least one step
+per family.  It lists each row's paths once, each with one int holding bit
+x * (K + 1) + b for every level b it takes in column x, then picks one path
+per row whose bits miss those of the rows above and, on the left boundary,
+whose first index passes the previous one.
+
+lgv_weight_sum, the lgv route, needs only the weight sum.  Left-boundary
+paths enter only at x = 1, where the index rule is decided once, so it runs
+a transfer matrix column by column (Stanley, EC1 section 4.7), over states
+that are the ascending tuples of the levels at which the active paths
+arrive; the graph is planar, so path 1 is always the lowest active path.
+Its cost is polynomial in the number of states, at most C(K + 1, rows) per
+column, rather than in the number of families.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
 from .errors import PreconditionError
 from .ring import LaurentPoly, Monomial, sum_of_products
 from .shapes import StrictPartition
-from .tableaux import Letter, PrimedTableau, VariableSpec, _letter_weight, letter
+from .tableaux import Letter, VariableSpec, _letter_weight, letter
 
-Vertex = tuple[int, int]  # (x, doubled y)
+Rows = tuple[tuple[Letter, ...], ...]
 
 
 def _level_letter(spec: VariableSpec, level: int, primed: bool) -> Letter:
@@ -51,164 +59,73 @@ def _level_letter(spec: VariableSpec, level: int, primed: bool) -> Letter:
     return letter(level - spec.k, primed=primed)
 
 
-@dataclass(frozen=True)
-class LatticePath:
-    vertices: tuple[Vertex, ...]
-    letters: tuple[Letter, ...]
-
-
-@dataclass(frozen=True)
-class PathFamily:
-    spec: VariableSpec
-    paths: tuple[LatticePath, ...]
-
-    def row_letters(self) -> tuple[tuple[Letter, ...], ...]:
-        return tuple(p.letters for p in self.paths)
-
-    def to_tableau(self, lam: StrictPartition, mu: StrictPartition) -> PrimedTableau:
-        return PrimedTableau(lam, mu, self.row_letters())
-
-    def dump(self) -> str:
-        lines = []
-        for p in self.paths:
-            coords = " ".join(
-                f"({x},{dy // 2})" if dy % 2 == 0 else f"({x},{dy}/2)"
-                for x, dy in p.vertices
-            )
-            lines.append(coords + "   letters: " + " ".join(str(x) for x in p.letters))
-        return "\n".join(lines)
-
-
-def family_weight(family: PathFamily, spec: VariableSpec) -> Monomial:
-    return _letter_weight(family.row_letters(), spec)
-
-
-def _enum_paths_from(
-    start: Vertex,
-    first_letter: Letter | None,
-    sink_x: int,
-    top: int,
-    unprimed: list[Letter],
-    primed: list[Letter],
-    used: set[Vertex],
-) -> Iterator[LatticePath]:
-    """Paths from `start` to (sink_x, top) avoiding `used` vertices.
-
-    `first_letter` is the letter of the boundary-exit step for left-boundary
-    starts (the start vertex is then off-lattice at x = 0); bottom starts
-    pass None and begin on the lattice.  `unprimed` and `primed` hold the
-    letters of levels 1..K, indexed by level - 1.
-    """
-    verts: list[Vertex] = [start]
-    letters: list[Letter] = []
-    if first_letter is not None:
-        x, dy = start
-        entry = (1, dy + 1) if dy % 2 == 1 else (1, dy)
-        if entry in used:
-            return
-        verts.append(entry)
-        letters.append(first_letter)
-
-    def rec() -> Iterator[LatticePath]:
-        x, dy = verts[-1]
-        if x == sink_x:
-            # only vertical moves remain; take them all at once
-            tail = [(x, d) for d in range(dy + 2, top + 2, 2)]
-            if all(v not in used for v in tail):
-                yield LatticePath(tuple(verts + tail), tuple(letters))
-            return
-        # vertical
-        if dy + 2 <= top:
-            v = (x, dy + 2)
-            if v not in used:
-                verts.append(v)
-                used.add(v)
-                yield from rec()
-                used.discard(v)
-                verts.pop()
-        # right at the current level
-        if dy >= 2:
-            v = (x + 1, dy)
-            if v not in used:
-                verts.append(v)
-                used.add(v)
-                letters.append(unprimed[dy // 2 - 1])
-                yield from rec()
-                letters.pop()
-                used.discard(v)
-                verts.pop()
-        # diagonal into the next level
-        if dy + 2 <= top:
-            v = (x + 1, dy + 2)
-            if v not in used:
-                verts.append(v)
-                used.add(v)
-                letters.append(primed[dy // 2])
-                yield from rec()
-                letters.pop()
-                used.discard(v)
-                verts.pop()
-
-    yield from rec()
+def family_weight(rows: Rows, spec: VariableSpec) -> Monomial:
+    return _letter_weight(rows, spec)
 
 
 def enum_path_families(
     lam: StrictPartition, mu: StrictPartition, spec: VariableSpec
-) -> Iterator[PathFamily]:
-    """All vertex-disjoint families for the shape of lam over mu.
+) -> Iterator[Rows]:
+    """All vertex-disjoint families for the shape of lam over mu, each as
+    the tuple of its paths' letter rows.
 
     Empty stream when mu is not contained in lam (a sink would sit left of
     its source, forcing a crossing)."""
     if lam.length > spec.n:
         raise PreconditionError(f"{lam.length} rows on {spec.n} variables")
-    k_levels = 2 * spec.k + spec.m
-    top = 2 * k_levels
-    l, m = lam.length, mu.length
-    unprimed = [_level_letter(spec, level, False) for level in range(1, k_levels + 1)]
-    primed = [_level_letter(spec, level, True) for level in range(1, k_levels + 1)]
-    used: set[Vertex] = set()
-
-    def rec(i: int, acc: list[LatticePath], prev_entry_index: int) -> Iterator[PathFamily]:
-        if i > l:
-            yield PathFamily(spec, tuple(acc))
-            return
-        sink_x = lam.part(i)
-        if i <= m:
-            start = (mu.part(i), 0)
-            if start in used:
-                return
-            used.add(start)
-            for path in _enum_paths_from(start, None, sink_x, top, unprimed, primed, used):
-                path_verts = set(path.vertices) - {start}
-                used.update(path_verts)
-                acc.append(path)
-                yield from rec(i + 1, acc, prev_entry_index)
-                acc.pop()
-                used.difference_update(path_verts)
-            used.discard(start)
-        else:
-            for level in range(1, k_levels + 1):
-                for first in (unprimed[level - 1], primed[level - 1]):
-                    if first.index <= prev_entry_index:
-                        continue
-                    start = (0, 2 * level - 1) if first.primed else (0, 2 * level)
-                    if start in used:
-                        continue
-                    used.add(start)
-                    for path in _enum_paths_from(
-                        start, first, sink_x, top, unprimed, primed, used
-                    ):
-                        path_verts = set(path.vertices) - {start}
-                        used.update(path_verts)
-                        acc.append(path)
-                        yield from rec(i + 1, acc, first.index)
-                        acc.pop()
-                        used.difference_update(path_verts)
-                    used.discard(start)
-
     if not lam.contains(mu):
         return
-    yield from rec(1, [], 0)
+    k_levels = 2 * spec.k + spec.m
+    height = k_levels + 1  # the bits of one column, levels 0..K
+    # from level d: right at d (unprimed) or diagonally to d + 1 (primed)
+    moves = [
+        [(_level_letter(spec, b, primed=b > d), b) for b in (d, d + 1) if 1 <= b <= k_levels]
+        for d in range(height)
+    ]
+    memo: dict[tuple[int, int, int], list[tuple[tuple[Letter, ...], int]]] = {}
+
+    def tails(x: int, a: int, sink: int) -> list[tuple[tuple[Letter, ...], int]]:
+        """(letters, bits) of each path that arrives in column x at level a
+        and ends at the top of column sink."""
+        key = (x, a, sink)
+        if key not in memo:
+            low = x * height
+            if x == sink:
+                memo[key] = [((), ((1 << height) - (1 << a)) << low)]
+            else:
+                memo[key] = [
+                    ((step,) + letters, bits | ((2 << d) - (1 << a)) << low)
+                    for d in range(a, height)
+                    for step, b in moves[d]
+                    for letters, bits in tails(x + 1, b, sink)
+                ]
+        return memo[key]
+
+    # each row's paths with their first-letter index, 0 on the bottom boundary
+    rows = [
+        [(0, letters, bits) for letters, bits in tails(mu.part(i), 0, lam.part(i))]
+        if i <= mu.length
+        else [
+            (step.index, (step,) + letters, bits)
+            for d in range(height)
+            for step, b in moves[d]
+            for letters, bits in tails(1, b, lam.part(i))
+        ]
+        for i in range(1, lam.length + 1)
+    ]
+    family: list[tuple[Letter, ...]] = []
+
+    def walk(i: int, used: int, prev: int) -> Iterator[Rows]:
+        if i == len(rows):
+            yield tuple(family)
+            return
+        for index, letters, bits in rows[i]:
+            if not bits & used and (not index or index > prev):
+                family.append(letters)
+                yield from walk(i + 1, used | bits, index or prev)
+                family.pop()
+
+    yield from walk(0, 0, 0)
 
 
 def lgv_weight_sum(
@@ -219,13 +136,12 @@ def lgv_weight_sum(
     """Sum of family weights; the oracle side of the Pfaffian identity.
 
     A transfer matrix over the columns x = 1..lam_1.  A state is the
-    ascending tuple of levels (vertex (x, 2b) is at level b, the bottom
-    boundary is level 0) at which the active paths arrive in column x; its
-    value sums the weights of the partial families that reach it.  A step
-    right at level b and a diagonal step up from level b - 1 both arrive at
-    level b and weigh the letters of level b, so a transition multiplies by
-    the one monomial of its arrival levels, and a left-boundary entry weighs
-    twice its level's letter.  Every state value is a LaurentPoly, so
+    ascending tuple of levels (the bottom boundary is level 0) at which the
+    active paths arrive in column x; its value sums the weights of the
+    partial families that reach it.  A step right at level b and a diagonal
+    step up from level b - 1 both arrive at level b and weigh the letters of
+    level b, so a transition multiplies by the one monomial of its arrival
+    levels, and a left-boundary entry weighs twice its level's letter.  Every state value is a LaurentPoly, so
     QSYM_MAX_TERMS stops the walk at the first value that outgrows it."""
     if lam.length > spec.n:
         raise PreconditionError(f"{lam.length} rows on {spec.n} variables")
@@ -289,63 +205,3 @@ def _column_moves(
                     grown[t + (b,)] += c * w
         partial = grown
     return partial
-
-
-def validate_family(
-    family: PathFamily,
-    lam: StrictPartition,
-    mu: StrictPartition,
-    spec: VariableSpec,
-) -> bool:
-    """Re-check a family against every rule, independently of the enumerator."""
-    k_levels = 2 * spec.k + spec.m
-    top = 2 * k_levels
-    l, m = lam.length, mu.length
-    if len(family.paths) != l:
-        return False
-    seen: set[Vertex] = set()
-    prev_entry = 0
-    for i in range(1, l + 1):
-        path = family.paths[i - 1]
-        verts, letters = path.vertices, path.letters
-        if any(v in seen for v in verts):
-            return False
-        seen.update(verts)
-        if verts[-1] != (lam.part(i), top):
-            return False
-        pos = 0
-        li = 0
-        if i <= m:
-            if verts[0] != (mu.part(i), 0):
-                return False
-        else:
-            x0, dy0 = verts[0]
-            if x0 != 0 or not letters:
-                return False
-            first = letters[0]
-            if first.index <= prev_entry:
-                return False
-            prev_entry = first.index
-            level = (dy0 + 1) // 2 if dy0 % 2 == 1 else dy0 // 2
-            if level < 1 or verts[1] != (1, 2 * level):
-                return False
-            if first != _level_letter(spec, level, primed=dy0 % 2 == 1):
-                return False
-            pos = 1
-            li = 1
-        for a, b in zip(verts[pos:], verts[pos + 1 :]):
-            dx, ddy = b[0] - a[0], b[1] - a[1]
-            if (dx, ddy) == (0, 2):
-                continue
-            if (dx, ddy) == (1, 0) and a[1] >= 2:
-                expect = _level_letter(spec, a[1] // 2, primed=False)
-            elif (dx, ddy) == (1, 2):
-                expect = _level_letter(spec, a[1] // 2 + 1, primed=True)
-            else:
-                return False
-            if li >= len(letters) or letters[li] != expect:
-                return False
-            li += 1
-        if li != len(letters):
-            return False
-    return True

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .errors import PreconditionError
 from .linalg import RingMatrix, determinant, pfaffian
-from .ring import LaurentPoly, series_from_linear_factors, sum_of_products
+from .ring import LaurentPoly, grow_series, sum_of_products
 from .shapes import EMPTY, StrictPartition, enum_strict_between, pad_for_pfaffian
 from .symfun import Alphabet
 from .tableaux import VariableSpec, enum_qt, qt_weight
@@ -53,12 +53,8 @@ def q_row(l: int, spec: VariableSpec, ctx: QContext | None = None) -> LaurentPol
     ctx = _ctx(ctx)
     series = ctx.row_series.get(spec)
     if series is None or len(series) <= l:
-        # past the cached degree, at least double it: asking for each next
-        # degree in turn then expands O(log l) times, not l times
-        degree = max(l, 8, 2 * (len(series) - 1) if series else 0)
         monos = list(Alphabet.mixed(spec).monomials)
-        expanded = series_from_linear_factors(monos, monos, degree, n)
-        series = list(expanded.coeffs)
+        series = grow_series(series, l, monos, monos, n)
         ctx.row_series[spec] = series
     return series[l]
 

@@ -29,9 +29,9 @@ sums pass all their addends at once.
 
 Exponent tuples (Monomial, one exponent per variable) appear only at the
 edges: the constructor `LaurentPoly(n, {Monomial: int})`, `from_exponents`,
-`monomial`, `variable`, `mul_linear` and `series_from_linear_factors` take
-them; `sorted_terms`, `str`, `to_json`, `from_json` and `parse_poly` give or
-read them.
+`monomial`, `variable`, `mul_linear`, `series_from_linear_factors` and
+`grow_series` take them; `sorted_terms`, `str`, `to_json`, `from_json` and
+`parse_poly` give or read them.
 
 Values are immutable after construction and safe to share.  The variable
 count is fixed per polynomial; combining mismatched counts raises instead of
@@ -518,10 +518,18 @@ def series_from_linear_factors(
     """Expand prod(1 + u z) / prod(1 - v z) exactly to order z^degree.
 
     u ranges over `numerators` and v over `denominators`; both are monomials
-    in an nvars-variable ring.
+    in an nvars-variable ring.  The z^degree coefficient may hold the
+    degree-th power of a denominator, so ExponentOverflow is raised before
+    any coefficient is built when degree * max |e| over the denominators
+    reaches 2^15.
     """
     if degree < 0:
         raise ValueError("degree bound must be nonnegative")
+    reach = degree * max((abs(e) for v in denominators for e in v), default=0)
+    if reach >= _LIMIT:
+        raise ExponentOverflow(
+            f"the z^{degree} coefficient's exponents may reach {reach}, the limit is {_LIMIT - 1}"
+        )
     one = LaurentPoly.one(nvars)
     coeffs = [one] + [LaurentPoly.zero(nvars)] * degree
     for u in numerators:
@@ -534,3 +542,29 @@ def series_from_linear_factors(
         for d in range(1, degree + 1):
             coeffs[d] = sum_of_products(nvars, ((coeffs[d], one, 1), (coeffs[d - 1], vp, 1)))
     return TruncatedSeries(tuple(coeffs))
+
+
+def grow_series(
+    cached: list[LaurentPoly] | None,
+    degree: int,
+    numerators: list[Monomial],
+    denominators: list[Monomial],
+    nvars: int,
+) -> list[LaurentPoly]:
+    """The coefficients of series_from_linear_factors through at least
+    z^degree, for a cache of the series that holds `cached` (None if empty).
+
+    The expansion goes to max(degree, 8, twice the cached degree): asking
+    for each next degree in turn then expands O(log degree) times, not
+    degree times.  When that expansion raises ExponentOverflow or
+    TermBudgetExceeded, it expands to exactly `degree` and raises only if
+    that fails too, so whether a call succeeds does not depend on what the
+    cache held."""
+    grown = max(degree, 8, 2 * (len(cached) - 1) if cached else 0)
+    try:
+        series = series_from_linear_factors(numerators, denominators, grown, nvars)
+    except (ExponentOverflow, TermBudgetExceeded):
+        if grown == degree:
+            raise
+        series = series_from_linear_factors(numerators, denominators, degree, nvars)
+    return list(series.coeffs)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .linalg import RingMatrix, determinant
-from .ring import LaurentPoly, Monomial, series_from_linear_factors, sum_of_products
+from .ring import LaurentPoly, Monomial, grow_series, series_from_linear_factors, sum_of_products
 from .shapes import Partition
 from .tableaux import VariableSpec, enum_spt, spt_weight
 
@@ -74,10 +74,7 @@ def complete_h(r: int, a: Alphabet) -> LaurentPoly:
         return LaurentPoly.zero(a.nvars)
     cached = _H_CACHE.get(a)
     if cached is None or len(cached) <= r:
-        # at least double the cached degree, as q_row does
-        degree = max(r, 8, 2 * (len(cached) - 1) if cached else 0)
-        series = series_from_linear_factors([], list(a.monomials), degree, a.nvars)
-        cached = list(series.coeffs)
+        cached = grow_series(cached, r, [], list(a.monomials), a.nvars)
         _H_CACHE[a] = cached
     return cached[r]
 

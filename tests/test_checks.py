@@ -1,6 +1,6 @@
 import pytest
 
-from qsym import LaurentPoly, VariableSpec, qI_tableau
+from qsym import LaurentPoly, VariableSpec, enum_qt, qI_tableau
 from qsym import checks
 from qsym.checks import (
     ROUTES,
@@ -9,6 +9,7 @@ from qsym.checks import (
     is_spec_symmetric,
     lgv_checks,
     qfun_checks,
+    qi_cases,
     run_suite,
 )
 
@@ -81,6 +82,16 @@ def test_lgv_failure_names_case_and_difference(monkeypatch):
     results = _by_name(lgv_checks(max_part=1, max_len=1, max_vars=1))
     assert results["lgv.weight-sums"].passed
     assert results["lgv.path-tableau-bijection"].detail.startswith("lam=() mu=() spec=(0,1) ")
+
+
+def test_lgv_checks_count_cases_and_families():
+    results = _by_name(lgv_checks(max_part=3, max_len=2, max_vars=2))
+    cases = list(qi_cases(3, 2, 2))
+    count = sum(1 for lam, mu, spec in cases for _ in enum_qt(spec, lam, mu))
+    assert count > len(cases)
+    sums = results["lgv.weight-sums"]
+    assert sums.line() == f"PASS lgv.weight-sums: {len(cases)} cases, {count} tableaux"
+    assert results["lgv.path-tableau-bijection"].detail == f"{len(cases)} cases, {count} families"
 
 
 def test_weyl_check_includes_symplectic_swaps():

@@ -1,13 +1,19 @@
 import contextlib
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qsym
 from qsym import LaurentPoly, QContext, StrictPartition, VariableSpec
-from qsym import cli, qfun
+from qsym import cli, ring
 from qsym.checks import ROUTES
 from qsym.cli import main
 from qsym.ring import TruncatedSeries, series_from_linear_factors
@@ -108,11 +114,18 @@ def test_series_self_check_catches_a_wrong_coefficient(capsys, monkeypatch):
         return TruncatedSeries(tuple(coeffs))
 
     # the one-row values and the check's own expansion go wrong together
-    monkeypatch.setattr(qfun, "series_from_linear_factors", wrong_z1)
+    monkeypatch.setattr(ring, "series_from_linear_factors", wrong_z1)
     monkeypatch.setattr(cli, "series_from_linear_factors", wrong_z1)
     code, _, err = run(capsys, "series", "--k", "1", "--degree", "3")
     assert code == 1
     assert "disagree" in err
+
+
+def test_series_past_the_doubling_limit(capsys):
+    # doubling the cached degree 16384 would pass the exponent limit 2^15
+    code, out, _ = run(capsys, "series", "--m", "1", "--degree", "20000")
+    assert code == 0
+    assert out.splitlines()[-1] == "2*x1^20000"
 
 
 def test_verify_small_budget(capsys):
@@ -253,6 +266,25 @@ def test_term_budget_stops_a_single_row_tableau_route(capsys, monkeypatch):
     )
     assert code == 3
     assert "QSYM_MAX_TERMS=100" in err
+
+
+def test_one_row_past_the_exponent_limit_exits_3_before_allocating():
+    # the z^(10^11) coefficient would take 10^11 list slots; under the memory
+    # cap an allocation that large fails with MemoryError, exit 1
+    argv = ["compute", "--family", "qI", "--lambda", "100000000000", "--m", "1",
+            "--method", "pfaffian"]
+    src = str(Path(qsym.__file__).resolve().parent.parent)
+    cap = 2 << 30
+    done = subprocess.run(
+        [sys.executable, "-m", "qsym.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert done.returncode == 3
+    assert "the limit is 32767" in done.stderr
 
 
 def _exit_code(argv: list[str]) -> tuple[int, str]:

@@ -2,9 +2,7 @@ import pytest
 
 from qsym import (
     EMPTY,
-    LatticePath,
     LaurentPoly,
-    PathFamily,
     PrimedTableau,
     StrictPartition,
     VariableSpec,
@@ -16,7 +14,6 @@ from qsym import (
     qI_branch,
     qI_tableau,
     qt_weight,
-    validate_family,
 )
 from qsym.checks import qi_cases
 from qsym.errors import PreconditionError
@@ -28,11 +25,52 @@ def sp(*parts):
     return StrictPartition(tuple(parts))
 
 
+def _vertex_family(rows, lam, mu, spec):
+    """Each row's path as its vertices (x, doubled level), built from its
+    letters alone, or None when the rows break a rule of the graph.
+
+    A letter of primed-alphabet rank r leaves its column at doubled level
+    2 * ((r + 1) // 2) and arrives in the next at 2 * (r // 2 + 1).  Path i
+    starts at (mu_i, 0), or on the left boundary at (0, r + 1) for the rank r
+    of its first letter; before each letter it rises to the letter's
+    departure, and in its last column to the top.  The paths must end at
+    (lam_i, top), share no vertex, and enter the left boundary on strictly
+    increasing indices."""
+    alphabet = spec.primed_alphabet()
+    top = 2 * (2 * spec.k + spec.m)
+    if len(rows) != lam.length:
+        return None
+    paths, seen, prev = [], set(), 0
+    for i, letters in enumerate(rows, 1):
+        ranks = [alphabet.index(x) for x in letters]
+        if i <= mu.length:
+            x, y = mu.part(i), 0
+        elif not letters or letters[0].index <= prev:
+            return None
+        else:
+            x, y = 0, ranks[0] + 1
+            prev = letters[0].index
+        verts = [(x, y)]
+        for r in ranks:
+            leave = 2 * ((r + 1) // 2) if x else y
+            if y > leave:
+                return None
+            verts += [(x, d) for d in range(y + 2, leave + 1, 2)]
+            x, y = x + 1, 2 * (r // 2 + 1)
+            verts.append((x, y))
+        verts += [(x, d) for d in range(y + 2, top + 1, 2)]
+        if verts[-1] != (lam.part(i), top) or seen.intersection(verts):
+            return None
+        seen.update(verts)
+        paths.append(tuple(verts))
+    return tuple(paths)
+
+
 def test_one_cell_four_families():
     spec = VariableSpec(1, 0)
     families = list(enum_path_families(sp(1), EMPTY, spec))
     assert len(families) == 4
-    firsts = {f.paths[0].letters[0] for f in families}
+    firsts = {rows[0][0] for rows in families}
     assert firsts == {L(1, primed=True), L(1), L(1, barred=True, primed=True), L(1, barred=True)}
     total = lgv_weight_sum(sp(1), EMPTY, spec)
     assert total == (LaurentPoly.variable(1, 0) + LaurentPoly.variable(1, 0, -1)).scale(2)
@@ -42,7 +80,7 @@ def test_equal_shapes_single_vertical_family():
     spec = VariableSpec(1, 1)
     families = list(enum_path_families(sp(2, 1), sp(2, 1), spec))
     assert len(families) == 1
-    assert all(not p.letters for p in families[0].paths)
+    assert families == [((), ())]
     assert family_weight(families[0], spec) == (0, 0)
 
 
@@ -64,7 +102,7 @@ def test_bijection_on_small_shape():
     lam, mu, spec = sp(2, 1), EMPTY, VariableSpec(1, 1)
     families = list(enum_path_families(lam, mu, spec))
     tabs = set(enum_qt(spec, lam, mu))
-    mapped = [f.to_tableau(lam, mu) for f in families]
+    mapped = [PrimedTableau(lam, mu, rows) for rows in families]
     assert len(set(mapped)) == len(families)
     assert set(mapped) == tabs
     assert sorted(family_weight(f, spec) for f in families) == sorted(
@@ -75,58 +113,32 @@ def test_bijection_on_small_shape():
 def test_figure_family_validates_and_maps():
     spec = VariableSpec(3, 2)
     lam, mu = sp(7, 6, 5, 2, 1), sp(6, 4, 1)
+    rows = (
+        (L(3, barred=True, primed=True),),
+        (L(2), L(3, barred=True)),
+        (L(1, primed=True), L(3), L(3), L(5)),
+        (L(1, barred=True, primed=True), L(4, primed=True)),
+        (L(4),),
+    )
     paths = (
-        LatticePath(
-            ((6, 0), (6, 2), (6, 4), (6, 6), (6, 8), (6, 10), (7, 12), (7, 14), (7, 16)),
-            (L(3, barred=True, primed=True),),
-        ),
-        LatticePath(
-            ((4, 0), (4, 2), (4, 4), (4, 6), (5, 6), (5, 8), (5, 10), (5, 12), (6, 12), (6, 14), (6, 16)),
-            (L(2), L(3, barred=True)),
-        ),
-        LatticePath(
-            ((1, 0), (2, 2), (2, 4), (2, 6), (2, 8), (2, 10), (3, 10), (4, 10), (4, 12), (4, 14), (4, 16), (5, 16)),
-            (L(1, primed=True), L(3), L(3), L(5)),
-        ),
-        LatticePath(
-            ((0, 3), (1, 4), (1, 6), (1, 8), (1, 10), (1, 12), (2, 14), (2, 16)),
-            (L(1, barred=True, primed=True), L(4, primed=True)),
-        ),
-        LatticePath(((0, 14), (1, 14), (1, 16)), (L(4),)),
+        ((6, 0), (6, 2), (6, 4), (6, 6), (6, 8), (6, 10), (7, 12), (7, 14), (7, 16)),
+        ((4, 0), (4, 2), (4, 4), (4, 6), (5, 6), (5, 8), (5, 10), (5, 12), (6, 12), (6, 14), (6, 16)),
+        ((1, 0), (2, 2), (2, 4), (2, 6), (2, 8), (2, 10), (3, 10), (4, 10), (4, 12), (4, 14), (4, 16), (5, 16)),
+        ((0, 3), (1, 4), (1, 6), (1, 8), (1, 10), (1, 12), (2, 14), (2, 16)),
+        ((0, 14), (1, 14), (1, 16)),
     )
-    fam = PathFamily(spec, paths)
-    assert validate_family(fam, lam, mu, spec)
-    expected_tableau = PrimedTableau(
-        lam,
-        mu,
-        (
-            (L(3, barred=True, primed=True),),
-            (L(2), L(3, barred=True)),
-            (L(1, primed=True), L(3), L(3), L(5)),
-            (L(1, barred=True, primed=True), L(4, primed=True)),
-            (L(4),),
-        ),
-    )
-    assert fam.to_tableau(lam, mu) == expected_tableau
-    assert family_weight(fam, spec) == (0, 1, 0, 2, 1)
-    # clashing vertices or out-of-order boundary entries are rejected
-    broken = PathFamily(spec, paths[:4] + (LatticePath(((0, 3), (1, 4), (1, 16)), (L(2, primed=True),)),))
-    assert not validate_family(broken, lam, mu, spec)
+    assert _vertex_family(rows, lam, mu, spec) == paths
+    assert family_weight(rows, spec) == (0, 1, 0, 2, 1)
+    # a last path entering on 2' arrives at (1, 6), a vertex of path 4
+    assert _vertex_family(rows[:4] + ((L(2, primed=True),),), lam, mu, spec) is None
 
 
 def test_enumeration_families_all_validate():
     lam, mu, spec = sp(3, 1), sp(1), VariableSpec(1, 1)
     families = list(enum_path_families(lam, mu, spec))
     assert families
-    for fam in families:
-        assert validate_family(fam, lam, mu, spec)
-
-
-def test_dump_format():
-    spec = VariableSpec(1, 0)
-    fam = next(iter(enum_path_families(sp(1), EMPTY, spec)))
-    text = fam.dump()
-    assert "letters:" in text and "(" in text
+    for rows in families:
+        assert _vertex_family(rows, lam, mu, spec) is not None
 
 
 def _family_sum(lam, mu, spec):
@@ -155,6 +167,9 @@ def test_transfer_matrix_edges():
     assert lgv_weight_sum(sp(2, 1), sp(3), spec).is_zero()
     with pytest.raises(PreconditionError):
         lgv_weight_sum(sp(3, 2, 1), EMPTY, spec)
+    with pytest.raises(PreconditionError):
+        next(enum_path_families(sp(3, 2, 1), EMPTY, spec))
+    assert list(enum_path_families(sp(2, 1), sp(3), spec)) == []
 
 
 @pytest.mark.parametrize(

@@ -177,16 +177,23 @@ def test_context_cache_matches_fresh():
     assert ("Idef", (3, 1), (1,), spec) in ctx.cache
 
 
-def test_grown_row_series_equals_fresh():
-    spec = VariableSpec(1, 1)
-    ctx = QContext()
-    assert q_row(3, spec, ctx) == q_row(3, spec, QContext())
-    assert len(ctx.row_series[spec]) == 9
-    # one past the cached degree 8 doubles it
-    assert q_row(9, spec, ctx) == q_row(9, spec, QContext())
-    assert len(ctx.row_series[spec]) == 17
-    for l in range(20):
-        assert q_row(l, spec, ctx) == q_row(l, spec, QContext())
+def test_grown_row_series_equals_fresh(monkeypatch):
+    for spec, asked, cached, budget in [
+        # degree 8 first, then one past the cached degree doubles it: 16, 32
+        ((1, 1), range(20), 33, None),
+        # doubling 16384 would pass the exponent limit 2^15, so it grows to 20000
+        ((0, 1), (16384, 20000), 20001, None),
+        # doubling 16 would pass the budget (21,856 terms at degree 32), so it grows to 17
+        ((2, 2), (16, 17), 18, "20000"),
+    ]:
+        with monkeypatch.context() as patch:
+            if budget:
+                patch.setenv("QSYM_MAX_TERMS", budget)
+            spec = VariableSpec(*spec)
+            ctx = QContext()
+            for l in asked:
+                assert q_row(l, spec, ctx) == q_row(l, spec, QContext())
+            assert len(ctx.row_series[spec]) == cached
 
 
 def test_context_less_call_leaves_no_module_cache():

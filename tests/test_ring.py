@@ -282,6 +282,14 @@ def test_product_past_the_field_width_raises_instead_of_wrapping():
             v(1, 0, e)
 
 
+def test_series_past_the_field_width_raises():
+    # the z^degree coefficient holds v^degree for each denominator v
+    s = series_from_linear_factors([], [(0, -2)], 2**14 - 1, 2)
+    assert s.coefficient(2**14 - 1) == v(2, 1, -(2**15 - 2))
+    with pytest.raises(ExponentOverflow):
+        series_from_linear_factors([], [(0, -2)], 2**14, 2)
+
+
 def test_exponent_past_the_field_width_is_a_parse_error():
     with pytest.raises(ParseError):
         parse_poly("x1^40000", 1)

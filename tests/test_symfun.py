@@ -40,13 +40,17 @@ def test_complete_h_two_plain_vars():
 
 
 def test_grown_h_cache_equals_fresh():
-    a = Alphabet.type_a(2)
-    _H_CACHE.pop(a, None)
-    fresh = series_from_linear_factors([], list(a.monomials), 20, 2).coeffs
-    for r in range(21):
-        assert complete_h(r, a) == fresh[r]
-    # degree 8 first, then each growth doubles the cached degree: 16, 32
-    assert len(_H_CACHE[a]) == 33
+    for a, asked, cached in [
+        # degree 8 first, then each growth doubles the cached degree: 16, 32
+        (Alphabet.type_a(2), range(21), 33),
+        # doubling 16384 would pass the exponent limit 2^15, so it grows to 20000
+        (Alphabet.type_a(1), (16384, 20000), 20001),
+    ]:
+        _H_CACHE.pop(a, None)
+        fresh = series_from_linear_factors([], list(a.monomials), max(asked), a.nvars).coeffs
+        for r in asked:
+            assert complete_h(r, a) == fresh[r]
+        assert len(_H_CACHE[a]) == cached
 
 
 def test_elementary_e():

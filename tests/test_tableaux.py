@@ -22,13 +22,59 @@ from qsym import (
 from qsym import checks
 from qsym.checks import partitions_up_to_weight, qi_cases, specs_up_to
 from qsym.shapes import enum_strict_between, shifted_cells
-from qsym.tableaux import is_valid_qt
+from qsym.errors import NotContained
 
 L = letter
 
 
 def sp(*parts):
     return StrictPartition(tuple(parts))
+
+
+def is_valid_qt(t, spec):
+    """Check the primed-family rules directly; independent of the enumerator."""
+    try:
+        shape = shifted_cells(t.outer, t.inner)
+    except NotContained:
+        return False
+    row_ranges = shape.rows()
+    if len(t.rows) != len(row_ranges) or any(
+        len(r) != len(cols) for r, cols in zip(t.rows, row_ranges)
+    ):
+        return False
+    grid = {
+        (i + 1, j): x
+        for i, cols in enumerate(row_ranges)
+        for j, x in zip(cols, t.rows[i])
+    }
+    if any(not 1 <= x.index <= spec.n for x in grid.values()):
+        return False
+    if any(x.barred and x.index > spec.k for x in grid.values()):
+        return False
+    for (i, j), x in grid.items():
+        left = grid.get((i, j - 1))
+        if left is not None and x < left:
+            return False
+        up = grid.get((i - 1, j))
+        if up is not None and x < up:
+            return False
+    for i, cols in enumerate(row_ranges):
+        primed = [x for x in t.rows[i] if x.primed]
+        if len(primed) != len(set(primed)):
+            return False
+    by_col = {}
+    for (i, j), x in grid.items():
+        if x.unprimed:
+            by_col.setdefault(j, []).append(x)
+    if any(len(v) != len(set(v)) for v in by_col.values()):
+        return False
+    prev = 0
+    for i in shape.diagonal_rows():
+        x = grid[(i, i)]
+        if x.index <= prev:
+            return False
+        prev = x.index
+    return True
 
 
 def test_letter_order():
