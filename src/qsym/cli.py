@@ -83,7 +83,6 @@ def cmd_compute(args) -> int:
 def cmd_series(args) -> int:
     spec = VariableSpec(args.k, args.m)
     ctx = QContext()
-    q_row(args.degree, spec, ctx)  # one expansion, to the top degree; the rest are cached
     coeffs = [q_row(l, spec, ctx) for l in range(args.degree + 1)]
     for p in coeffs:
         print(str(p))

@@ -141,8 +141,9 @@ def lgv_weight_sum(
     partial families that reach it.  A step right at level b and a diagonal
     step up from level b - 1 both arrive at level b and weigh the letters of
     level b, so a transition multiplies by the one monomial of its arrival
-    levels, and a left-boundary entry weighs twice its level's letter.  Every state value is a LaurentPoly, so
-    QSYM_MAX_TERMS stops the walk at the first value that outgrows it."""
+    levels, and a left-boundary entry weighs twice its level's letter.
+    Every state value is a LaurentPoly, so QSYM_MAX_TERMS stops the walk at
+    the first value that outgrows it."""
     if lam.length > spec.n:
         raise PreconditionError(f"{lam.length} rows on {spec.n} variables")
     n = spec.n

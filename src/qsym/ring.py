@@ -556,14 +556,19 @@ def grow_series(
 
     The expansion goes to max(degree, 8, twice the cached degree): asking
     for each next degree in turn then expands O(log degree) times, not
-    degree times.  When that expansion raises ExponentOverflow or
-    TermBudgetExceeded, it expands to exactly `degree` and raises only if
-    that fails too, so whether a call succeeds does not depend on what the
-    cache held."""
+    degree times.  Every term of the z^d coefficient is a product of d of
+    the monomials, so the doubled degree is cut to the largest d whose
+    exponents stay below 2^15, never below `degree`.  When the doubled
+    expansion raises TermBudgetExceeded, it expands to exactly `degree` and
+    raises only if that fails too, so whether a call succeeds does not
+    depend on what the cache held."""
     grown = max(degree, 8, 2 * (len(cached) - 1) if cached else 0)
+    widest = max((abs(e) for v in (*numerators, *denominators) for e in v), default=0)
+    if widest:
+        grown = max(degree, min(grown, (_LIMIT - 1) // widest))
     try:
         series = series_from_linear_factors(numerators, denominators, grown, nvars)
-    except (ExponentOverflow, TermBudgetExceeded):
+    except TermBudgetExceeded:
         if grown == degree:
             raise
         series = series_from_linear_factors(numerators, denominators, degree, nvars)

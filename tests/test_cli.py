@@ -268,9 +268,10 @@ def test_term_budget_stops_a_single_row_tableau_route(capsys, monkeypatch):
     assert "QSYM_MAX_TERMS=100" in err
 
 
-def test_one_row_past_the_exponent_limit_exits_3_before_allocating():
-    # the z^(10^11) coefficient would take 10^11 list slots; under the memory
-    # cap an allocation that large fails with MemoryError, exit 1
+def test_pfaffian_one_row_past_the_exponent_limit_exits_3_before_allocating():
+    # on the pfaffian route the one-row series raises ExponentOverflow before
+    # its 10^11 coefficient slots are allocated; without that check, the
+    # allocation fails under the memory cap with MemoryError, exit 1
     argv = ["compute", "--family", "qI", "--lambda", "100000000000", "--m", "1",
             "--method", "pfaffian"]
     src = str(Path(qsym.__file__).resolve().parent.parent)

@@ -178,22 +178,23 @@ def test_context_cache_matches_fresh():
 
 
 def test_grown_row_series_equals_fresh(monkeypatch):
-    for spec, asked, cached, budget in [
+    # each ask is (degree, cached length after it)
+    for spec, asks, budget in [
         # degree 8 first, then one past the cached degree doubles it: 16, 32
-        ((1, 1), range(20), 33, None),
-        # doubling 16384 would pass the exponent limit 2^15, so it grows to 20000
-        ((0, 1), (16384, 20000), 20001, None),
+        ((1, 1), [(3, 9), (9, 17), (16, 17), (17, 33), (19, 33)], None),
+        # doubling 16384 would pass the exponent limit 2^15, so it grows to 2^15 - 1
+        ((0, 1), [(16384, 16385), (20000, 32768), (20001, 32768)], None),
         # doubling 16 would pass the budget (21,856 terms at degree 32), so it grows to 17
-        ((2, 2), (16, 17), 18, "20000"),
+        ((2, 2), [(16, 17), (17, 18)], "20000"),
     ]:
         with monkeypatch.context() as patch:
             if budget:
                 patch.setenv("QSYM_MAX_TERMS", budget)
             spec = VariableSpec(*spec)
             ctx = QContext()
-            for l in asked:
+            for l, size in asks:
                 assert q_row(l, spec, ctx) == q_row(l, spec, QContext())
-            assert len(ctx.row_series[spec]) == cached
+                assert len(ctx.row_series[spec]) == size
 
 
 def test_context_less_call_leaves_no_module_cache():

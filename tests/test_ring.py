@@ -15,7 +15,7 @@ from qsym import (
     series_from_linear_factors,
     sum_of_products,
 )
-from qsym.ring import _BATCH, term_sort_key
+from qsym.ring import _BATCH, grow_series, term_sort_key
 
 
 def v(n, i, p=1):
@@ -288,6 +288,15 @@ def test_series_past_the_field_width_raises():
     assert s.coefficient(2**14 - 1) == v(2, 1, -(2**15 - 2))
     with pytest.raises(ExponentOverflow):
         series_from_linear_factors([], [(0, -2)], 2**14, 2)
+
+
+def test_grown_series_stops_below_the_field_width():
+    # doubling 2^13 on exponent 2 would reach 2^15, so the growth stops at 2^14 - 1
+    cached = grow_series(None, 2**13, [], [(2,)], 1)
+    assert len(cached) == 2**13 + 1
+    assert len(grow_series(cached, 2**13 + 1, [], [(2,)], 1)) == 2**14
+    with pytest.raises(ExponentOverflow):
+        grow_series(cached, 2**14, [], [(2,)], 1)
 
 
 def test_exponent_past_the_field_width_is_a_parse_error():

@@ -40,17 +40,19 @@ def test_complete_h_two_plain_vars():
 
 
 def test_grown_h_cache_equals_fresh():
-    for a, asked, cached in [
+    # each ask is (degree, cached length after it)
+    for a, asks in [
         # degree 8 first, then each growth doubles the cached degree: 16, 32
-        (Alphabet.type_a(2), range(21), 33),
-        # doubling 16384 would pass the exponent limit 2^15, so it grows to 20000
-        (Alphabet.type_a(1), (16384, 20000), 20001),
+        (Alphabet.type_a(2), [(1, 9), (8, 9), (9, 17), (17, 33), (20, 33)]),
+        # doubling 16384 would pass the exponent limit 2^15, so it grows to 2^15 - 1
+        (Alphabet.type_a(1), [(16384, 16385), (20000, 32768)]),
     ]:
         _H_CACHE.pop(a, None)
-        fresh = series_from_linear_factors([], list(a.monomials), max(asked), a.nvars).coeffs
-        for r in asked:
+        top = max(r for r, _ in asks)
+        fresh = series_from_linear_factors([], list(a.monomials), top, a.nvars).coeffs
+        for r, size in asks:
             assert complete_h(r, a) == fresh[r]
-        assert len(_H_CACHE[a]) == cached
+            assert len(_H_CACHE[a]) == size
 
 
 def test_elementary_e():
