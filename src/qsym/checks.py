@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from itertools import chain, permutations
 from typing import Callable
 
-from .errors import PreconditionError
+from .errors import ExponentOverflow, PreconditionError
 from .linalg import RingMatrix, determinant, pfaffian
-from .ring import LaurentPoly, parse_poly, series_from_linear_factors
+from .ring import _LIMIT, LaurentPoly, parse_poly, series_from_linear_factors
 from .shapes import EMPTY, Partition, StrictPartition, enum_strict_between
 from .symfun import (
     Alphabet,
@@ -59,7 +59,10 @@ class Domain:
     spec      "plain" needs k = 0, "symplectic" needs m = 0, "mixed" takes any
     straight  mu must be empty
 
-    Every route also needs lam to have at most n = k + m rows.
+    Every route also needs lam to have at most n = k + m rows, and, when mu
+    is inside lam, lam_1 - mu_1 below 2^15: row i filled with the letter i
+    is a tableau of every family, so the value holds x1^(lam_1 - mu_1), and
+    ExponentOverflow is raised before any route enumerates or expands.
     """
 
     strict: bool = False
@@ -69,8 +72,9 @@ class Domain:
     def check(
         self, lam: Partition, mu: Partition, spec: VariableSpec
     ) -> tuple[Partition, Partition]:
-        """Raise PreconditionError naming the first condition the input breaks;
-        otherwise return lam and mu, as strict partitions if the route needs them."""
+        """Raise PreconditionError naming the first condition the input breaks,
+        or ExponentOverflow; otherwise return lam and mu, as strict partitions
+        if the route needs them."""
         if self.strict:
             lam, mu = _strict(lam, "lambda"), _strict(mu, "mu")
         if self.spec == "plain" and spec.k:
@@ -81,6 +85,11 @@ class Domain:
             raise PreconditionError(f"{lam.length} rows on {spec.n} variables")
         if self.straight and mu.parts:
             raise PreconditionError(f"needs a straight shape (mu empty), got mu = {mu}")
+        row = lam.part(1) - mu.part(1)
+        if row >= _LIMIT and lam.contains(mu):
+            raise ExponentOverflow(
+                f"lambda_1 - mu_1 = {row}, so x1^{row} is a term; the limit is {_LIMIT - 1}"
+            )
         return lam, mu
 
 

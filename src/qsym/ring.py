@@ -25,7 +25,10 @@ Terms are accumulated in one place, `sum_of_products`, which sums c * a * b
 over (a, b, c) triples into one dict.  A product is its one-triple case; a sum,
 a difference and `lincomb` are its case with the unit as second factor; the
 series builders, the Laplace and Pfaffian expansions and the evaluators' inner
-sums pass all their addends at once.
+sums pass all their addends at once.  Weight counts are the other
+accumulator: `from_exponents` counts exponent tuples, and
+`tableaux.spt_weight_counts` counts packed keys as it walks, for
+`symfun.inter_schur` to wrap with `_poly` and the bound it knows.
 
 Exponent tuples (Monomial, one exponent per variable) appear only at the
 edges: the constructor `LaurentPoly(n, {Monomial: int})`, `from_exponents`,

@@ -20,9 +20,16 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .linalg import RingMatrix, determinant
-from .ring import LaurentPoly, Monomial, grow_series, series_from_linear_factors, sum_of_products
+from .ring import (
+    LaurentPoly,
+    Monomial,
+    _poly,
+    grow_series,
+    series_from_linear_factors,
+    sum_of_products,
+)
 from .shapes import Partition
-from .tableaux import VariableSpec, enum_spt, spt_weight
+from .tableaux import VariableSpec, spt_weight_counts
 
 
 def _unit_mono(nvars: int, i: int, power: int = 1) -> Monomial:
@@ -141,15 +148,20 @@ def inter_schur(lam: Partition, spec: VariableSpec, method: str = "definition") 
     """Intermediate symplectic Schur polynomial.
 
     method="definition" sums symplectic-Schur times skew-Schur over inner
-    shapes; method="tableau" sums weights over the unprimed tableau family.
-    Inner shapes with more than k rows carry no symplectic character and are
-    skipped.
+    shapes; inner shapes with more than k rows carry no symplectic character
+    and are skipped.  method="tableau" sums weights over the unprimed tableau
+    family: the polynomial's terms are the packed weight counts of
+    `spt_weight_counts`, made by enum_spt's walk without building a tableau.
+    Their exponent bound is lam_1: row i filled with the letter i is a
+    tableau, so x1^lam_1 is a term, and a column holds each letter at most
+    once, so no exponent passes the lam_1 columns.  ExponentOverflow comes
+    before the walk when lam_1 >= 2^15.
     """
     n = spec.n
     if lam.length > n:
         raise PreconditionError(f"{lam.length} rows on {n} variables")
     if method == "tableau":
-        return LaurentPoly.from_exponents(n, (spt_weight(t, spec) for t in enum_spt(spec, lam)))
+        return _poly(n, spt_weight_counts(spec, lam), lam.part(1))
     if method != "definition":
         raise ValueError(f"unknown method {method!r}")
     symp_alpha = Alphabet.symplectic(spec.k, nvars=n)

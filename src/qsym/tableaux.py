@@ -47,17 +47,32 @@ row.  Every filling of that row depends only on its first cell's lowest
 rank, the floors that the upper neighbours set on its other cells, and, in
 enum_qt, the unprimed ranks already in its columns (its own primed record
 is still empty), so the walk fills the row in one step from a memo keyed
-by exactly those ints.  The memo lives in the call; its value is the list
-of the row's fillings as tuples of letters, in ascending rank order, so each
-tableau of a batch is the rows above plus one row of the list, and the
-stream is the one a cell-by-cell walk of that row gives.  The rows above are
-rebuilt once per batch, from that of the lowest cell assigned since the
-previous batch down.  The memo pays when keys repeat, that is when the last
-row is short next to the rows above (in the sweep of shapes (4, 3, 2) and
-below, 95 % of last-row visits hit).  It holds at most _MEMO_SIZE key ints
-and row letters: a row with more fillings than that streams them unkept,
-and a memo that would pass the cap is emptied first, so a long last row, or
-one whose keys never repeat, costs bounded memory.
+by exactly those ints.  The memo lives in the call, and its value depends
+on the consumer.  For a tableau stream it is the list of the row's
+fillings as tuples of letters, in ascending rank order, so each tableau of
+a batch is the rows above plus one row of the list, and the stream is the
+one a cell-by-cell walk of that row gives; the rows above are rebuilt once
+per batch, from that of the lowest cell assigned since the previous batch
+down.  The memo pays when keys repeat, that is when the last row is short
+next to the rows above (in the sweep of shapes (4, 3, 2) and below, 95 % of
+last-row visits hit).
+
+The unprimed walk, _spt_walk, has two consumers.  enum_spt takes its
+tableaux.  spt_weight_counts takes only their weights, counted on the
+ring's packed monomial keys (see ring): the rows above carry a running
+packed weight, one int add per rank, from each letter's packed weight; the
+memo value is the list of (row key, count) pairs, one per distinct weight
+of the row; and each batch adds one key per pair, so no tableau and no
+letter is built.
+
+The memo holds at most _MEMO_SIZE slots of key ints and of its values: a
+row with more fillings than that streams them unkept, and a memo that would
+pass the cap is emptied first, so it stays bounded however many keys a call
+meets.  Everything else a call holds, the per-cell lists, the key and the
+filling being read, is linear in its cells: a row's fillings are made as
+one list of ranks, changed in place, and a filling's letters or weight are
+read from it as it comes.  A packed miss reads all of the row's fillings
+before it returns, holding one count per distinct weight.
 
 Tableaux are named tuples, cheap to build.  Equality also compares the
 class, so a PrimedTableau never equals an SpTableau or a plain tuple, and
@@ -66,12 +81,13 @@ ordering records raises TypeError.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import NotContained
-from .ring import Monomial
+from .errors import ExponentOverflow, NotContained
+from .ring import _LIMIT, Monomial, _over_budget, _pack, _term_budget
 from .shapes import EMPTY, Partition, SkewShiftedShape, StrictPartition, shifted_cells
 
 # the most key ints plus row letters that the last-row memo of one
@@ -197,14 +213,16 @@ def _row_starts(row_ranges: list) -> list[int]:
 
 
 def _row_fillings(
-    floors: Sequence[int], cols: Sequence[int], alphabet: list[Letter], primed: list[bool]
-) -> Iterator[tuple[Letter, ...]]:
-    """Every filling of one row, in ascending rank order, as letter tuples.
+    floors: Sequence[int], cols: Sequence[int], primed: list[bool]
+) -> Iterator[list[int]]:
+    """Every filling of one row, in ascending rank order, as its list of ranks.
 
     Cell p takes a rank of at least floors[p] and at least its left
     neighbour's, one past it when that is primed (a row holds a primed
     letter once), and an unprimed rank only when it is not in the column
-    mask cols[p].  The fillings are made one at a time.
+    mask cols[p].  The fillings are made one at a time, and each is the same
+    list, changed in place by the next step, so a consumer reads it at once;
+    the memory held is linear in the row's length.
 
     Cell p's options are fixed by its left neighbour's rank alone, and a
     higher left rank leaves it fewer, so when a rank of cell p leads to no
@@ -212,11 +230,9 @@ def _row_fillings(
     past it.  A row whose fillings all stop at one cell is then given up
     after one try per cell, not after a try of every prefix.
     """
-    n_letters, last = len(alphabet), len(floors) - 1
+    n_letters, last = len(primed), len(floors) - 1
     # rank[p]: cell p's rank; made_at[p]: fillings made before it took it
-    rank, made_at = [0] * last, [0] * last
-    # prefix[p]: the letters of the cells left of cell p
-    prefix: list[tuple[Letter, ...]] = [()] * (last + 1)
+    rank, made_at = [0] * (last + 1), [0] * last
     p, r, made = 0, floors[0], 0
     while True:
         if r < n_letters:
@@ -224,11 +240,11 @@ def _row_fillings(
                 r += 1
             elif p < last:
                 rank[p], made_at[p] = r, made
-                prefix[p + 1] = prefix[p] + (alphabet[r],)
                 p += 1
                 r = max(r + primed[r], floors[p])
             else:
-                yield prefix[p] + (alphabet[r],)
+                rank[p] = r
+                yield rank
                 made += 1
                 r += 1
             continue
@@ -242,24 +258,24 @@ def _row_fillings(
 
 
 class _LastRowMemo:
-    """The last row's fillings by key, for one call, at most _MEMO_SIZE big.
+    """The last row's value by key, for one call, at most _MEMO_SIZE big.
 
-    An entry's size is its key's length plus the letters of its rows.  A
-    miss reads the fillings from their stream; when they would pass the cap
-    on their own they are not kept, and the rows read so far come back
-    followed by the rest of the stream, unread.  When keeping them would
-    take the memo past the cap, it is emptied first.
+    A value is a list of items, and each item takes `width` slots: the
+    letters of one filling, or the two ints of a (row key, count) pair.  An
+    entry's size is its key's length plus its items' slots.  A miss reads
+    the items from their stream; when they would pass the cap on their own
+    they are not kept, and the items read so far come back followed by the
+    rest of the stream, unread.  When keeping them would take the memo past
+    the cap, it is emptied first.
     """
 
     __slots__ = ("lists", "size", "width")
 
     def __init__(self, width: int):
-        self.lists: dict[tuple[int, ...], list[tuple[Letter, ...]]] = {}
+        self.lists: dict[tuple[int, ...], list] = {}
         self.size, self.width = 0, width
 
-    def fill(
-        self, key: tuple[int, ...], stream: Iterator[tuple[Letter, ...]]
-    ) -> Iterable[tuple[Letter, ...]]:
+    def fill(self, key: tuple[int, ...], stream: Iterator) -> Iterable:
         limit = max(_MEMO_SIZE - len(key), 0) // self.width
         head = list(islice(stream, limit + 1))
         if len(head) > limit:
@@ -337,8 +353,8 @@ def enum_qt(
             key = (lo, *map(rank.__getitem__, row_ups), *map(masks.__getitem__, row_cols))
             fillings = fillings_of.get(key)
             if fillings is None:
-                floors, cols = key[: len(row_cols)], key[len(row_cols) :]
-                fillings = memo.fill(key, _row_fillings(floors, cols, alphabet, primed))
+                made = _row_fillings(key[: len(row_cols)], key[len(row_cols) :], primed)
+                fillings = memo.fill(key, (tuple(map(get, f)) for f in made))
             if fillings:
                 # rebuild the rows from that of the lowest cell assigned
                 # since the last batch down (row_mask[p] is the row of cell p)
@@ -371,27 +387,45 @@ def enum_qt(
         lo = r + 1
 
 
-def enum_spt(
-    spec: VariableSpec, outer: Partition, inner: Partition = Partition()
-) -> Iterator[SpTableau]:
-    """All unprimed-alphabet fillings of the ordinary skew diagram outer/inner.
+def _spt_walk(spec: VariableSpec, outer: Partition, inner: Partition, packed: bool) -> Iterator:
+    """The one backtracker of the unprimed family, for enum_spt (packed
+    False) and spt_weight_counts (packed True).
 
-    With k = 0 these are semistandard tableaux, with m = 0 the symplectic
-    tableaux with entries in row i at least the letter i.  The row-minimum
-    rule empties the stream when the shape outgrows the alphabet.
+    Yields one batch per last-row visit that has fillings, as (head, items).
+    For enum_spt, head is the tuple of the rows above the last non-empty
+    row, and each item is the rest of one tableau: a filling of that row
+    followed by the empty rows below it.  For spt_weight_counts, head is the
+    packed weight of the rows above, and each item is a (row key, count)
+    pair, one per distinct weight of the row's fillings.  Nothing when inner
+    is not inside outer; when packed, ExponentOverflow first if the shape
+    spans 2^15 columns or more.
     """
     if not outer.contains(inner):
         return
+    if packed:
+        # a column holds each letter at most once, so no exponent of a
+        # filling or of any part of one passes the shape's column count,
+        # and below 2^15 no packed field carries into its neighbour
+        width = sum(
+            max(outer.part(i) - max(inner.part(i), outer.part(i + 1)), 0)
+            for i in range(1, outer.length + 1)
+        )
+        if width >= _LIMIT:
+            raise ExponentOverflow(
+                f"the weights' exponents may reach {width}, the limit is {_LIMIT - 1}"
+            )
     row_ranges = [
         range(inner.part(i) + 1, outer.part(i) + 1) for i in range(1, outer.length + 1)
     ]
     cells = [(i + 1, j) for i, cols in enumerate(row_ranges) for j in cols]
     if not cells:
-        yield SpTableau(outer, inner, tuple(() for _ in row_ranges))
+        yield (0, [(0, 1)]) if packed else ((), [tuple(() for _ in row_ranges)])
         return
 
     alphabet = spec.unprimed_alphabet()
     n_letters = len(alphabet)
+    # delta[r]: the packed weight of rank r's letter
+    delta = [_pack(_letter_weight(((x,),), spec)) for x in alphabet]
     # floor[i - 1]: the lowest rank ST3 allows in row i, the first letter
     # that is plain or at least the unbarred letter i
     floor = [
@@ -415,30 +449,38 @@ def enum_spt(
     row_ups, row_floor = up[first + 1 :], floor[last]
     no_cols, no_primes = [0] * (n - first), [False] * n_letters
     rows = [()] * last
-    get = alphabet.__getitem__
+    get, weigh = alphabet.__getitem__, delta.__getitem__
 
     # ST1-ST3 are all lower bounds, so every rank from a cell's lowest one to
-    # the end of the alphabet is legal and the walk rejects nothing
-    rank = [0] * n + [-1]
-    memo = _LastRowMemo(n - first)
-    fillings_of = memo.lists
+    # the end of the alphabet is legal and the walk rejects nothing;
+    # weight[p]: the packed weight of the cells before cell p
+    rank, weight = [0] * n + [-1], [0] * (first + 1)
+    memo = _LastRowMemo(2 if packed else n - first)
+    items_of = memo.lists
     pos, r, low = 0, cell_floor[0], 0
     while True:
         if pos == first:
             # the last row in one step, keyed by the floors of its cells
             key = (r, *[max(rank[u] + 1, row_floor) for u in row_ups])
-            fillings = fillings_of.get(key)
-            if fillings is None:
-                fillings = memo.fill(key, _row_fillings(key, no_cols, alphabet, no_primes))
-            if fillings:
-                for i in range(row_of[low], last):
-                    rows[i] = tuple(map(get, rank[starts[i] : starts[i + 1]]))
-                head = tuple(rows)
-                for row in fillings:
-                    yield SpTableau(outer, inner, head + (row,) + tail)
+            items = items_of.get(key)
+            if items is None:
+                fillings = _row_fillings(key, no_cols, no_primes)
+                if packed:
+                    stream = iter(Counter([sum(map(weigh, f)) for f in fillings]).items())
+                else:
+                    stream = ((tuple(map(get, f)),) + tail for f in fillings)
+                items = memo.fill(key, stream)
+            if items:
+                if packed:
+                    yield weight[first], items
+                else:
+                    for i in range(row_of[low], last):
+                        rows[i] = tuple(map(get, rank[starts[i] : starts[i + 1]]))
+                    yield tuple(rows), items
                 low = pos
         elif r < n_letters:
             rank[pos] = r
+            weight[pos + 1] = weight[pos] + delta[r]
             pos += 1
             r = rank[left[pos]]
             if rank[up[pos]] >= r:
@@ -452,3 +494,41 @@ def enum_spt(
         if pos < low:
             low = pos
         r = rank[pos] + 1
+
+
+def enum_spt(
+    spec: VariableSpec, outer: Partition, inner: Partition = Partition()
+) -> Iterator[SpTableau]:
+    """All unprimed-alphabet fillings of the ordinary skew diagram outer/inner.
+
+    With k = 0 these are semistandard tableaux, with m = 0 the symplectic
+    tableaux with entries in row i at least the letter i.  The row-minimum
+    rule empties the stream when the shape outgrows the alphabet.
+    """
+    for head, rests in _spt_walk(spec, outer, inner, False):
+        for rest in rests:
+            yield SpTableau(outer, inner, head + rest)
+
+
+def spt_weight_counts(
+    spec: VariableSpec, outer: Partition, inner: Partition = Partition()
+) -> dict[int, int]:
+    """The weights of enum_spt(spec, outer, inner), counted, without the
+    tableaux: {packed monomial key: number of tableaux of that weight}.
+
+    Keys are the ring's packed form (see ring), so the dict is a
+    polynomial's terms.  The term budget QSYM_MAX_TERMS is checked after
+    each batch, so the count stops within one batch of distinct weights of
+    passing it.  Raises ExponentOverflow before the walk when the shape
+    spans 2^15 columns or more.
+    """
+    budget = _term_budget()
+    counts: dict[int, int] = {}
+    get = counts.get
+    for head, pairs in _spt_walk(spec, outer, inner, True):
+        for row, c in pairs:
+            key = head + row
+            counts[key] = get(key, 0) + c
+        if budget is not None and len(counts) > budget:
+            raise _over_budget(len(counts), budget)
+    return counts

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import qsym
 from qsym import LaurentPoly, QContext, StrictPartition, VariableSpec
 from qsym import cli, ring
-from qsym.checks import ROUTES
+from qsym.checks import ROUTES, Route
 from qsym.cli import main
 from qsym.ring import TruncatedSeries, series_from_linear_factors
 
@@ -269,9 +269,10 @@ def test_term_budget_stops_a_single_row_tableau_route(capsys, monkeypatch):
 
 
 def test_pfaffian_one_row_past_the_exponent_limit_exits_3_before_allocating():
-    # on the pfaffian route the one-row series raises ExponentOverflow before
-    # its 10^11 coefficient slots are allocated; without that check, the
-    # allocation fails under the memory cap with MemoryError, exit 1
+    # Domain.check raises ExponentOverflow before any route runs, and the
+    # pfaffian route's one-row series raises it too before its 10^11
+    # coefficient slots are allocated; without both checks, the allocation
+    # fails under the memory cap with MemoryError, exit 1
     argv = ["compute", "--family", "qI", "--lambda", "100000000000", "--m", "1",
             "--method", "pfaffian"]
     src = str(Path(qsym.__file__).resolve().parent.parent)
@@ -286,6 +287,38 @@ def test_pfaffian_one_row_past_the_exponent_limit_exits_3_before_allocating():
     )
     assert done.returncode == 3
     assert "the limit is 32767" in done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--family", "qI", "--lambda", "100000000000", "--m", "1", "--method", method]
+        for method in ("definition", "tableau", "branch", "pfaffian", "lgv", "all")
+    ]
+    + [
+        ["--family", "schur", "--lambda", "32768", "--m", "1", "--method", "tableau"],
+        ["--family", "qI", "--lambda", "32770,1", "--mu", "2", "--m", "2", "--method", "all"],
+    ],
+)
+def test_a_first_row_past_the_exponent_limit_exits_3_before_any_route(capsys, monkeypatch, argv):
+    # row i filled with the letter i makes x1^(lam_1 - mu_1) a term; no route may run
+    def refuse(*args):
+        raise AssertionError("a route ran")
+
+    for key, route in ROUTES.items():
+        monkeypatch.setitem(ROUTES, key, Route(refuse, route.domain))
+    code, out, err = run(capsys, "compute", *argv)
+    assert code == 3 and not out
+    assert "the limit is 32767" in err
+
+
+def test_a_first_row_past_the_exponent_limit_outside_lambda_is_zero(capsys):
+    code, out, _ = run(
+        capsys,
+        "compute", "--family", "qI", "--lambda", "100000000000", "--mu", "5,3", "--m", "1",
+    )
+    assert code == 0
+    assert out.splitlines() == [f"{method}: 0" for f, method in ROUTES if f == "qI"]
 
 
 def _exit_code(argv: list[str]) -> tuple[int, str]:

@@ -9,12 +9,16 @@ from qsym import (
     check_union_identity,
     complete_h,
     elementary_e,
+    enum_spt,
     inter_schur,
     schur_skew,
     schur_skew_e,
     series_from_linear_factors,
+    spt_weight,
     symp_schur,
 )
+from qsym.checks import partitions_up_to_weight, specs_up_to
+from qsym.errors import ExponentOverflow
 from qsym.symfun import _H_CACHE
 
 
@@ -110,6 +114,36 @@ def test_inter_schur_methods_agree():
             if lam.length > spec.n:
                 continue
             assert inter_schur(lam, spec, "definition") == inter_schur(lam, spec, "tableau")
+
+
+def test_tableau_route_equals_the_counted_stream_with_its_bound():
+    # the schur_checks cases: the packed counts with the bound lam_1 must be
+    # the polynomial that counting the enum_spt stream's weights gives
+    for lam in partitions_up_to_weight(5):
+        for spec in specs_up_to(4):
+            if lam.length > spec.n:
+                continue
+            got = inter_schur(lam, spec, "tableau")
+            weights = (spt_weight(t, spec) for t in enum_spt(spec, lam))
+            counted = LaurentPoly.from_exponents(spec.n, weights)
+            assert got == counted and got._bound == counted._bound
+    big = inter_schur(pp((1 << 15) - 1), VariableSpec(0, 1), "tableau")
+    assert big == v(1, 0, (1 << 15) - 1) and big._bound == (1 << 15) - 1
+    with pytest.raises(ExponentOverflow):
+        inter_schur(pp(1 << 15), VariableSpec(0, 2), "tableau")
+
+
+def test_tableau_route_builds_no_tableau(monkeypatch):
+    import qsym.tableaux as tableaux
+
+    def refuse(*args):
+        raise AssertionError("a tableau was built")
+
+    expect = inter_schur(pp(3, 2), VariableSpec(1, 2), "tableau")
+    monkeypatch.setattr(tableaux, "SpTableau", refuse)
+    with pytest.raises(AssertionError):
+        next(enum_spt(VariableSpec(1, 2), pp(3, 2)))
+    assert inter_schur(pp(3, 2), VariableSpec(1, 2), "tableau") == expect
 
 
 def test_inter_schur_row_limit():

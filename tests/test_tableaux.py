@@ -1,6 +1,8 @@
 import hashlib
 import operator
+import re
 import tracemalloc
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -22,7 +24,9 @@ from qsym import (
 from qsym import checks
 from qsym.checks import partitions_up_to_weight, qi_cases, specs_up_to
 from qsym.shapes import enum_strict_between, shifted_cells
-from qsym.errors import NotContained
+from qsym.errors import ExponentOverflow, NotContained, TermBudgetExceeded
+from qsym.ring import _pack
+from qsym.tableaux import spt_weight_counts
 
 L = letter
 
@@ -417,3 +421,71 @@ def test_a_small_memo_cap_keeps_the_streams(monkeypatch, size):
     got = [list(enum_qt(spec, lam, mu)) for lam, mu, spec in shapes]
     got += [list(enum_spt(spec, lam)) for lam, spec in spt_shapes]
     assert all(expect) and got == expect
+
+
+@pytest.mark.parametrize("enum", [enum_qt, enum_spt])
+def test_a_long_row_costs_linear_memory(enum):
+    # one row on (0, 1): a filling that kept the letters left of every cell
+    # peaked at 16 MB at 2,000 cells and at 15.6 times that at 8,000
+    shape = sp if enum is enum_qt else (lambda n: Partition((n,)))
+    small, large = (_peak_traced_bytes(enum(VariableSpec(0, 1), shape(n))) for n in (2000, 8000))
+    assert large < 6 * small
+
+
+def _counted_stream(spec, outer, inner):
+    """The oracle: the enum_spt stream's weights, counted as packed keys."""
+    return dict(Counter(_pack(spt_weight(t, spec)) for t in enum_spt(spec, outer, inner)))
+
+
+def _packed_count_cases():
+    # the schur_checks cases, straight shapes with at most n rows
+    for lam in partitions_up_to_weight(5):
+        for spec in specs_up_to(4):
+            if lam.length <= spec.n:
+                yield spec, lam, Partition()
+    # every ordered pair of shapes of weight <= 4, contained or not, with the
+    # empty shape and shapes with more rows than the alphabet among them
+    shapes = partitions_up_to_weight(4)
+    for outer in shapes:
+        for inner in shapes:
+            for spec in specs_up_to(3):
+                yield spec, outer, inner
+
+
+@pytest.mark.parametrize("size", [None, 0, 6, 40])
+def test_packed_weight_counts_equal_the_counted_stream(monkeypatch, size):
+    import qsym.tableaux as tableaux
+
+    cases = list(_packed_count_cases())
+    expect = [_counted_stream(*case) for case in cases]
+    if size is not None:
+        # the memo streams its (row key, count) pairs unkept, and empties
+        # itself, on nearly every visit
+        monkeypatch.setattr(tableaux, "_MEMO_SIZE", size)
+    assert [spt_weight_counts(*case) for case in cases] == expect
+    assert spt_weight_counts(VariableSpec(0, 0), Partition()) == {0: 1}
+    assert spt_weight_counts(VariableSpec(1, 0), Partition((1, 1))) == {}
+
+
+def test_packed_weight_counts_stop_within_one_batch_of_the_budget(monkeypatch):
+    # the last row is one cell, so one batch adds at most one key per letter
+    spec, lam = VariableSpec(2, 1), Partition((4, 3, 1))
+    terms, letters = len(spt_weight_counts(spec, lam)), len(spec.unprimed_alphabet())
+    budget = 10
+    assert terms > budget + letters
+    monkeypatch.setenv("QSYM_MAX_TERMS", str(budget))
+    with pytest.raises(TermBudgetExceeded, match="QSYM_MAX_TERMS=10") as info:
+        spt_weight_counts(spec, lam)
+    (reached,) = map(int, re.findall(r"has (\d+) terms", str(info.value)))
+    assert budget < reached <= budget + letters
+
+
+def test_packed_weights_overflow_instead_of_carrying():
+    # x1^32768 in a 16-bit field would read as x1^-32768 * x2
+    for spec in (VariableSpec(0, 2), VariableSpec(1, 0)):
+        with pytest.raises(ExponentOverflow):
+            spt_weight_counts(spec, Partition((1 << 15,)))
+    assert spt_weight_counts(VariableSpec(0, 1), Partition(((1 << 15) - 1,))) == {(1 << 15) - 1: 1}
+    # the guard counts the columns that hold cells, not the outer shape's first part
+    one_cell = spt_weight_counts(VariableSpec(0, 2), Partition((40000,)), Partition((39999,)))
+    assert one_cell == {_pack((1, 0)): 1, _pack((0, 1)): 1}
