@@ -85,16 +85,6 @@ def _unpack(key: int, n: int) -> Monomial:
     return tuple([((key >> s) & _MASK) - _LIMIT for s in range(0, _BITS * n, _BITS)])
 
 
-def term_sort_key(exps: Monomial):
-    """Canonical term order: by leading variable, then exponent descending.
-
-    Sorting by this key puts x1-led terms before x2-led ones and, within a
-    variable, positive powers before negative ones, e.g. x1, x1^-1, x2.
-    `LaurentPoly.sorted_terms` sorts by an int that orders terms the same way.
-    """
-    return tuple((i, -e) for i, e in enumerate(exps) if e)
-
-
 # os.environ keeps the encoded environment in `_data`.  A get there is one
 # dict lookup, where os.environ.get raises and catches a KeyError whenever the
 # variable is unset.  Both stay current under os.environ writes.
@@ -337,19 +327,26 @@ class LaurentPoly:
     # -- serialization -----------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
-        """Terms in `term_sort_key` order."""
+        """Terms in the canonical order.
+
+        A term reads as its nonzero exponents from x1 on.  Two terms compare
+        where those first differ: the lower variable first, at one variable
+        the higher exponent first, and a term that ends there before one that
+        goes on.  So the constant comes first, x1-led terms come before
+        x2-led ones, and x1^2, x1, x1*x2, x1^-1, x2 are in order.
+        """
         n = self.n
         return [(row[:n], row[n]) for row in self._sorted_rows()]
 
     def _sorted_rows(self) -> list[tuple[int, ...]]:
-        """One tuple (e1, ..., en, c) per term, in `term_sort_key` order.
+        """One tuple (e1, ..., en, c) per term, in `sorted_terms` order.
 
         The sort key is an int with one 17-bit digit per variable, x1 the
         most significant: _LIMIT - e for an exponent e != 0, and for a zero
         2^16 when a nonzero exponent follows it, else 0.  Where two terms
         first differ, a nonzero exponent e sorts by -e, before a zero that
         a later variable follows and after one that ends the term, exactly
-        as the tuples of `term_sort_key` compare.
+        as that order compares them.
         """
         n = self.n
         bias = _bias(n)

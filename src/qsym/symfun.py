@@ -12,6 +12,23 @@ of prod 1/(1 - x z); everything else is a determinant in the h_r (or e_r).
 The symplectic determinant's global 1/2 is realized structurally: its first
 column is twice h, so that column is written halved and no division ever
 happens.
+
+Two module-level caches live here, for the life of the process, because
+`symp_schur` and `inter_schur` take no context and every caller (the CLI,
+`verify`, the benchmark) calls them without one:
+
+  _H_CACHE    the h-series of each alphabet, grown as `grow_series` says
+  _SP_CACHE   the final value sp_mu on the k-pair alphabet x1^+-1, ..., xk^+-1,
+              keyed by (mu.parts, k); no minor and no h-entry is kept
+
+sp_mu depends only on mu and k, never on the outer shape or on m, and a
+polynomial on k variables embeds at offset 0 into any n >= k by sharing its
+terms, so one entry serves `symp_schur(mu, k)` and the factor of every
+`inter_schur` on k pairs.  Each hit is re-checked against QSYM_MAX_TERMS as
+it is embedded, as a fresh value is when it is built; a budget that only an
+intermediate of the determinant passes stops a fresh value but not a hit.
+`symp_schur_on` itself keeps nothing, so the combined-alphabet side of
+`check_union_identity` stays a fresh determinant.
 """
 
 from __future__ import annotations
@@ -137,11 +154,24 @@ def symp_schur_on(lam: Partition, a: Alphabet) -> LaurentPoly:
     return determinant(RingMatrix.from_rows(rows), a.nvars)
 
 
+_SP_CACHE: dict[tuple[tuple[int, ...], int], LaurentPoly] = {}
+
+
+def _symp_on_pairs(lam: Partition, k: int, n: int) -> LaurentPoly:
+    """sp_lam on x1^+-1, ..., xk^+-1 in an n-variable ring, n >= k, read
+    from _SP_CACHE; the embed checks the term budget on a hit too."""
+    key = (lam.parts, k)
+    value = _SP_CACHE.get(key)
+    if value is None:
+        value = _SP_CACHE[key] = symp_schur_on(lam, Alphabet.symplectic(k))
+    return value.embed(n)
+
+
 def symp_schur(lam: Partition, k: int) -> LaurentPoly:
     """Symplectic Schur polynomial on k variable pairs; needs at most k rows."""
     if lam.length > k:
         raise PreconditionError(f"{lam.length} rows on {k} symplectic pairs")
-    return symp_schur_on(lam, Alphabet.symplectic(k))
+    return _symp_on_pairs(lam, k, k)
 
 
 def inter_schur(lam: Partition, spec: VariableSpec, method: str = "definition") -> LaurentPoly:
@@ -149,7 +179,11 @@ def inter_schur(lam: Partition, spec: VariableSpec, method: str = "definition") 
 
     method="definition" sums symplectic-Schur times skew-Schur over inner
     shapes; inner shapes with more than k rows carry no symplectic character
-    and are skipped.  method="tableau" sums weights over the unprimed tableau
+    and are skipped.  Each factor sp_mu is computed once per process on the
+    k pairs alone, kept in _SP_CACHE under (mu.parts, k) and embedded into
+    the n variables at offset 0, since it depends on neither lam nor m.
+
+    method="tableau" sums weights over the unprimed tableau
     family: the polynomial's terms are the packed weight counts of
     `spt_weight_counts`, made by enum_spt's walk without building a tableau.
     Their exponent bound is lam_1: row i filled with the letter i is a
@@ -164,13 +198,12 @@ def inter_schur(lam: Partition, spec: VariableSpec, method: str = "definition") 
         return _poly(n, spt_weight_counts(spec, lam), lam.part(1))
     if method != "definition":
         raise ValueError(f"unknown method {method!r}")
-    symp_alpha = Alphabet.symplectic(spec.k, nvars=n)
     a_alpha = Alphabet.type_a(spec.m, nvars=n, offset=spec.k)
     terms = []
     for mu in lam.subpartitions():
         if mu.length > spec.k:
             continue
-        c_part = symp_schur_on(mu, symp_alpha)
+        c_part = _symp_on_pairs(mu, spec.k, n)
         if c_part.is_zero():
             continue
         a_part = schur_skew(lam, mu, a_alpha)

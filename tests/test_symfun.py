@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+import qsym.symfun as symfun
 from qsym import (
     Alphabet,
     LaurentPoly,
@@ -18,7 +21,8 @@ from qsym import (
     symp_schur,
 )
 from qsym.checks import partitions_up_to_weight, specs_up_to
-from qsym.errors import ExponentOverflow
+from qsym.cli import main
+from qsym.errors import ExponentOverflow, TermBudgetExceeded
 from qsym.symfun import _H_CACHE
 
 
@@ -144,6 +148,61 @@ def test_tableau_route_builds_no_tableau(monkeypatch):
     with pytest.raises(AssertionError):
         next(enum_spt(VariableSpec(1, 2), pp(3, 2)))
     assert inter_schur(pp(3, 2), VariableSpec(1, 2), "tableau") == expect
+
+
+def test_each_symplectic_factor_is_one_determinant(monkeypatch):
+    # over the schur_checks cases, from an empty memo: one determinant per
+    # distinct (mu, k), on the k-pair alphabet, and definition = tableau
+    # while the memo fills and again once it is full
+    monkeypatch.setattr(symfun, "_SP_CACHE", {})
+    fresh = symfun.symp_schur_on
+    calls = Counter()
+
+    def counted(lam, a):
+        calls[lam.parts, a] += 1
+        return fresh(lam, a)
+
+    monkeypatch.setattr(symfun, "symp_schur_on", counted)
+    cases = [
+        (lam, spec)
+        for lam in partitions_up_to_weight(5)
+        for spec in specs_up_to(4)
+        if lam.length <= spec.n
+    ]
+    for _ in ("cold", "warm"):
+        for lam, spec in cases:
+            assert inter_schur(lam, spec, "definition") == inter_schur(lam, spec, "tableau")
+    factors = {
+        (mu.parts, spec.k)
+        for lam, spec in cases
+        for mu in lam.subpartitions()
+        if mu.length <= spec.k
+    }
+    assert set(symfun._SP_CACHE) == factors
+    assert calls == Counter({(parts, Alphabet.symplectic(k)): 1 for parts, k in factors})
+    for (parts, k), value in symfun._SP_CACHE.items():
+        assert value == fresh(Partition(parts), Alphabet.symplectic(k))
+
+
+def test_a_memo_hit_meets_the_term_budget(monkeypatch, capsys):
+    lam, spec = pp(2, 1), VariableSpec(2, 1)
+    terms = len(symp_schur(lam, 2).terms)
+    inter_schur(lam, spec, "definition")
+
+    def refuse(*args):
+        raise AssertionError("a hit must not run the determinant")
+
+    monkeypatch.setattr(symfun, "symp_schur_on", refuse)
+    monkeypatch.setenv("QSYM_MAX_TERMS", str(terms - 1))
+    with pytest.raises(TermBudgetExceeded):
+        symp_schur(lam, 2)
+    with pytest.raises(TermBudgetExceeded):
+        inter_schur(lam, spec, "definition")
+    code = main(["compute", "--family", "symp-schur", "--lambda", "2,1", "--k", "2"])
+    assert code == 3
+    assert f"QSYM_MAX_TERMS={terms - 1}" in capsys.readouterr().err
+    monkeypatch.setenv("QSYM_MAX_TERMS", str(terms))
+    assert len(symp_schur(lam, 2).terms) == terms
 
 
 def test_inter_schur_row_limit():
