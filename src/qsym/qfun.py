@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .errors import PreconditionError
 from .linalg import RingMatrix, determinant, pfaffian
-from .ring import LaurentPoly, grow_series, sum_of_products
+from .ring import GrowingSeries, LaurentPoly, grow_series, sum_of_products
 from .shapes import EMPTY, StrictPartition, enum_strict_between, pad_for_pfaffian
 from .symfun import Alphabet
 from .tableaux import VariableSpec, enum_qt, qt_weight
@@ -37,7 +37,7 @@ class QContext:
     themselves are immutable and safe to share."""
 
     cache: dict = field(default_factory=dict)
-    row_series: dict[VariableSpec, list[LaurentPoly]] = field(default_factory=dict)
+    row_series: dict[VariableSpec, GrowingSeries] = field(default_factory=dict)
 
 
 def _ctx(ctx: QContext | None) -> QContext:
@@ -52,11 +52,10 @@ def q_row(l: int, spec: VariableSpec, ctx: QContext | None = None) -> LaurentPol
         return LaurentPoly.zero(n)
     ctx = _ctx(ctx)
     series = ctx.row_series.get(spec)
-    if series is None or len(series) <= l:
+    if series is None:
         monos = list(Alphabet.mixed(spec).monomials)
-        series = grow_series(series, l, monos, monos, n)
-        ctx.row_series[spec] = series
-    return series[l]
+        series = ctx.row_series[spec] = GrowingSeries(monos, monos, n)
+    return series.coeffs[l] if l < len(series.coeffs) else grow_series(series, l)
 
 
 def qA_two_row(r: int, s: int, n: int, ctx: QContext | None = None) -> LaurentPoly:

@@ -33,7 +33,7 @@ accumulator: `from_exponents` counts exponent tuples, and
 Exponent tuples (Monomial, one exponent per variable) appear only at the
 edges: the constructor `LaurentPoly(n, {Monomial: int})`, `from_exponents`,
 `monomial`, `variable`, `mul_linear`, `series_from_linear_factors` and
-`grow_series` take them; `sorted_terms`, `str`, `to_json`, `from_json` and
+`GrowingSeries` take them; `sorted_terms`, `str`, `to_json`, `from_json` and
 `parse_poly` give or read them.
 
 Values are immutable after construction and safe to share.  The variable
@@ -509,6 +509,50 @@ class TruncatedSeries:
         return isinstance(other, TruncatedSeries) and self.coeffs == other.coeffs
 
 
+class GrowingSeries:
+    """prod(1 + u z) / prod(1 - v z) as far as `grow_series` has taken it:
+    the coefficients through z^d and, in `tops`, the z^d coefficient S_i[d]
+    of each partial product S_i over the first i factors, numerators first."""
+
+    __slots__ = ("coeffs", "factors", "tops")
+
+    def __init__(self, numerators: list[Monomial], denominators: list[Monomial], nvars: int):
+        one = LaurentPoly.one(nvars)
+        self.factors = [(LaurentPoly.monomial(nvars, u), True) for u in numerators] + [
+            (LaurentPoly.monomial(nvars, v), False) for v in denominators
+        ]
+        self.coeffs = [one]
+        self.tops = [one] * len(self.factors)
+
+
+def grow_series(series: GrowingSeries, degree: int) -> LaurentPoly:
+    """The z^degree coefficient of `series`, extended exactly that far from
+    where it stopped.  Degree d takes S_i[d] = S_{i-1}[d] + w_i S_{i-1}[d-1]
+    for a numerator w_i and S_{i-1}[d] + w_i S_i[d-1] for a denominator, and
+    is stored only once all of it is built: a raise (TermBudgetExceeded)
+    leaves the series whole at its last degree, and any order of asks does
+    the ring work of one expansion to the largest degree.  ExponentOverflow
+    comes first, when degree * max |e| over the denominators reaches 2^15."""
+    coeffs = series.coeffs
+    reach = degree * max((w._bound for w, numer in series.factors if not numer), default=0)
+    if reach >= _LIMIT:
+        raise ExponentOverflow(
+            f"the z^{degree} coefficient's exponents may reach {reach}, the limit is {_LIMIT - 1}"
+        )
+    n = coeffs[0].n
+    one, zero = LaurentPoly.one(n), LaurentPoly.zero(n)
+    for d in range(len(coeffs), degree + 1):
+        g, below = zero, one if d == 1 else zero  # S_0[d] and S_0[d-1]
+        tops = []
+        for (w, numer), top in zip(series.factors, series.tops):
+            g = sum_of_products(n, ((g, one, 1), (below if numer else top, w, 1)))
+            below = top
+            tops.append(g)
+        series.tops = tops
+        coeffs.append(g)
+    return coeffs[degree]
+
+
 def series_from_linear_factors(
     numerators: list[Monomial],
     denominators: list[Monomial],
@@ -518,58 +562,13 @@ def series_from_linear_factors(
     """Expand prod(1 + u z) / prod(1 - v z) exactly to order z^degree.
 
     u ranges over `numerators` and v over `denominators`; both are monomials
-    in an nvars-variable ring.  The z^degree coefficient may hold the
-    degree-th power of a denominator, so ExponentOverflow is raised before
-    any coefficient is built when degree * max |e| over the denominators
-    reaches 2^15.
+    in an nvars-variable ring.  This is `grow_series` on a fresh series, so
+    ExponentOverflow is raised before any coefficient is built when degree *
+    max |e| over the denominators reaches 2^15, and a cached series grown to
+    `degree` by any asks holds the same coefficients.
     """
     if degree < 0:
         raise ValueError("degree bound must be nonnegative")
-    reach = degree * max((abs(e) for v in denominators for e in v), default=0)
-    if reach >= _LIMIT:
-        raise ExponentOverflow(
-            f"the z^{degree} coefficient's exponents may reach {reach}, the limit is {_LIMIT - 1}"
-        )
-    one = LaurentPoly.one(nvars)
-    coeffs = [one] + [LaurentPoly.zero(nvars)] * degree
-    for u in numerators:
-        up = LaurentPoly.monomial(nvars, u)
-        for d in range(degree, 0, -1):
-            coeffs[d] = sum_of_products(nvars, ((coeffs[d], one, 1), (coeffs[d - 1], up, 1)))
-    for v in denominators:
-        vp = LaurentPoly.monomial(nvars, v)
-        # 1/(1 - v z): c'[d] = c[d] + v * c'[d-1], ascending so c'[d-1] is final
-        for d in range(1, degree + 1):
-            coeffs[d] = sum_of_products(nvars, ((coeffs[d], one, 1), (coeffs[d - 1], vp, 1)))
-    return TruncatedSeries(tuple(coeffs))
-
-
-def grow_series(
-    cached: list[LaurentPoly] | None,
-    degree: int,
-    numerators: list[Monomial],
-    denominators: list[Monomial],
-    nvars: int,
-) -> list[LaurentPoly]:
-    """The coefficients of series_from_linear_factors through at least
-    z^degree, for a cache of the series that holds `cached` (None if empty).
-
-    The expansion goes to max(degree, 8, twice the cached degree): asking
-    for each next degree in turn then expands O(log degree) times, not
-    degree times.  Every term of the z^d coefficient is a product of d of
-    the monomials, so the doubled degree is cut to the largest d whose
-    exponents stay below 2^15, never below `degree`.  When the doubled
-    expansion raises TermBudgetExceeded, it expands to exactly `degree` and
-    raises only if that fails too, so whether a call succeeds does not
-    depend on what the cache held."""
-    grown = max(degree, 8, 2 * (len(cached) - 1) if cached else 0)
-    widest = max((abs(e) for v in (*numerators, *denominators) for e in v), default=0)
-    if widest:
-        grown = max(degree, min(grown, (_LIMIT - 1) // widest))
-    try:
-        series = series_from_linear_factors(numerators, denominators, grown, nvars)
-    except TermBudgetExceeded:
-        if grown == degree:
-            raise
-        series = series_from_linear_factors(numerators, denominators, degree, nvars)
-    return list(series.coeffs)
+    series = GrowingSeries(numerators, denominators, nvars)
+    grow_series(series, degree)
+    return TruncatedSeries(tuple(series.coeffs))

@@ -17,7 +17,7 @@ Two module-level caches live here, for the life of the process, because
 `symp_schur` and `inter_schur` take no context and every caller (the CLI,
 `verify`, the benchmark) calls them without one:
 
-  _H_CACHE    the h-series of each alphabet, grown as `grow_series` says
+  _H_CACHE    the h-series of each alphabet, grown exactly as far as asked
   _SP_CACHE   the final value sp_mu on the k-pair alphabet x1^+-1, ..., xk^+-1,
               keyed by (mu.parts, k); no minor and no h-entry is kept
 
@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from .errors import PreconditionError
 from .linalg import RingMatrix, determinant
 from .ring import (
+    GrowingSeries,
     LaurentPoly,
     Monomial,
     _poly,
@@ -89,18 +90,17 @@ class Alphabet:
         return cls(n, tuple(monos))
 
 
-_H_CACHE: dict[Alphabet, list[LaurentPoly]] = {}
+_H_CACHE: dict[Alphabet, GrowingSeries] = {}
 
 
 def complete_h(r: int, a: Alphabet) -> LaurentPoly:
     """h_r on the alphabet; zero for r < 0, one for r = 0."""
     if r < 0:
         return LaurentPoly.zero(a.nvars)
-    cached = _H_CACHE.get(a)
-    if cached is None or len(cached) <= r:
-        cached = grow_series(cached, r, [], list(a.monomials), a.nvars)
-        _H_CACHE[a] = cached
-    return cached[r]
+    series = _H_CACHE.get(a)
+    if series is None:
+        series = _H_CACHE[a] = GrowingSeries([], list(a.monomials), a.nvars)
+    return series.coeffs[r] if r < len(series.coeffs) else grow_series(series, r)
 
 
 def elementary_e(r: int, a: Alphabet) -> LaurentPoly:

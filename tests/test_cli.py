@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 import qsym
 from qsym import LaurentPoly, QContext, StrictPartition, VariableSpec
-from qsym import cli, ring
+from qsym import qfun
 from qsym.checks import ROUTES, Route
 from qsym.cli import main
-from qsym.ring import TruncatedSeries, series_from_linear_factors
+from qsym.ring import grow_series
 
 
 def run(capsys, *argv):
@@ -105,24 +105,20 @@ def test_series_no_variables(capsys):
 
 
 def test_series_self_check_catches_a_wrong_coefficient(capsys, monkeypatch):
-    def wrong_z1(numerators, denominators, degree, nvars):
-        series = series_from_linear_factors(numerators, denominators, degree, nvars)
-        if not denominators:
-            return series
-        coeffs = list(series.coeffs)
-        coeffs[1] = coeffs[1] + LaurentPoly.one(nvars)
-        return TruncatedSeries(tuple(coeffs))
+    def wrong_z1(series, degree):
+        grown = grow_series(series, degree)
+        if degree == 1:
+            series.coeffs[1] = grown = grown + LaurentPoly.one(grown.n)
+        return grown
 
-    # the one-row values and the check's own expansion go wrong together
-    monkeypatch.setattr(ring, "series_from_linear_factors", wrong_z1)
-    monkeypatch.setattr(cli, "series_from_linear_factors", wrong_z1)
+    # the one-row values go wrong; the check's own expansion does not
+    monkeypatch.setattr(qfun, "grow_series", wrong_z1)
     code, _, err = run(capsys, "series", "--k", "1", "--degree", "3")
     assert code == 1
     assert "disagree" in err
 
 
-def test_series_past_the_doubling_limit(capsys):
-    # doubling the cached degree 16384 would pass the exponent limit 2^15
+def test_series_by_20001_one_degree_extensions(capsys):
     code, out, _ = run(capsys, "series", "--m", "1", "--degree", "20000")
     assert code == 0
     assert out.splitlines()[-1] == "2*x1^20000"

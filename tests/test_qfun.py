@@ -2,6 +2,7 @@ import pytest
 
 import qsym.lgv
 import qsym.qfun
+import qsym.ring
 import qsym.tableaux
 from qsym import (
     EMPTY,
@@ -25,7 +26,7 @@ from qsym import (
     q_single_var,
     qt_weight,
 )
-from qsym.checks import ROUTES
+from qsym.checks import ROUTES, specs_up_to
 from qsym.ring import _BATCH
 
 
@@ -177,24 +178,50 @@ def test_context_cache_matches_fresh():
     assert ("Idef", (3, 1), (1,), spec) in ctx.cache
 
 
-def test_grown_row_series_equals_fresh(monkeypatch):
-    # each ask is (degree, cached length after it)
-    for spec, asks, budget in [
-        # degree 8 first, then one past the cached degree doubles it: 16, 32
-        ((1, 1), [(3, 9), (9, 17), (16, 17), (17, 33), (19, 33)], None),
-        # doubling 16384 would pass the exponent limit 2^15, so it grows to 2^15 - 1
-        ((0, 1), [(16384, 16385), (20000, 32768), (20001, 32768)], None),
-        # doubling 16 would pass the budget (21,856 terms at degree 32), so it grows to 17
-        ((2, 2), [(16, 17), (17, 18)], "20000"),
-    ]:
-        with monkeypatch.context() as patch:
-            if budget:
-                patch.setenv("QSYM_MAX_TERMS", budget)
-            spec = VariableSpec(*spec)
-            ctx = QContext()
-            for l, size in asks:
-                assert q_row(l, spec, ctx) == q_row(l, spec, QContext())
-                assert len(ctx.row_series[spec]) == size
+def test_ascending_asks_do_the_ring_work_of_one_cold_growth(monkeypatch):
+    calls = 0
+    kernel = qsym.ring.sum_of_products
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(qsym.ring, "sum_of_products", counted)
+    for spec in specs_up_to(4):
+        ctx = QContext()
+        for l in range(15):
+            q_row(l, spec, ctx)
+        warm, calls = calls, 0
+        q_row(14, spec, QContext())
+        assert calls == warm
+        calls = 0
+
+
+def test_row_series_under_a_budget_equals_fresh(monkeypatch):
+    # up to q_row(20) (19,481 terms) each value fits; q_row(21) has 23,276
+    monkeypatch.setenv("QSYM_MAX_TERMS", "20000")
+    spec, ctx = VariableSpec(2, 2), QContext()
+    for l in range(16, 22):
+        try:
+            fresh = q_row(l, spec, QContext())
+        except TermBudgetExceeded:
+            with pytest.raises(TermBudgetExceeded):
+                q_row(l, spec, ctx)
+        else:
+            assert q_row(l, spec, ctx) == fresh
+
+
+def test_a_failed_growth_leaves_the_row_series_at_its_last_degree(monkeypatch):
+    spec, ctx = VariableSpec(2, 2), QContext()
+    fresh = q_row(17, spec, QContext())
+    q_row(16, spec, ctx)
+    monkeypatch.setenv("QSYM_MAX_TERMS", str(len(fresh.terms) - 1))
+    with pytest.raises(TermBudgetExceeded):
+        q_row(17, spec, ctx)
+    monkeypatch.delenv("QSYM_MAX_TERMS")
+    assert q_row(17, spec, ctx) == fresh
+    assert len(ctx.row_series[spec].coeffs) == 18
 
 
 def test_context_less_call_leaves_no_module_cache():

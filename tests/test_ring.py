@@ -15,7 +15,7 @@ from qsym import (
     series_from_linear_factors,
     sum_of_products,
 )
-from qsym.ring import _BATCH, grow_series
+from qsym.ring import _BATCH, GrowingSeries, grow_series
 
 
 def v(n, i, p=1):
@@ -290,13 +290,39 @@ def test_series_past_the_field_width_raises():
         series_from_linear_factors([], [(0, -2)], 2**14, 2)
 
 
-def test_grown_series_stops_below_the_field_width():
-    # doubling 2^13 on exponent 2 would reach 2^15, so the growth stops at 2^14 - 1
-    cached = grow_series(None, 2**13, [], [(2,)], 1)
-    assert len(cached) == 2**13 + 1
-    assert len(grow_series(cached, 2**13 + 1, [], [(2,)], 1)) == 2**14
+# ascending, descending, and each ask repeated after the others
+ask_orders = st.sampled_from(
+    [sorted, lambda asks: sorted(asks, reverse=True), lambda asks: asks * 2]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_grown_series_equals_fresh_in_any_ask_order(data):
+    n = data.draw(st.integers(1, 3))
+    mono = st.tuples(*[st.integers(-2, 2)] * n)
+    nums = data.draw(st.lists(mono, max_size=3))
+    dens = data.draw(st.lists(mono, max_size=3))
+    order = data.draw(ask_orders)
+    asks = order(data.draw(st.lists(st.integers(0, 8), min_size=1, max_size=5)))
+    top = max(asks)
+    fresh = series_from_linear_factors(nums, dens, top, n)
+    back = fresh
+    for den in dens:
+        back = back.mul_linear(den, -1)
+    assert back == series_from_linear_factors(nums, [], top, n)
+    series = GrowingSeries(nums, dens, n)
+    for d in asks:
+        assert grow_series(series, d) == fresh.coefficient(d)
+    assert len(series.coeffs) == top + 1
+
+
+def test_grown_series_past_the_field_width_raises_and_keeps_its_length():
+    series = GrowingSeries([], [(2,)], 1)
+    assert grow_series(series, 2**14 - 1) == v(1, 0, 2**15 - 2)
     with pytest.raises(ExponentOverflow):
-        grow_series(cached, 2**14, [], [(2,)], 1)
+        grow_series(series, 2**14)
+    assert len(series.coeffs) == 2**14
 
 
 def test_exponent_past_the_field_width_is_a_parse_error():

@@ -47,20 +47,17 @@ def test_complete_h_two_plain_vars():
     assert complete_h(2, a) == x1 * x1 + x1 * x2 + x2 * x2
 
 
-def test_grown_h_cache_equals_fresh():
-    # each ask is (degree, cached length after it)
-    for a, asks in [
-        # degree 8 first, then each growth doubles the cached degree: 16, 32
-        (Alphabet.type_a(2), [(1, 9), (8, 9), (9, 17), (17, 33), (20, 33)]),
-        # doubling 16384 would pass the exponent limit 2^15, so it grows to 2^15 - 1
-        (Alphabet.type_a(1), [(16384, 16385), (20000, 32768)]),
-    ]:
-        _H_CACHE.pop(a, None)
-        top = max(r for r, _ in asks)
-        fresh = series_from_linear_factors([], list(a.monomials), top, a.nvars).coeffs
-        for r, size in asks:
-            assert complete_h(r, a) == fresh[r]
-            assert len(_H_CACHE[a]) == size
+def test_a_failed_growth_leaves_the_h_series_at_its_last_degree(monkeypatch):
+    a = Alphabet.mixed(VariableSpec(2, 2))
+    fresh = series_from_linear_factors([], list(a.monomials), 17, a.nvars).coefficient(17)
+    _H_CACHE.pop(a, None)
+    complete_h(16, a)
+    monkeypatch.setenv("QSYM_MAX_TERMS", str(len(fresh.terms) - 1))
+    with pytest.raises(TermBudgetExceeded):
+        complete_h(17, a)
+    monkeypatch.delenv("QSYM_MAX_TERMS")
+    assert complete_h(17, a) == fresh
+    assert len(_H_CACHE[a].coeffs) == 18
 
 
 def test_elementary_e():
