@@ -25,41 +25,48 @@ On straight shapes ST3 forces every entry in row i, plain ones included, to
 be at least the letter i; scoping it to symplectic letters is what makes the
 k = 0 family of a skew shape the plain semistandard one.
 
-Enumerators fill cells row-major and backtrack in one generator frame, and
-every rule above is checkable against the left and upper neighbours plus
-per-row/per-column records, so the streams are duplicate-free by
-construction.  Both work on ranks: a letter is its position in its alphabet
-list, which is sorted, so the order of letters is the order of ints, and
-Letter objects are looked up only to build finished rows.
+One backtracker, _walk, enumerates both families.  It fills cells
+row-major and backtracks in one generator frame, on ranks: a letter is its
+position in its alphabet list, which is sorted, so the order of letters is
+the order of ints, and Letter objects are looked up only to build finished
+rows.  Every rule above is a floor on a cell's rank, and a cell's lowest
+rank is the largest of four:
 
-  enum_qt   QT1/QT2 give a lowest rank from the neighbours, QT5 raises it
-            past the index of the previous diagonal cell, and QT3/QT4 are
-            an int bitmask of the primed ranks per row and of the unprimed
-            ranks per column.
-  enum_spt  ST1-ST3 are all floors: the left neighbour's rank, one past the
-            upper neighbour's, and the ST3 floor of row i: the rank of the
+  left      the left neighbour's rank, one past it when that letter is
+            primed (QT1, QT3, ST1);
+  up        the upper neighbour's rank, one past it when that letter is
+            unprimed (QT2, QT4, ST2);
+  diagonal  on a shifted shape, the first rank whose index exceeds that of
+            the previous diagonal cell (QT5); a diagonal cell starts its
+            row, so it reads this floor where other cells read the left one;
+  row       a constant per row: the ST3 floor of row i, the rank of the
             unbarred letter i when i <= k, of the first plain letter when
-            i > k.  Every rank from the highest floor to the end of the
-            alphabet is legal, so nothing is rejected.
+            i > k; 0 in the primed family.
 
-Both walk cell by cell only down to the first cell of the last non-empty
-row.  Every filling of that row depends only on its first cell's lowest
-rank, the floors that the upper neighbours set on its other cells, and, in
-enum_qt, the unprimed ranks already in its columns (its own primed record
-is still empty), so the walk fills the row in one step from a memo keyed
-by exactly those ints.  The memo lives in the call, and its value depends
-on the consumer.  For a tableau stream it is the list of the row's
-fillings as tuples of letters, in ascending rank order, so each tableau of
-a batch is the rows above plus one row of the list, and the stream is the
-one a cell-by-cell walk of that row gives; the rows above are rebuilt once
-per batch, from that of the lowest cell assigned since the previous batch
-down.  The memo pays when keys repeat, that is when the last row is short
-next to the rows above (in the sweep of shapes (4, 3, 2) and below, 95 % of
-last-row visits hit).
+Every rank from that floor to the end of the alphabet is legal, so nothing
+is rejected and the streams are duplicate-free by construction.  QT3 and
+QT4 need no record of the letters in a row or a column: every row and every
+column of a skew shifted shape or skew diagram is one run of consecutive
+cells, and its entries weakly increase, so a second i' in a row, or a second
+unprimed i in a column, could only sit next to the first.
 
-The unprimed walk, _spt_walk, has two consumers.  enum_spt takes its
-tableaux.  spt_weight_counts takes only their weights, counted on the
-ring's packed monomial keys (see ring): the rows above carry a running
+The walk goes cell by cell only down to the first cell of the last non-empty
+row.  Every filling of that row depends only on the floors set on its cells
+from outside it: its first cell's lowest rank, and on each other cell the
+larger of the up floor and the row floor.  So the walk fills the row in one
+step from a memo keyed by exactly those ints, one per cell of the row.  The
+memo lives in the call, and its value depends on the consumer.  For a
+tableau stream, in enum_qt and enum_spt, it is the list of the row's
+fillings as tuples of letters, each followed by the empty rows below, in
+ascending rank order, so each tableau of a batch is the rows above plus one
+item of the list, and the stream is the one a cell-by-cell walk of that row
+gives; the rows above are rebuilt once per batch, from that of the lowest
+cell assigned since the previous batch down.  The memo pays when keys
+repeat, that is when the last row is short next to the rows above (in the
+sweep of shapes (4, 3, 2) and below, 99 % of enum_qt's last-row visits hit).
+
+spt_weight_counts takes only the weights of enum_spt's tableaux, counted on
+the ring's packed monomial keys (see ring): the rows above carry a running
 packed weight, one int add per rank, from each letter's packed weight; the
 memo value is the list of (row key, count) pairs, one per distinct weight
 of the row; and each batch adds one key per pair, so no tableau and no
@@ -83,16 +90,17 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ExponentOverflow, NotContained
 from .ring import _LIMIT, Monomial, _over_budget, _pack, _term_budget
-from .shapes import EMPTY, Partition, SkewShiftedShape, StrictPartition, shifted_cells
+from .shapes import EMPTY, Partition, StrictPartition, shifted_cells
 
-# the most key ints plus row letters that the last-row memo of one
-# enum_qt/enum_spt call holds; the largest sweep case, shifted (4, 3), needs
-# about 60,000
+# the most key ints plus row letters that the last-row memo of one _walk
+# call holds; uncapped, enum_qt's largest sweep case, shifted (4, 3)/(1) on
+# (3, 0), would reach about 14,300, and enum_spt's largest straight shape of
+# weight <= 7 on <= 4 variables, (7) on (4, 0), about 24,000
 _MEMO_SIZE = 1 << 16
 
 
@@ -204,25 +212,17 @@ def spt_weight(t: SpTableau, spec: VariableSpec) -> Monomial:
     return _letter_weight(t.rows, spec)
 
 
-def _row_starts(row_ranges: list) -> list[int]:
-    """Cell positions where each row starts in row-major order, then the cell count."""
-    starts = [0]
-    for cols in row_ranges:
-        starts.append(starts[-1] + len(cols))
-    return starts
-
-
-def _row_fillings(
-    floors: Sequence[int], cols: Sequence[int], primed: list[bool]
-) -> Iterator[list[int]]:
+def _row_fillings(floors: Sequence[int], primed: list[bool]) -> Iterator[list[int]]:
     """Every filling of one row, in ascending rank order, as its list of ranks.
 
-    Cell p takes a rank of at least floors[p] and at least its left
-    neighbour's, one past it when that is primed (a row holds a primed
-    letter once), and an unprimed rank only when it is not in the column
-    mask cols[p].  The fillings are made one at a time, and each is the same
-    list, changed in place by the next step, so a consumer reads it at once;
-    the memory held is linear in the row's length.
+    floors[p] is the floor set on cell p from outside the row, and the
+    floors are the last-row memo's key.  Cell p takes any rank from the
+    larger of floors[p] and the floor its left neighbour sets, that
+    neighbour's rank, one past it when its letter is primed (QT3), to the
+    end of the alphabet: with every rule a floor, nothing is rejected.  The
+    fillings are made one at a time, and each is the same list, changed in
+    place by the next step, so a consumer reads it at once; the memory held
+    is linear in the row's length.
 
     Cell p's options are fixed by its left neighbour's rank alone, and a
     higher left rank leaves it fewer, so when a rank of cell p leads to no
@@ -236,9 +236,7 @@ def _row_fillings(
     p, r, made = 0, floors[0], 0
     while True:
         if r < n_letters:
-            if not primed[r] and cols[p] >> r & 1:
-                r += 1
-            elif p < last:
+            if p < last:
                 rank[p], made_at[p] = r, made
                 p += 1
                 r = max(r + primed[r], floors[p])
@@ -289,6 +287,119 @@ class _LastRowMemo:
         return head
 
 
+def _walk(
+    spec: VariableSpec,
+    shifted: bool,
+    row_ranges: Sequence[Sequence[int]],
+    row_floors: Sequence[int],
+    packed: bool,
+) -> Iterator:
+    """The one backtracker of both tableau families: the primed alphabet on
+    a skew shifted shape (shifted True) or the unprimed one on an ordinary
+    skew diagram, with row_ranges[i] the columns of row i + 1 and
+    row_floors[i] the lowest rank ST3 allows in it.
+
+    Yields one batch per last-row visit that has fillings, as (head, items).
+    Unpacked, head is the tuple of the rows above the last non-empty row,
+    and each item is the rest of one tableau: a filling of that row followed
+    by the empty rows below it.  Packed, head is the packed weight of the
+    rows above, and each item is a (row key, count) pair, one per distinct
+    weight of the row's fillings.
+    """
+    cells = [(i + 1, j) for i, cols in enumerate(row_ranges) for j in cols]
+    if not cells:
+        yield (0, [(0, 1)]) if packed else ((), [((),) * len(row_ranges)])
+        return
+
+    alphabet = spec.primed_alphabet() if shifted else spec.unprimed_alphabet()
+    n_letters = len(alphabet)
+    primed = [x.primed for x in alphabet]
+    # the floor that a cell of rank r sets on the cell right of it (QT1,
+    # QT3, ST1) and on the cell below it (QT2, QT4, ST2); each table ends in
+    # a 0, read at rank -1, the rank of an absent cell
+    from_left = [r + p for r, p in enumerate(primed)] + [0]
+    from_up = [r + 1 - p for r, p in enumerate(primed)] + [0]
+    # delta[r]: the packed weight of rank r's letter
+    delta = [_pack(_letter_weight(((x,),), spec)) for x in alphabet]
+    n = len(cells)
+    at = {cell: pos for pos, cell in enumerate(cells)}
+    # per cell: its row, its ST3 floor, the position of its upper neighbour,
+    # and the position and floor table of the cell that bounds it from the
+    # left; n when absent, where rank[n] = -1
+    row_of = [i - 1 for i, _ in cells]
+    cell_floor = [row_floors[i - 1] for i, _ in cells]
+    up = [at.get((i - 1, j), n) for i, j in cells]
+    left = [at.get((i, j - 1), n) for i, j in cells]
+    left_floor = [from_left] * n
+    if shifted:
+        # QT5: a diagonal cell starts its row, so its left slot takes the
+        # previous diagonal cell, whose rank r sets the floor from_diag[r],
+        # the first rank of a higher index
+        from_diag = [
+            next((s for s in range(r, n_letters) if alphabet[s].index > x.index), n_letters)
+            for r, x in enumerate(alphabet)
+        ] + [0]
+        diag = n
+        for pos, (i, j) in enumerate(cells):
+            if i == j:
+                left[pos], left_floor[pos], diag = diag, from_diag, pos
+    # starts[i]: the position of row i + 1's first cell
+    starts = list(accumulate(map(len, row_ranges), initial=0))
+    # the last non-empty row, its first cell, its ST3 floor and the empty
+    # rows below it
+    last = max(i for i, cols in enumerate(row_ranges) if cols)
+    first = starts[last]
+    tail = ((),) * (len(row_ranges) - last - 1)
+    row_ups, row_floor = up[first + 1 :], row_floors[last]
+    rows = [()] * last
+    get, weigh = alphabet.__getitem__, delta.__getitem__
+
+    # weight[p]: the packed weight of the cells before cell p
+    rank, weight = [0] * n + [-1], [0] * (first + 1)
+    memo = _LastRowMemo(2 if packed else n - first)
+    items_of = memo.lists
+    pos, r, low = 0, cell_floor[0], 0
+    while True:
+        if pos == first:
+            # the last row in one step, keyed by the floors of its cells
+            key = (r, *[max(from_up[rank[u]], row_floor) for u in row_ups])
+            items = items_of.get(key)
+            if items is None:
+                fillings = _row_fillings(key, primed)
+                if packed:
+                    stream = iter(Counter([sum(map(weigh, f)) for f in fillings]).items())
+                else:
+                    stream = ((tuple(map(get, f)),) + tail for f in fillings)
+                items = memo.fill(key, stream)
+            if items:
+                if packed:
+                    yield weight[first], items
+                else:
+                    # rebuild the rows from that of the lowest cell
+                    # assigned since the last batch down
+                    for i in range(row_of[low], last):
+                        rows[i] = tuple(map(get, rank[starts[i] : starts[i + 1]]))
+                    yield tuple(rows), items
+                low = pos
+        elif r < n_letters:
+            rank[pos] = r
+            weight[pos + 1] = weight[pos] + delta[r]
+            pos += 1
+            r = left_floor[pos][rank[left[pos]]]
+            u = from_up[rank[up[pos]]]
+            if u > r:
+                r = u
+            if cell_floor[pos] > r:
+                r = cell_floor[pos]
+            continue
+        if not pos:
+            return
+        pos -= 1
+        if pos < low:
+            low = pos
+        r = rank[pos] + 1
+
+
 def enum_qt(
     spec: VariableSpec, lam: StrictPartition, mu: StrictPartition = EMPTY
 ) -> Iterator[PrimedTableau]:
@@ -297,111 +408,26 @@ def enum_qt(
     Empty stream when mu is not contained in lam.  With k = 0 this is the
     marked shifted tableau family, with m = 0 the symplectic primed shifted
     one.  Shapes with more rows than the alphabet can serve are legal input;
-    the diagonal rule then thins the stream, often to empty.
+    the diagonal rule then thins the stream, often to empty.  The stream is
+    _walk's on the shape's rows, with every row floor 0.
     """
     try:
-        shape = shifted_cells(lam, mu)
+        row_ranges = shifted_cells(lam, mu).rows()
     except NotContained:
         return
-    row_ranges = shape.rows()
-    cells = [(i + 1, j) for i, cols in enumerate(row_ranges) for j in cols]
-    if not cells:
-        yield PrimedTableau(lam, mu, tuple(() for _ in row_ranges))
-        return
-
-    alphabet = spec.primed_alphabet()
-    n_letters = len(alphabet)
-    primed = [x.primed for x in alphabet]
-    # above[r]: the first rank whose letter index exceeds that of rank r
-    above = [
-        next((s for s in range(r, n_letters) if alphabet[s].index > x.index), n_letters)
-        for r, x in enumerate(alphabet)
-    ]
-    n = len(cells)
-    at = {cell: pos for pos, cell in enumerate(cells)}
-    # per cell: positions of the left and upper neighbours (n when absent,
-    # where rank[n] stays 0), of the previous diagonal cell (-1 when the
-    # cell is off the diagonal or the first on it), and of the two masks
-    left = [at.get((i, j - 1), n) for i, j in cells]
-    up = [at.get((i - 1, j), n) for i, j in cells]
-    diag_prev, last_diag = [], -1
-    for pos, (i, j) in enumerate(cells):
-        diag_prev.append(last_diag if i == j else -1)
-        last_diag = pos if i == j else last_diag
-    # masks[i - 1]: primed ranks in row i; masks[len(row_ranges) + j]:
-    # unprimed ranks in column j
-    row_mask = [i - 1 for i, _ in cells]
-    col_mask = [len(row_ranges) + j for _, j in cells]
-    masks = [0] * (len(row_ranges) + max(j for _, j in cells) + 1)
-    starts = _row_starts(row_ranges)
-    # the last non-empty row, its first cell and the empty rows below it
-    last = max(i for i, cols in enumerate(row_ranges) if cols)
-    first = starts[last]
-    tail = ((),) * (len(row_ranges) - last - 1)
-    row_ups, row_cols = up[first + 1 :], col_mask[first:]
-    rows = [()] * last
-    get = alphabet.__getitem__
-
-    rank = [0] * (n + 1)
-    memo = _LastRowMemo(len(row_cols))
-    fillings_of = memo.lists
-    pos, lo, low = 0, 0, 0
-    while True:
-        if pos == first:
-            # the last row in one step: its fillings depend only on lo, the
-            # ranks above its other cells and its columns' unprimed masks
-            key = (lo, *map(rank.__getitem__, row_ups), *map(masks.__getitem__, row_cols))
-            fillings = fillings_of.get(key)
-            if fillings is None:
-                made = _row_fillings(key[: len(row_cols)], key[len(row_cols) :], primed)
-                fillings = memo.fill(key, (tuple(map(get, f)) for f in made))
-            if fillings:
-                # rebuild the rows from that of the lowest cell assigned
-                # since the last batch down (row_mask[p] is the row of cell p)
-                for i in range(row_mask[low], last):
-                    rows[i] = tuple(map(get, rank[starts[i] : starts[i + 1]]))
-                head = tuple(rows)
-                for row in fillings:
-                    yield PrimedTableau(lam, mu, head + (row,) + tail)
-                low = pos
-        else:
-            taken = masks[row_mask[pos]] | masks[col_mask[pos]]
-            free = ~taken & (-1 << lo)
-            r = (free & -free).bit_length() - 1
-            if r < n_letters:
-                rank[pos] = r
-                masks[row_mask[pos] if primed[r] else col_mask[pos]] |= 1 << r
-                pos += 1
-                lo = max(rank[left[pos]], rank[up[pos]])
-                if diag_prev[pos] >= 0:
-                    lo = max(lo, above[rank[diag_prev[pos]]])
-                continue
-        if not pos:
-            return
-        pos -= 1
-        if pos < low:
-            low = pos
-        # take rank r back from cell pos and look for the next one above it
-        r = rank[pos]
-        masks[row_mask[pos] if primed[r] else col_mask[pos]] ^= 1 << r
-        lo = r + 1
+    for head, rests in _walk(spec, True, row_ranges, [0] * len(row_ranges), False):
+        for rest in rests:
+            yield PrimedTableau(lam, mu, head + rest)
 
 
 def _spt_walk(spec: VariableSpec, outer: Partition, inner: Partition, packed: bool) -> Iterator:
-    """The one backtracker of the unprimed family, for enum_spt (packed
-    False) and spt_weight_counts (packed True).
-
-    Yields one batch per last-row visit that has fillings, as (head, items).
-    For enum_spt, head is the tuple of the rows above the last non-empty
-    row, and each item is the rest of one tableau: a filling of that row
-    followed by the empty rows below it.  For spt_weight_counts, head is the
-    packed weight of the rows above, and each item is a (row key, count)
-    pair, one per distinct weight of the row's fillings.  Nothing when inner
-    is not inside outer; when packed, ExponentOverflow first if the shape
-    spans 2^15 columns or more.
+    """_walk on the ordinary skew diagram outer/inner with the unprimed
+    alphabet, for enum_spt (packed False) and spt_weight_counts (packed
+    True).  Nothing when inner is not inside outer; when packed,
+    ExponentOverflow first if the shape spans 2^15 columns or more.
     """
     if not outer.contains(inner):
-        return
+        return iter(())
     if packed:
         # a column holds each letter at most once, so no exponent of a
         # filling or of any part of one passes the shape's column count,
@@ -417,83 +443,11 @@ def _spt_walk(spec: VariableSpec, outer: Partition, inner: Partition, packed: bo
     row_ranges = [
         range(inner.part(i) + 1, outer.part(i) + 1) for i in range(1, outer.length + 1)
     ]
-    cells = [(i + 1, j) for i, cols in enumerate(row_ranges) for j in cols]
-    if not cells:
-        yield (0, [(0, 1)]) if packed else ((), [tuple(() for _ in row_ranges)])
-        return
-
-    alphabet = spec.unprimed_alphabet()
-    n_letters = len(alphabet)
-    # delta[r]: the packed weight of rank r's letter
-    delta = [_pack(_letter_weight(((x,),), spec)) for x in alphabet]
-    # floor[i - 1]: the lowest rank ST3 allows in row i, the first letter
-    # that is plain or at least the unbarred letter i
-    floor = [
-        next((r for r, x in enumerate(alphabet) if x.index > spec.k or x >= letter(i)), n_letters)
-        for i in range(1, len(row_ranges) + 1)
-    ]
-    n = len(cells)
-    at = {cell: pos for pos, cell in enumerate(cells)}
-    # per cell: its row, its floor, and the positions of its left and upper
-    # neighbours, n when absent, where rank[n] = -1 stays below every floor
-    row_of = [i - 1 for i, _ in cells]
-    cell_floor = [floor[i - 1] for i, _ in cells]
-    left = [at.get((i, j - 1), n) for i, j in cells]
-    up = [at.get((i - 1, j), n) for i, j in cells]
-    starts = _row_starts(row_ranges)
-    # the last non-empty row, its first cell, its ST3 floor and the empty
-    # rows below it; its letters are all unprimed, its columns unrecorded
-    last = max(i for i, cols in enumerate(row_ranges) if cols)
-    first = starts[last]
-    tail = ((),) * (len(row_ranges) - last - 1)
-    row_ups, row_floor = up[first + 1 :], floor[last]
-    no_cols, no_primes = [0] * (n - first), [False] * n_letters
-    rows = [()] * last
-    get, weigh = alphabet.__getitem__, delta.__getitem__
-
-    # ST1-ST3 are all lower bounds, so every rank from a cell's lowest one to
-    # the end of the alphabet is legal and the walk rejects nothing;
-    # weight[p]: the packed weight of the cells before cell p
-    rank, weight = [0] * n + [-1], [0] * (first + 1)
-    memo = _LastRowMemo(2 if packed else n - first)
-    items_of = memo.lists
-    pos, r, low = 0, cell_floor[0], 0
-    while True:
-        if pos == first:
-            # the last row in one step, keyed by the floors of its cells
-            key = (r, *[max(rank[u] + 1, row_floor) for u in row_ups])
-            items = items_of.get(key)
-            if items is None:
-                fillings = _row_fillings(key, no_cols, no_primes)
-                if packed:
-                    stream = iter(Counter([sum(map(weigh, f)) for f in fillings]).items())
-                else:
-                    stream = ((tuple(map(get, f)),) + tail for f in fillings)
-                items = memo.fill(key, stream)
-            if items:
-                if packed:
-                    yield weight[first], items
-                else:
-                    for i in range(row_of[low], last):
-                        rows[i] = tuple(map(get, rank[starts[i] : starts[i + 1]]))
-                    yield tuple(rows), items
-                low = pos
-        elif r < n_letters:
-            rank[pos] = r
-            weight[pos + 1] = weight[pos] + delta[r]
-            pos += 1
-            r = rank[left[pos]]
-            if rank[up[pos]] >= r:
-                r = rank[up[pos]] + 1
-            if cell_floor[pos] > r:
-                r = cell_floor[pos]
-            continue
-        if not pos:
-            return
-        pos -= 1
-        if pos < low:
-            low = pos
-        r = rank[pos] + 1
+    # the ST3 floor of row i: the rank of the unbarred letter i when i <= k,
+    # of the first plain letter when i > k, as the unprimed alphabet lists
+    # two letters per symplectic index
+    floors = [2 * min(i, spec.k) for i in range(len(row_ranges))]
+    return _walk(spec, False, row_ranges, floors, packed)
 
 
 def enum_spt(

@@ -124,3 +124,38 @@ def test_enum_strict_between_matches_filtration(lam):
     }
     assert got == expected
     assert len(got) == len(list(enum_strict_between(EMPTY, lam)))
+
+
+partitions = st.lists(st.integers(1, 6), max_size=4).map(
+    lambda xs: Partition(tuple(sorted(xs, reverse=True)))
+)
+
+
+def _columns_are_runs(cells):
+    cols = {}
+    for i, j in cells:
+        cols.setdefault(j, []).append(i)
+    return all(max(rows) - min(rows) + 1 == len(rows) for rows in cols.values())
+
+
+# the tableau walker (tableaux._walk) checks QT3, QT4 and ST2 only against a
+# cell's left and upper neighbours: a repeated i' in a row, or a repeated
+# unprimed i in a column, is then adjacent, because every row and every
+# column of these shapes is one run of consecutive cells
+@given(lam=strict_parts, data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_skew_shifted_columns_are_runs(lam, data):
+    mu = data.draw(st.sampled_from(enum_strict_between(EMPTY, lam)))
+    assert _columns_are_runs(shifted_cells(lam, mu).cells)
+
+
+@given(outer=partitions, data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_skew_diagram_columns_are_runs(outer, data):
+    inner = data.draw(st.sampled_from(list(outer.subpartitions())))
+    cells = {
+        (i, j)
+        for i in range(1, outer.length + 1)
+        for j in range(inner.part(i) + 1, outer.part(i) + 1)
+    }
+    assert _columns_are_runs(cells)
