@@ -83,7 +83,10 @@ def cmd_compute(args) -> int:
 def cmd_series(args) -> int:
     spec = VariableSpec(args.k, args.m)
     ctx = QContext()
-    coeffs = [q_row(l, spec, ctx) for l in range(args.degree + 1)]
+    # The top degree first: a degree past the exponent limit raises before any
+    # coefficient is grown, and one-degree growth makes the lower ones cache hits.
+    top = q_row(args.degree, spec, ctx)
+    coeffs = [q_row(l, spec, ctx) for l in range(args.degree)] + [top]
     for p in coeffs:
         print(str(p))
     # verify: coefficients times prod(1 - x z) must reproduce prod(1 + x z)

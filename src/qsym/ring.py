@@ -25,8 +25,12 @@ Terms are accumulated in one place, `sum_of_products`, which sums c * a * b
 over (a, b, c) triples into one dict.  A product is its one-triple case; a sum,
 a difference and `lincomb` are its case with the unit as second factor; the
 series builders, the Laplace and Pfaffian expansions and the evaluators' inner
-sums pass all their addends at once.  Weight counts are the other
-accumulator: `from_exponents` counts exponent tuples, and
+sums pass all their addends at once.  It multiplies term pair by term pair,
+or, where the factors are dense in x1, x1-row by x1-row: each row, the terms
+that differ only in their x1 exponent, is one Python int with its
+coefficients in fixed-width slots, so one native int product does the work
+of many term pairs (Kronecker substitution in x1 alone).  Weight counts are
+the other accumulator: `from_exponents` counts exponent tuples, and
 `tableaux.spt_weight_counts` counts packed keys as it walks, for
 `symfun.inter_schur` to wrap with `_poly` and the bound it knows.
 
@@ -133,27 +137,150 @@ def _check(n: int, other: "LaurentPoly") -> None:
         raise VariableCountMismatch(f"variable counts differ: {n} vs {other.n}")
 
 
+# The row path pays when _ROW_PAIR * row pairs + _ROW_TERM * factor terms is
+# at most the term pairs: a row pair costs about two term pairs of the dict
+# loop, and a factor term about six, for its encoding and its share of the
+# decoding.  Fitted to timings of both paths on the calls of more than 5,000
+# term pairs that `qI_jp`, `qI_def` and `qI_branch` make on shapes with parts
+# up to 8 over the specs (2, 2), (3, 1) and (3, 2).
+_ROW_PAIR = 2
+_ROW_TERM = 6
+
+
+# A merged product c * ta * tb, each factor a polynomial's packed terms.
+_Product = tuple[dict[int, int], dict[int, int], int]
+
+
+def _add_products(
+    out: dict[int, int], ta: dict[int, int], tb: dict[int, int], c: int, budget: int | None
+) -> None:
+    """Add c * ta * tb into out term pair by term pair, ta giving the rows;
+    the budget is checked after each row."""
+    get = out.get
+    for ea, ca in ta.items():
+        ca *= c
+        for eb, cb in tb.items():
+            e = ea + eb
+            out[e] = get(e, 0) + ca * cb
+        # one row adds at most len(tb) terms, so this bounds memory too
+        if budget is not None and len(out) > budget:
+            raise _over_budget(len(out), budget)
+
+
+def _x1_row_count(terms: dict[int, int]) -> int:
+    """The number of distinct keys among the terms with their x1 fields
+    cleared: k - ((k + _LIMIT) & _MASK) is k - e1 - _LIMIT."""
+    return len({k - ((k + _LIMIT) & _MASK) for k in terms})
+
+
+def _x1_rows(terms: dict[int, int], width: int) -> tuple[int, dict[int, int]]:
+    """(lo, rows): lo is the lowest x1 exponent of the terms, and rows maps
+    each key with its x1 field cleared to the int sum of c * 2^(width * (e1 -
+    lo)) over that row's terms c * x1^e1 * (rest)."""
+    lo = min((k + _LIMIT) & _MASK for k in terms) - _LIMIT
+    rows: dict[int, int] = {}
+    get = rows.get
+    for k, c in terms.items():
+        k -= lo
+        s = k & _MASK  # e1 - lo: the field is in [0, 2^16) after the shift
+        k -= s
+        rows[k] = get(k, 0) + (c << width * s)
+    return lo, rows
+
+
+def _row_path_pays(products: list[_Product]) -> bool:
+    """Whether multiplying x1-rows beats the dict loop on these products, by
+    their term pairs against their row pairs and factor terms."""
+    cost = pairs = 0
+    for ta, tb, _ in products:
+        pairs += len(ta) * len(tb)
+        cost += _ROW_TERM * (len(ta) + len(tb)) + _ROW_PAIR * _x1_row_count(ta) * _x1_row_count(tb)
+    return cost <= pairs
+
+
+def _add_row_products(out: dict[int, int], products: list[_Product]) -> None:
+    """Add the sum of c * ta * tb into out as products of x1-rows.
+
+    Each factor's row is one int with its x1 coefficients in width-bit slots
+    from the factor's lowest x1 exponent; row products are summed per summed
+    row key, all from the lowest of the products' lowest x1 exponents, then
+    split back into terms.  No slot of any sum can exceed sum |c| * |ta|_1 *
+    |tb|_1 in absolute value, and width leaves one bit over that for the sign,
+    so every slot reads back exactly in two's complement.
+    """
+    norm = 0
+    for ta, tb, c in products:
+        norm += abs(c) * sum(map(abs, ta.values())) * sum(map(abs, tb.values()))
+    width = norm.bit_length() + 1
+    rows = [(_x1_rows(ta, width), _x1_rows(tb, width), c) for ta, tb, c in products]
+    base = min(la + lb for (la, _), (lb, _), _ in rows)
+    acc: dict[int, int] = {}
+    get = acc.get
+    for (la, rows_a), (lb, rows_b), c in rows:
+        shift = width * (la + lb - base)
+        for ra, xa in rows_a.items():
+            xa = (c * xa) << shift
+            for rb, xb in rows_b.items():
+                r = ra + rb
+                acc[r] = get(r, 0) + xa * xb
+    mask, half, full = (1 << width) - 1, 1 << (width - 1), 1 << width
+    get = out.get
+    for r, x in acc.items():
+        key = r + base  # the key of slot 0
+        while x:
+            v = x & mask
+            if not v:  # step over a run of zero slots at once
+                z = ((x & -x).bit_length() - 1) // width
+                x >>= width * z
+                key += z
+                v = x & mask
+            if v >= half:
+                v -= full
+            x = (x - v) >> width
+            out[key] = get(key, 0) + v
+            key += 1
+
+
 def sum_of_products(
     n: int, terms: Iterable[tuple["LaurentPoly", "LaurentPoly", int]]
 ) -> "LaurentPoly":
     """Sum of c * a * b over the (a, b, c) in `terms`, all in n variables.
 
-    Every term pair is filled into one dict, instead of building each product
+    All products are summed into one dict, instead of building each product
     as a polynomial and copying the growing sum once per addend; zero
-    coefficients are dropped once, at the end.  The smaller factor of each
-    product gives the rows.  A one-term factor into an empty sum cannot make
-    two terms meet, so it is filled by one comprehension, or copied when it
-    and c make the unit.
+    coefficients are dropped once, at the end.  A one-term factor into an
+    empty sum cannot make two terms meet, so it is filled by one
+    comprehension, or copied when it and c make the unit.
+
+    The other products, the merged ones, take one of two paths:
+
+    - the dict loop adds term pair by term pair, the smaller factor giving
+      the rows;
+    - the row path (`_add_row_products`) groups each factor's terms into
+      x1-rows, the terms that differ only in their x1 exponent, holds each
+      row as one int with its coefficients in width-bit slots, and multiplies
+      rows with native int arithmetic.  width is the bit length of the sum
+      of |c| * |a|_1 * |b|_1 over the products it takes, plus one, which
+      bounds every slot, so the result is exact.
+
+    A merged product with fewer than six term pairs per factor term takes the
+    dict loop as it comes.  The others are the row path's candidates, and they
+    take it together when 2 * row pairs + 6 * factor terms is at most their
+    term pairs, all summed over them.  So the row path pays on products whose
+    factors are dense in x1, as the large expansions of `qI_jp` and `qI_def`
+    are, and the factor terms count the encoding and decoding that sink it on
+    products with a small factor, as `qI_branch` makes.
 
     Each product raises ExponentOverflow when its factors' bounds reach 2^15,
-    even when c is 0, and the term budget is checked after each row, so a
+    even when c is 0.  With a term budget set, every merged product takes the
+    dict loop as it comes and the budget is checked after each row, so a
     large product stops within one row of passing it.  The result's bound is
     the largest bound of any product.
     """
     budget = _term_budget()
     out: dict[int, int] = {}
-    get = out.get
     bound, merged = 0, False
+    products: list[_Product] = []  # the row path's candidates
     for a, b, c in terms:
         _check(n, a)
         _check(n, b)
@@ -177,19 +304,19 @@ def sum_of_products(
                 out.update(tb)
             else:
                 out = {ea + eb: ca * cb for eb, cb in tb.items()}
-                get = out.get
             if budget is not None and len(out) > budget:
                 raise _over_budget(len(out), budget)
             continue
         merged = True
-        for ea, ca in ta.items():
-            ca *= c
-            for eb, cb in tb.items():
-                e = ea + eb
-                out[e] = get(e, 0) + ca * cb
-            # one row adds at most len(tb) terms, so this bounds memory too
-            if budget is not None and len(out) > budget:
-                raise _over_budget(len(out), budget)
+        if budget is None and _ROW_TERM * (len(ta) + len(tb)) <= len(ta) * len(tb):
+            products.append((ta, tb, c))
+        else:
+            _add_products(out, ta, tb, c, budget)
+    if products and _row_path_pays(products):
+        _add_row_products(out, products)
+    else:
+        for ta, tb, c in products:
+            _add_products(out, ta, tb, c, None)
     if merged and 0 in out.values():  # only a merge can cancel a term
         out = {e: c for e, c in out.items() if c}
     return _poly(n, out, bound)

@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -105,17 +106,27 @@ def test_series_no_variables(capsys):
 
 
 def test_series_self_check_catches_a_wrong_coefficient(capsys, monkeypatch):
-    def wrong_z1(series, degree):
+    # `series` asks the top degree first, so z^3 is the one degree grown
+    def wrong_z3(series, degree):
         grown = grow_series(series, degree)
-        if degree == 1:
-            series.coeffs[1] = grown = grown + LaurentPoly.one(grown.n)
+        if degree == 3:
+            series.coeffs[3] = grown = grown + LaurentPoly.one(grown.n)
         return grown
 
     # the one-row values go wrong; the check's own expansion does not
-    monkeypatch.setattr(qfun, "grow_series", wrong_z1)
+    monkeypatch.setattr(qfun, "grow_series", wrong_z3)
     code, _, err = run(capsys, "series", "--k", "1", "--degree", "3")
     assert code == 1
     assert "disagree" in err
+
+
+def test_series_past_the_exponent_limit_exits_3_at_once(capsys):
+    # 40000 * |x1^-1| reaches 2^15: the top degree raises before any growth
+    start = time.perf_counter()
+    code, out, err = run(capsys, "series", "--k", "1", "--degree", "40000")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert "z^40000" in err
 
 
 def test_series_by_20001_one_degree_extensions(capsys):

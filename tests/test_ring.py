@@ -15,7 +15,14 @@ from qsym import (
     series_from_linear_factors,
     sum_of_products,
 )
-from qsym.ring import _BATCH, GrowingSeries, grow_series
+from qsym.ring import (
+    _BATCH,
+    GrowingSeries,
+    _add_products,
+    _add_row_products,
+    _row_path_pays,
+    grow_series,
+)
 
 
 def v(n, i, p=1):
@@ -447,3 +454,98 @@ def test_sum_of_products_stops_within_one_row_of_the_budget(monkeypatch):
         assert 100 < count <= 100 + len(b.terms)
     with pytest.raises(TermBudgetExceeded):
         LaurentPoly.lincomb(2, [(a, 1), (b, 1)])
+
+
+# -- the row path, against the dict loop ----------------------------------------
+
+
+def row_poly_strategy(n, x1_free=False):
+    """Sparse polynomials with negative x1 exponents, or none in x1, and
+    coefficients from small to beyond 2^64 of either sign."""
+    e1 = st.just(0) if x1_free else st.integers(-6, 5)
+    exps = st.tuples(e1, *([st.integers(-2, 2)] * (n - 1)))
+    coeff = st.one_of(st.integers(-9, 9), st.integers(-(2**80), 2**80)).filter(bool)
+    return st.dictionaries(exps, coeff, min_size=1, max_size=10).map(
+        lambda d: LaurentPoly(n, d)
+    )
+
+
+def factor_strategy(n):
+    return st.one_of(row_poly_strategy(n), row_poly_strategy(n, x1_free=True))
+
+
+def both_paths(placed, products):
+    """The sums that the row path and the dict loop add onto `placed`."""
+    by_rows, by_pairs = dict(placed), dict(placed)
+    _add_row_products(by_rows, products)
+    for ta, tb, c in products:
+        _add_products(by_pairs, ta, tb, c, None)
+    return [{e: c for e, c in out.items() if c} for out in (by_rows, by_pairs)]
+
+
+@given(n=st.integers(1, 5), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_row_path_equals_the_dict_loop(n, data):
+    # each triple has its own lowest x1 exponent; the placed terms stand for
+    # what a leading one-term triple fills in before the merged products
+    triples = data.draw(
+        st.lists(
+            st.tuples(factor_strategy(n), factor_strategy(n), st.integers(-3, 3).filter(bool)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    placed = data.draw(st.one_of(st.just(LaurentPoly.zero(n)), row_poly_strategy(n))).terms
+    products = [(a.terms, b.terms, c) for a, b, c in triples]
+    by_rows, by_pairs = both_paths(placed, products)
+    assert by_rows == by_pairs
+    # the reverse triples cancel every product: only the placed terms remain
+    back = products + [(tb, ta, -c) for ta, tb, c in products]
+    assert both_paths(placed, back) == [placed, placed]
+
+
+def test_row_path_examples():
+    x = v(3, 0)
+    dense = LaurentPoly(
+        3, {(i - 4, j, 0): (-1) ** i * (i + j + 1) for i in range(9) for j in range(3)}
+    )
+    big = LaurentPoly(3, {(-3, 1, 1): 2**70 + 1, (2, 0, -1): -(2**66), (0, 0, 0): 7})
+    x1_free = LaurentPoly(3, {(0, 1, 0): 3, (0, -1, 2): -5})
+    cases = [
+        [(dense.terms, dense.terms, 1)],
+        [(big.terms, dense.terms, -2), (big.terms, big.terms, 3)],
+        [(x1_free.terms, dense.terms, 1), (x1_free.terms, x1_free.terms, -1)],
+        # different lowest x1 exponents: x1^-4 and x1^0 up to x1^8
+        [(dense.terms, dense.terms, 1), ((x * x).terms, dense.terms, 1)],
+        # a product that cancels to zero
+        [(dense.terms, big.terms, 1), (big.terms, dense.terms, -1)],
+    ]
+    for products in cases:
+        for placed in ({}, dense.terms, (x * dense).terms):
+            by_rows, by_pairs = both_paths(placed, products)
+            assert by_rows == by_pairs
+    assert both_paths({}, cases[-1]) == [{}, {}]
+
+
+def test_sum_of_products_takes_the_row_path_on_dense_factors():
+    # 30 x1-exponents by 3 x2-exponents: 8100 term pairs on 9 row pairs; a
+    # leading one-term triple fills the sum first
+    a = LaurentPoly(2, {(i - 10, j): i + 2 * j - 20 for i in range(30) for j in range(3)})
+    b = LaurentPoly(2, {(i, -j): 1 for i in range(30) for j in range(3)})
+    assert _row_path_pays([(a.terms, b.terms, 1)])
+    assert not _row_path_pays([(v(2, 0).terms, b.terms, 1)])
+    terms = [(v(2, 1, 5), a, 2), (a, b, 1), (b, b, -3)]
+    assert as_tuples(sum_of_products(2, terms)) == ref_sum_of_products(terms)
+
+
+def test_a_row_path_product_stops_within_one_row_of_the_budget(monkeypatch):
+    a = LaurentPoly(2, {(i, j): 1 for i in range(30) for j in range(3)})
+    b = LaurentPoly(2, {(i, -j): 1 for i in range(30) for j in range(3)})
+    assert _row_path_pays([(a.terms, b.terms, 1)])
+    assert len(sum_of_products(2, [(a, b, 1)]).terms) > 100
+    monkeypatch.setenv("QSYM_MAX_TERMS", "100")
+    for terms in ([(a, b, 1)], [(v(2, 1), a, 1), (b, a, 2)]):
+        with pytest.raises(TermBudgetExceeded) as info:
+            sum_of_products(2, terms)
+        count = int(info.value.args[0].split()[2])
+        assert 100 < count <= 100 + len(b.terms)
