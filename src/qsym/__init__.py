@@ -19,7 +19,6 @@ from .errors import (
 from .ring import (
     LaurentPoly,
     Monomial,
-    TruncatedSeries,
     parse_poly,
     series_from_linear_factors,
     sum_of_products,

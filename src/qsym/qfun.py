@@ -162,7 +162,12 @@ def qI_def(
     symplectic letters are the small ones and occupy the region next to mu.
     Putting it on the outer skew instead agrees on many small shapes but
     diverges from the tableau and branching routes (first at a two-row shape
-    with two symplectic pairs and one plain variable)."""
+    with two symplectic pairs and one plain variable).
+
+    A factor is zero when its skew shape has more diagonal cells than
+    variables, since the letter indices on them strictly increase (QT5).  So
+    nu is skipped unasked when it has more than k rows beyond mu's, or lam
+    more than m beyond nu's."""
     n = spec.n
     if lam.length > n:
         raise PreconditionError(f"{lam.length} rows on {n} variables")
@@ -175,6 +180,8 @@ def qI_def(
     a_spec = VariableSpec(0, spec.m)
     terms = []
     for nu in enum_strict_between(mu, lam):
+        if nu.length - mu.length > spec.k or lam.length - nu.length > spec.m:
+            continue
         c_part = qI_jp(nu, mu, c_spec, ctx)
         if c_part.is_zero():
             continue

@@ -36,9 +36,9 @@ the other accumulator: `from_exponents` counts exponent tuples, and
 
 Exponent tuples (Monomial, one exponent per variable) appear only at the
 edges: the constructor `LaurentPoly(n, {Monomial: int})`, `from_exponents`,
-`monomial`, `variable`, `mul_linear`, `series_from_linear_factors` and
-`GrowingSeries` take them; `sorted_terms`, `str`, `to_json`, `from_json` and
-`parse_poly` give or read them.
+`monomial`, `variable`, `series_from_linear_factors` and `GrowingSeries`
+take them; `sorted_terms`, `str`, `to_json`, `from_json` and `parse_poly`
+give or read them.
 
 Values are immutable after construction and safe to share.  The variable
 count is fixed per polynomial; combining mismatched counts raises instead of
@@ -56,7 +56,6 @@ import json
 import os
 import re
 from collections import Counter
-from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Sequence
 
@@ -590,52 +589,6 @@ def parse_poly(text: str, n: int) -> LaurentPoly:
         raise ParseError(f"{exc} in {text!r}") from exc
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Formal power series in z, kept exactly up to a degree bound.
-
-    coeffs[d] is the z^d coefficient, a LaurentPoly; all coefficients share
-    one variable count.
-    """
-
-    coeffs: tuple[LaurentPoly, ...]
-
-    def __post_init__(self):
-        if not self.coeffs:
-            raise ValueError("series needs at least the constant coefficient")
-        n = self.coeffs[0].n
-        for c in self.coeffs:
-            if c.n != n:
-                raise VariableCountMismatch("series coefficients disagree on variable count")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def nvars(self) -> int:
-        return self.coeffs[0].n
-
-    def coefficient(self, d: int) -> LaurentPoly:
-        if d < 0:
-            return LaurentPoly.zero(self.nvars)
-        if d > self.degree:
-            raise IndexError(f"coefficient {d} beyond degree bound {self.degree}")
-        return self.coeffs[d]
-
-    def mul_linear(self, mono: Monomial, sign: int) -> "TruncatedSeries":
-        """Multiply by (1 + sign * mono * z), truncated at the same bound."""
-        n = self.nvars
-        one, u = LaurentPoly.one(n), LaurentPoly.monomial(n, mono, sign)
-        out = list(self.coeffs)
-        for d in range(self.degree, 0, -1):
-            out[d] = sum_of_products(n, ((out[d], one, 1), (out[d - 1], u, 1)))
-        return TruncatedSeries(tuple(out))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TruncatedSeries) and self.coeffs == other.coeffs
-
-
 class GrowingSeries:
     """prod(1 + u z) / prod(1 - v z) as far as `grow_series` has taken it:
     the coefficients through z^d and, in `tops`, the z^d coefficient S_i[d]
@@ -685,8 +638,9 @@ def series_from_linear_factors(
     denominators: list[Monomial],
     degree: int,
     nvars: int,
-) -> TruncatedSeries:
-    """Expand prod(1 + u z) / prod(1 - v z) exactly to order z^degree.
+) -> GrowingSeries:
+    """prod(1 + u z) / prod(1 - v z) grown exactly to order z^degree: a fresh
+    GrowingSeries whose `coeffs` hold the z^0, ..., z^degree coefficients.
 
     u ranges over `numerators` and v over `denominators`; both are monomials
     in an nvars-variable ring.  This is `grow_series` on a fresh series, so
@@ -698,4 +652,4 @@ def series_from_linear_factors(
         raise ValueError("degree bound must be nonnegative")
     series = GrowingSeries(numerators, denominators, nvars)
     grow_series(series, degree)
-    return TruncatedSeries(tuple(series.coeffs))
+    return series

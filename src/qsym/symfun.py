@@ -107,7 +107,7 @@ def elementary_e(r: int, a: Alphabet) -> LaurentPoly:
     """e_r on the alphabet, the coefficient of z^r in the finite product prod(1 + x z)."""
     if r < 0 or r > len(a.monomials):
         return LaurentPoly.zero(a.nvars)
-    return series_from_linear_factors(list(a.monomials), [], r, a.nvars).coefficient(r)
+    return series_from_linear_factors(list(a.monomials), [], r, a.nvars).coeffs[r]
 
 
 def schur_skew(lam: Partition, mu: Partition, a: Alphabet) -> LaurentPoly:

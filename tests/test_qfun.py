@@ -15,6 +15,7 @@ from qsym import (
     VariableSpec,
     enum_qt,
     enum_spt,
+    enum_strict_between,
     qA_two_row,
     qC_two_row,
     qI_branch,
@@ -26,7 +27,7 @@ from qsym import (
     q_single_var,
     qt_weight,
 )
-from qsym.checks import ROUTES, specs_up_to
+from qsym.checks import ROUTES, specs_up_to, strict_partitions
 from qsym.ring import _BATCH
 
 
@@ -95,6 +96,22 @@ def test_qI_def_degenerations():
             c_spec = VariableSpec(2, 0)
             assert qI_def(lam, mu, a_spec) == qI_jp(lam, mu, a_spec)
             assert qI_def(lam, mu, c_spec) == qI_jp(lam, mu, c_spec)
+
+
+def test_qI_def_skips_only_factors_that_vanish_by_length():
+    # qI_def skips nu when the symplectic factor nu/mu on k pairs or the plain
+    # factor lam/nu on m variables has more rows beyond its inner shape than
+    # variables; each such factor is a skew pair on a pure spec, here with
+    # parts <= 5 and 0-3 variables
+    ctx = QContext()
+    pairs = 0
+    for outer in strict_partitions(5, 5):
+        for inner in enum_strict_between(EMPTY, outer):
+            for c in range(min(outer.length - inner.length, 4)):
+                for spec in (VariableSpec(c, 0), VariableSpec(0, c)):
+                    assert qI_jp(outer, inner, spec, ctx).is_zero(), (outer, inner, spec)
+                    pairs += 1
+    assert pairs == 1122
 
 
 def test_qI_tableau_examples():

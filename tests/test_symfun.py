@@ -49,7 +49,7 @@ def test_complete_h_two_plain_vars():
 
 def test_a_failed_growth_leaves_the_h_series_at_its_last_degree(monkeypatch):
     a = Alphabet.mixed(VariableSpec(2, 2))
-    fresh = series_from_linear_factors([], list(a.monomials), 17, a.nvars).coefficient(17)
+    fresh = series_from_linear_factors([], list(a.monomials), 17, a.nvars).coeffs[17]
     _H_CACHE.pop(a, None)
     complete_h(16, a)
     monkeypatch.setenv("QSYM_MAX_TERMS", str(len(fresh.terms) - 1))
