@@ -88,8 +88,7 @@ class Domain:
             raise PreconditionError(f"needs a plain-only spec (k = 0), got k = {spec.k}")
         if self.spec == "symplectic" and spec.m:
             raise PreconditionError(f"needs a symplectic-only spec (m = 0), got m = {spec.m}")
-        if lam.length > spec.n:
-            raise PreconditionError(f"{lam.length} rows on {spec.n} variables")
+        spec.check_rows(lam)
         if self.straight and mu.parts:
             raise PreconditionError(f"needs a straight shape (mu empty), got mu = {mu}")
         row = lam.part(1) - mu.part(1)
@@ -499,38 +498,38 @@ def lgv_checks(max_part: int = 4, max_len: int = 3, max_vars: int = 3) -> list[C
     to the tableau of its rows, compared by its rows alone since one case
     fixes the shape, and asks three things: no two families map to one
     tableau, the tableaux are exactly enum_qt's, and the family weights are
-    the tableau weights.  The map keeps exactly the letters that
-    family_weight weighs, so the first two imply the third; the third is the
-    only check of family_weight, and fails only when family_weight and
-    qt_weight disagree on the same letters."""
+    the tableau weights.  Both streams come in ascending rank order, so the
+    three are checked in step: the families strictly increase, equal
+    enum_qt's rows item by item, and weigh as those tableaux item by item.
+    The map keeps exactly the letters that family_weight weighs, so the
+    first two imply the third; the third is the only check of family_weight,
+    and fails only when family_weight and qt_weight disagree on the same
+    letters."""
     first: dict[str, str] = {}
     cases = families = tableaux = 0
     for lam, mu, spec in qi_cases(max_part, max_len, max_vars):
         case = _case(lam, mu, spec)
-        fam_weights = []
-        mapped = set()
-        for rows in enum_path_families(lam, mu, spec):
-            fam_weights.append(family_weight(rows, spec))
-            mapped.add(rows)
+        fams = list(enum_path_families(lam, mu, spec))
         stream = list(enum_qt(spec, lam, mu))
-        tabs = {t.rows for t in stream}
         tab_weights = [qt_weight(t, spec) for t in stream]
         cases += 1
-        families += len(fam_weights)
-        tableaux += len(tabs)
+        families += len(fams)
+        tableaux += len(stream)
         diff = LaurentPoly.from_exponents(spec.n, tab_weights) - lgv_weight_sum(lam, mu, spec)
         if not diff.is_zero():
             first.setdefault("lgv.weight-sums", f"{case} tableau-lgv: {diff}")
-        if (
-            len(mapped) != len(fam_weights)
-            or mapped != tabs
-            or sorted(fam_weights) != sorted(tab_weights)
-        ):
-            first.setdefault(
-                "lgv.path-tableau-bijection",
-                f"{case} {len(fam_weights)} families map to {len(mapped)} tableaux, "
-                f"{len(mapped & tabs)} of the {len(tabs)} enumerated",
-            )
+        if any(a >= b for a, b in zip(fams, fams[1:])):
+            broken = "the families do not strictly increase"
+        elif fams != [t.rows for t in stream]:
+            broken = "the families are not the tableau rows in order"
+        elif [family_weight(f, spec) for f in fams] != tab_weights:
+            broken = "the family weights are not the tableau weights"
+        else:
+            continue
+        first.setdefault(
+            "lgv.path-tableau-bijection",
+            f"{case} {len(fams)} families, {len(stream)} tableaux: {broken}",
+        )
     return [
         _result("lgv.weight-sums", first, f"{cases} cases, {tableaux} tableaux"),
         _result("lgv.path-tableau-bijection", first, f"{cases} cases, {families} families"),

@@ -45,7 +45,6 @@ from collections import Counter
 from itertools import combinations
 from typing import Iterator
 
-from .errors import PreconditionError
 from .ring import LaurentPoly, Monomial, sum_of_products
 from .shapes import StrictPartition
 from .tableaux import Letter, VariableSpec, _letter_weight, letter
@@ -71,8 +70,7 @@ def enum_path_families(
 
     Empty stream when mu is not contained in lam (a sink would sit left of
     its source, forcing a crossing)."""
-    if lam.length > spec.n:
-        raise PreconditionError(f"{lam.length} rows on {spec.n} variables")
+    spec.check_rows(lam)
     if not lam.contains(mu):
         return
     k_levels = 2 * spec.k + spec.m
@@ -144,8 +142,7 @@ def lgv_weight_sum(
     levels, and a left-boundary entry weighs twice its level's letter.
     Every state value is a LaurentPoly, so QSYM_MAX_TERMS stops the walk at
     the first value that outgrows it."""
-    if lam.length > spec.n:
-        raise PreconditionError(f"{lam.length} rows on {spec.n} variables")
+    spec.check_rows(lam)
     n = spec.n
     if not lam.contains(mu):
         return LaurentPoly.zero(n)

@@ -46,16 +46,15 @@ def _ctx(ctx: QContext | None) -> QContext:
 
 def q_row(l: int, spec: VariableSpec, ctx: QContext | None = None) -> LaurentPoly:
     """One-row value: coefficient of z^l in the product of (1+xz)/(1-xz) over
-    the alphabet x1, x1^-1, ..., xk, xk^-1, x_{k+1}, ..., x_n."""
-    n = spec.n
-    if l < 0:
-        return LaurentPoly.zero(n)
-    ctx = _ctx(ctx)
+    the alphabet x1, x1^-1, ..., xk, xk^-1, x_{k+1}, ..., x_n, read from the
+    context's series for the spec by grow_series, so zero for l < 0."""
+    if ctx is None:  # _ctx inlined: a Pfaffian expansion makes ~10^5 of these calls
+        ctx = QContext()
     series = ctx.row_series.get(spec)
     if series is None:
         monos = list(Alphabet.mixed(spec).monomials)
-        series = ctx.row_series[spec] = GrowingSeries(monos, monos, n)
-    return series.coeffs[l] if l < len(series.coeffs) else grow_series(series, l)
+        series = ctx.row_series[spec] = GrowingSeries(monos, monos, spec.n)
+    return grow_series(series, l)
 
 
 def qA_two_row(r: int, s: int, n: int, ctx: QContext | None = None) -> LaurentPoly:
@@ -104,12 +103,10 @@ def qC_two_row(r: int, s: int, k: int, ctx: QContext | None = None) -> LaurentPo
 
 
 def _pair_value(r: int, s: int, spec: VariableSpec, ctx: QContext) -> LaurentPoly:
-    """Two-row matrix entry with the boundary conventions.  Pure specs have
-    closed two-row forms; mixed ones fall back to the inner-sum definition."""
-    if r == s:
-        return LaurentPoly.zero(spec.n)
-    if r < s:
-        return -_pair_value(s, r, spec, ctx)
+    """Two-row matrix entry above the diagonal, r > s >= 0, as build_jp_matrix
+    pairs the parts of a strictly decreasing padded list: the one-row value
+    at s = 0.  Pure specs have closed two-row forms; mixed ones fall back to
+    the inner-sum definition."""
     if s == 0:
         return q_row(r, spec, ctx)
     if spec.m == 0:
@@ -162,15 +159,10 @@ def qI_def(
     symplectic letters are the small ones and occupy the region next to mu.
     Putting it on the outer skew instead agrees on many small shapes but
     diverges from the tableau and branching routes (first at a two-row shape
-    with two symplectic pairs and one plain variable).
-
-    A factor is zero when its skew shape has more diagonal cells than
-    variables, since the letter indices on them strictly increase (QT5).  So
-    nu is skipped unasked when it has more than k rows beyond mu's, or lam
-    more than m beyond nu's."""
+    with two symplectic pairs and one plain variable).  Both factors are
+    qI_jp values on pure specs, and a zero factor drops its nu."""
     n = spec.n
-    if lam.length > n:
-        raise PreconditionError(f"{lam.length} rows on {n} variables")
+    spec.check_rows(lam)
     ctx = _ctx(ctx)
     key = ("Idef", lam.parts, mu.parts, spec)
     got = ctx.cache.get(key)
@@ -180,8 +172,6 @@ def qI_def(
     a_spec = VariableSpec(0, spec.m)
     terms = []
     for nu in enum_strict_between(mu, lam):
-        if nu.length - mu.length > spec.k or lam.length - nu.length > spec.m:
-            continue
         c_part = qI_jp(nu, mu, c_spec, ctx)
         if c_part.is_zero():
             continue
@@ -201,8 +191,7 @@ def qI_tableau(
 ) -> LaurentPoly:
     """Intermediate value as the weight sum over primed shifted tableaux."""
     n = spec.n
-    if lam.length > n:
-        raise PreconditionError(f"{lam.length} rows on {n} variables")
+    spec.check_rows(lam)
     ctx = _ctx(ctx)
     key = ("Itab", lam.parts, mu.parts, spec)
     got = ctx.cache.get(key)
@@ -244,8 +233,7 @@ def qI_branch(
     """Intermediate value by branching: chains mu = s0 <= s1 <= ... <= sn = lam
     with a single-variable factor per step, symplectic steps first."""
     n = spec.n
-    if lam.length > n:
-        raise PreconditionError(f"{lam.length} rows on {n} variables")
+    spec.check_rows(lam)
     ctx = _ctx(ctx)
 
     def suffix(i: int, cur: StrictPartition) -> LaurentPoly:
@@ -288,11 +276,15 @@ def qI_jp(
     two-row entries are themselves intermediate values, computed by the
     inner-sum definition (no closed two-row form is available), and lam may
     have at most n rows.  The one-row entries come from the generating
-    series, and shapes with fewer than two rows use it directly.
+    series, and shapes with fewer than two rows use it directly.  A shape
+    with more rows beyond mu's than n is zero by QT5 (its diagonal letter
+    indices strictly increase), returned before any context or matrix.
     """
     n = spec.n
-    if lam.length > n and spec.k > 0 and spec.m > 0:
-        raise PreconditionError(f"{lam.length} rows on {n} variables")
+    if spec.k and spec.m:
+        spec.check_rows(lam)
+    if lam.length - mu.length > n:
+        return LaurentPoly.zero(n)
     ctx = _ctx(ctx)
     l = lam.length
     if l == 0:

@@ -606,7 +606,8 @@ class GrowingSeries:
 
 
 def grow_series(series: GrowingSeries, degree: int) -> LaurentPoly:
-    """The z^degree coefficient of `series`, extended exactly that far from
+    """The z^degree coefficient of `series` at any degree: zero below 0, the
+    stored one when grown, else the series extended exactly that far from
     where it stopped.  Degree d takes S_i[d] = S_{i-1}[d] + w_i S_{i-1}[d-1]
     for a numerator w_i and S_{i-1}[d] + w_i S_i[d-1] for a denominator, and
     is stored only once all of it is built: a raise (TermBudgetExceeded)
@@ -614,6 +615,8 @@ def grow_series(series: GrowingSeries, degree: int) -> LaurentPoly:
     the ring work of one expansion to the largest degree.  ExponentOverflow
     comes first, when degree * max |e| over the denominators reaches 2^15."""
     coeffs = series.coeffs
+    if degree < len(coeffs):
+        return coeffs[degree] if degree >= 0 else LaurentPoly.zero(coeffs[0].n)
     reach = degree * max((w._bound for w, numer in series.factors if not numer), default=0)
     if reach >= _LIMIT:
         raise ExponentOverflow(

@@ -74,12 +74,12 @@ class Alphabet:
         return cls(nv, tuple(_unit_mono(nv, offset + i) for i in range(m)))
 
     @classmethod
-    def symplectic(cls, k: int, nvars: int | None = None, offset: int = 0) -> "Alphabet":
+    def symplectic(cls, k: int, nvars: int | None = None) -> "Alphabet":
         nv = k if nvars is None else nvars
         monos = []
         for i in range(k):
-            monos.append(_unit_mono(nv, offset + i))
-            monos.append(_unit_mono(nv, offset + i, -1))
+            monos.append(_unit_mono(nv, i))
+            monos.append(_unit_mono(nv, i, -1))
         return cls(nv, tuple(monos))
 
     @classmethod
@@ -94,13 +94,12 @@ _H_CACHE: dict[Alphabet, GrowingSeries] = {}
 
 
 def complete_h(r: int, a: Alphabet) -> LaurentPoly:
-    """h_r on the alphabet; zero for r < 0, one for r = 0."""
-    if r < 0:
-        return LaurentPoly.zero(a.nvars)
+    """h_r on the alphabet, read from its _H_CACHE series by grow_series:
+    zero for r < 0, one for r = 0."""
     series = _H_CACHE.get(a)
     if series is None:
         series = _H_CACHE[a] = GrowingSeries([], list(a.monomials), a.nvars)
-    return series.coeffs[r] if r < len(series.coeffs) else grow_series(series, r)
+    return grow_series(series, r)
 
 
 def elementary_e(r: int, a: Alphabet) -> LaurentPoly:
@@ -179,9 +178,11 @@ def inter_schur(lam: Partition, spec: VariableSpec, method: str = "definition") 
 
     method="definition" sums symplectic-Schur times skew-Schur over inner
     shapes; inner shapes with more than k rows carry no symplectic character
-    and are skipped.  Each factor sp_mu is computed once per process on the
-    k pairs alone, kept in _SP_CACHE under (mu.parts, k) and embedded into
-    the n variables at offset 0, since it depends on neither lam nor m.
+    and are skipped.  On the others sp_mu is an irreducible Sp(2k)
+    character, never zero, so only the skew factor can drop a term.  Each
+    factor sp_mu is computed once per process on the k pairs alone, kept in
+    _SP_CACHE under (mu.parts, k) and embedded into the n variables at
+    offset 0, since it depends on neither lam nor m.
 
     method="tableau" sums weights over the unprimed tableau
     family: the polynomial's terms are the packed weight counts of
@@ -192,8 +193,7 @@ def inter_schur(lam: Partition, spec: VariableSpec, method: str = "definition") 
     before the walk when lam_1 >= 2^15.
     """
     n = spec.n
-    if lam.length > n:
-        raise PreconditionError(f"{lam.length} rows on {n} variables")
+    spec.check_rows(lam)
     if method == "tableau":
         return _poly(n, spt_weight_counts(spec, lam), lam.part(1))
     if method != "definition":
@@ -204,8 +204,6 @@ def inter_schur(lam: Partition, spec: VariableSpec, method: str = "definition") 
         if mu.length > spec.k:
             continue
         c_part = _symp_on_pairs(mu, spec.k, n)
-        if c_part.is_zero():
-            continue
         a_part = schur_skew(lam, mu, a_alpha)
         if a_part.is_zero():
             continue

@@ -93,7 +93,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import ExponentOverflow, NotContained
+from .errors import ExponentOverflow, PreconditionError
 from .ring import _LIMIT, Monomial, _over_budget, _pack, _term_budget
 from .shapes import EMPTY, Partition, StrictPartition, shifted_cells
 
@@ -138,6 +138,12 @@ class VariableSpec:
     @property
     def n(self) -> int:
         return self.k + self.m
+
+    def check_rows(self, lam: Partition) -> None:
+        """The row bound every route shares: raise PreconditionError when
+        lam has more than n rows."""
+        if lam.length > self.n:
+            raise PreconditionError(f"{lam.length} rows on {self.n} variables")
 
     def primed_alphabet(self) -> list[Letter]:
         out = []
@@ -411,10 +417,9 @@ def enum_qt(
     the diagonal rule then thins the stream, often to empty.  The stream is
     _walk's on the shape's rows, with every row floor 0.
     """
-    try:
-        row_ranges = shifted_cells(lam, mu).rows()
-    except NotContained:
+    if not lam.contains(mu):
         return
+    row_ranges = shifted_cells(lam, mu).rows()
     for head, rests in _walk(spec, True, row_ranges, [0] * len(row_ranges), False):
         for rest in rests:
             yield PrimedTableau(lam, mu, head + rest)

@@ -121,6 +121,13 @@ def _each_twice(enum):
     return wrapped
 
 
+def _reversed(enum):
+    def wrapped(*args):
+        return reversed(list(enum(*args)))
+
+    return wrapped
+
+
 @pytest.mark.parametrize(
     "suite, dependency, corrupt, check, case",
     [
@@ -132,8 +139,18 @@ def _each_twice(enum):
             "lam=() mu=() spec=(0,2) h-e: -1",
         ),
         ("linalg", "determinant", _plus_one, "linalg.pfaffian-square-random", "matrix 0 "),
+        # the families are compared with the tableaux in step, so a repeat or
+        # a change of order fails at the first case with one or two families
+        (
+            "lgv", "enum_path_families", _each_twice, "lgv.path-tableau-bijection",
+            "lam=() mu=() spec=(0,0) 2 families, 1 tableaux",
+        ),
+        (
+            "lgv", "enum_path_families", _reversed, "lgv.path-tableau-bijection",
+            "lam=(2) mu=() spec=(0,1) 2 families, 2 tableaux",
+        ),
     ],
-    ids=["ring", "tableaux", "tableaux-spt", "schur", "linalg"],
+    ids=["ring", "tableaux", "tableaux-spt", "schur", "linalg", "lgv-twice", "lgv-reversed"],
 )
 def test_failing_suite_names_its_first_case(monkeypatch, suite, dependency, corrupt, check, case):
     monkeypatch.setattr(checks, dependency, corrupt(getattr(checks, dependency)))

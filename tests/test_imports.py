@@ -1,4 +1,5 @@
-"""Every name a qsym module imports is used in that module."""
+"""Every name a qsym module imports is used in that module, and every
+private name a qsym module defines is read somewhere in qsym."""
 
 import ast
 from pathlib import Path
@@ -7,7 +8,8 @@ import pytest
 
 import qsym
 
-MODULES = sorted(p for p in Path(qsym.__file__).parent.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(Path(qsym.__file__).parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -44,3 +46,60 @@ def test_an_unused_import_is_found():
         "    return os.path.join(x)\n"
     )
     assert unused_imports(source) == ["Seq (line 3)"]
+
+
+def dead_private_names(source: str, package: list[str]) -> list[str]:
+    """The private names the module defines at its top level that no source
+    of the package reads.
+
+    Private means one leading underscore and not a dunder.  A definition is
+    a top-level def, class, assignment or annotated assignment; a name counts
+    as read when it appears as a loaded Name node or as an attribute name in
+    any of the package's sources, the module's own included.
+    """
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined[name.id] = node.lineno
+    read = set()
+    for text in package:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    private = {
+        name: line
+        for name, line in defined.items()
+        if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+    }
+    return [f"{name} (line {line})" for name, line in private.items() if name not in read]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_reads_every_private_name_it_defines(path):
+    package = [p.read_text() for p in SOURCES]
+    assert dead_private_names(path.read_text(), package) == []
+
+
+def test_a_dead_private_name_is_found():
+    source = (
+        "__all__ = ['f']\n"
+        "_USED, _DEAD = 1, 2\n"
+        "_TABLE: dict = {}\n"
+        "class _Helper:\n"
+        "    pass\n"
+        "def _unused():\n"
+        "    return _USED\n"
+        "def f():\n"
+        "    return _Helper()\n"
+    )
+    other = "from m import _TABLE\nimport m\nm._TABLE.clear()\n"
+    assert dead_private_names(source, [source, other]) == ["_DEAD (line 2)", "_unused (line 6)"]

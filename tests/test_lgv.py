@@ -15,7 +15,7 @@ from qsym import (
     qI_tableau,
     qt_weight,
 )
-from qsym.checks import qi_cases
+from qsym.checks import qi_cases, specs_up_to, strict_partitions
 from qsym.errors import PreconditionError
 
 L = letter
@@ -108,6 +108,29 @@ def test_bijection_on_small_shape():
     assert sorted(family_weight(f, spec) for f in families) == sorted(
         qt_weight(t, spec) for t in tabs
     )
+
+
+def _order_grid():
+    """Inputs beyond the acceptance sweep: parts up to 5 on at most two
+    variables, and four variables on parts up to 3, each lam of at most
+    three rows against every strict mu of that size, contained or not."""
+    for max_part, specs in ((5, specs_up_to(2)), (3, [VariableSpec(k, 4 - k) for k in range(5)])):
+        shapes = strict_partitions(max_part, 3)
+        for lam in shapes:
+            for mu in shapes:
+                for spec in specs:
+                    if lam.length <= spec.n:
+                        yield lam, mu, spec
+
+
+def test_families_come_in_the_tableau_order():
+    # lgv_checks compares the two streams in step, so this order is its premise
+    cases = families = 0
+    for lam, mu, spec in _order_grid():
+        rows = [t.rows for t in enum_qt(spec, lam, mu)]
+        assert list(enum_path_families(lam, mu, spec)) == rows, (lam, mu, spec)
+        cases, families = cases + 1, families + len(rows)
+    assert (cases, families) == (1906, 242845)
 
 
 def test_figure_family_validates_and_maps():

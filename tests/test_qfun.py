@@ -13,9 +13,13 @@ from qsym import (
     StrictPartition,
     TermBudgetExceeded,
     VariableSpec,
+    build_jp_matrix,
+    enum_path_families,
     enum_qt,
     enum_spt,
     enum_strict_between,
+    inter_schur,
+    pfaffian,
     qA_two_row,
     qC_two_row,
     qI_branch,
@@ -27,7 +31,7 @@ from qsym import (
     q_single_var,
     qt_weight,
 )
-from qsym.checks import ROUTES, specs_up_to, strict_partitions
+from qsym.checks import ROUTES, Domain, specs_up_to, strict_partitions
 from qsym.ring import _BATCH
 
 
@@ -98,20 +102,41 @@ def test_qI_def_degenerations():
             assert qI_def(lam, mu, c_spec) == qI_jp(lam, mu, c_spec)
 
 
-def test_qI_def_skips_only_factors_that_vanish_by_length():
-    # qI_def skips nu when the symplectic factor nu/mu on k pairs or the plain
-    # factor lam/nu on m variables has more rows beyond its inner shape than
-    # variables; each such factor is a skew pair on a pure spec, here with
-    # parts <= 5 and 0-3 variables
-    ctx = QContext()
-    pairs = 0
+def _pairs_past_qt5():
+    """The skew pairs on a pure spec, parts <= 5 and 0-3 variables, whose
+    shape has more rows beyond its inner shape than variables: the factors
+    of qI_def that vanish by QT5."""
     for outer in strict_partitions(5, 5):
         for inner in enum_strict_between(EMPTY, outer):
             for c in range(min(outer.length - inner.length, 4)):
                 for spec in (VariableSpec(c, 0), VariableSpec(0, c)):
-                    assert qI_jp(outer, inner, spec, ctx).is_zero(), (outer, inner, spec)
-                    pairs += 1
+                    yield outer, inner, spec
+
+
+def test_qI_def_skips_only_factors_that_vanish_by_length():
+    # qI_def drops the symplectic factor nu/mu on k pairs or the plain factor
+    # lam/nu on m variables when it has more rows beyond its inner shape than
+    # variables, since qI_jp returns zero for it at once; the full Pfaffian
+    # expansion of each such factor is zero too
+    ctx = QContext()
+    pairs = 0
+    for outer, inner, spec in _pairs_past_qt5():
+        mat = build_jp_matrix(outer, inner, spec, ctx)
+        assert pfaffian(mat, spec.n).is_zero(), (outer, inner, spec)
+        pairs += 1
     assert pairs == 1122
+
+
+def test_qI_jp_returns_qt5_zeros_without_a_matrix(monkeypatch):
+    def no_matrix(*args):
+        raise AssertionError("qI_jp built a matrix")
+
+    monkeypatch.setattr(qsym.qfun, "build_jp_matrix", no_matrix)
+    ctx = QContext()
+    for outer, inner, spec in _pairs_past_qt5():
+        assert qI_jp(outer, inner, spec, ctx) == LaurentPoly.zero(spec.n)
+    # nor is anything looked up or kept
+    assert not ctx.cache and not ctx.row_series
 
 
 def test_qI_tableau_examples():
@@ -183,6 +208,24 @@ def test_row_count_preconditions():
     with pytest.raises(PreconditionError):
         qI_jp(sp(3, 2, 1), EMPTY, VariableSpec(1, 1))
     assert qI_jp(sp(2, 1), EMPTY, VariableSpec(0, 1)) == LaurentPoly.zero(1)
+    # every caller of VariableSpec.check_rows raises its one message
+    lam, spec = sp(3, 2, 1), VariableSpec(1, 1)
+    calls = [
+        lambda: qI_def(lam, EMPTY, spec),
+        lambda: qI_tableau(lam, EMPTY, spec),
+        lambda: qI_branch(lam, EMPTY, spec),
+        lambda: qI_jp(lam, EMPTY, spec),
+        lambda: lgv_weight_sum(lam, EMPTY, spec),
+        lambda: next(enum_path_families(lam, EMPTY, spec)),
+        lambda: inter_schur(Partition(lam.parts), spec, "definition"),
+        lambda: inter_schur(Partition(lam.parts), spec, "tableau"),
+        lambda: Domain().check(Partition(lam.parts), Partition(), spec),
+        lambda: spec.check_rows(lam),
+    ]
+    for call in calls:
+        with pytest.raises(PreconditionError, match="^3 rows on 2 variables$"):
+            call()
+    assert spec.check_rows(sp(2, 1)) is None
 
 
 def test_context_cache_matches_fresh():

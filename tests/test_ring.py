@@ -320,6 +320,15 @@ def test_grown_series_equals_fresh_in_any_ask_order(data):
     assert len(series.coeffs) == top + 1
 
 
+@pytest.mark.parametrize("grown", [0, 3])
+def test_grown_series_below_degree_zero_is_zero_and_grows_nothing(grown):
+    series = GrowingSeries([], [(1,)], 1)
+    grow_series(series, grown)
+    before = list(series.coeffs)
+    assert grow_series(series, -1) == LaurentPoly.zero(1)
+    assert series.coeffs == before
+
+
 def test_grown_series_past_the_field_width_raises_and_keeps_its_length():
     series = GrowingSeries([], [(2,)], 1)
     assert grow_series(series, 2**14 - 1) == v(1, 0, 2**15 - 2)
