@@ -172,7 +172,7 @@ def strict_partitions(max_part: int, max_len: int) -> list[StrictPartition]:
     included: those inside the staircase max_part, max_part - 1, ... of
     max_len rows."""
     top = StrictPartition(tuple(range(max_part, max(max_part - max_len, 0), -1)))
-    return enum_strict_between(EMPTY, top)
+    return list(enum_strict_between(EMPTY, top))
 
 
 def partitions_up_to_weight(max_weight: int, max_len: int = 4) -> list[Partition]:

@@ -7,10 +7,13 @@ is `checks.ROUTES`.
 The spec is the family: k = 0 gives the plain family (Schur's Q-functions),
 m = 0 the symplectic one (Okada's), and each route evaluates all three.
 
-All evaluators are pure; a QContext carries the memo tables that the
-Pfaffian expansions hammer (one-row values, two-row values, sub-sums).  A
-call without a context gets a fresh one, so nothing is cached between such
-calls; callers that want reuse pass the same context to each call.
+All evaluators are pure; a QContext carries their memo tables: the one-row
+series per spec, and in `cache` the two-row values ("A2", "C2"), each
+route's values ("Idef", "Itab", "Ijp"), the branch route's values per spec
+("Ibr", sub-values of smaller specs included) and its single-variable steps
+("Q1", keyed by their matrix).  A call without a context gets a fresh one,
+so nothing is cached between such calls; callers that want reuse pass the
+same context to each call.
 
 Conventions used throughout: a negative subscript means the zero polynomial;
 for matrix entries, the two-row value at (r, r) is zero, at (r, 0) it is the
@@ -32,6 +35,14 @@ from .tableaux import VariableSpec, enum_qt, qt_weight
 @dataclass
 class QContext:
     """Shared memo tables; cached values always equal fresh recomputation.
+
+    `row_series` holds each spec's one-row series.  `cache` keys are tuples
+    that start with their kind:
+      ("A2", r, s, n) and ("C2", r, s, k)  two-row values, plain and symplectic;
+      ("Idef" | "Itab" | "Ijp", lam, mu, spec)  qI_def, qI_tableau, qI_jp;
+      ("Ibr", lam, mu, spec)  qI_branch values, one per spec of its recursion;
+      ("Q1", spec, diffs)  single-variable steps, keyed by their matrix.
+    A value is stored only once it is complete, so a raise leaves no entry.
 
     Concurrent tasks should each own a context; the cached polynomials
     themselves are immutable and safe to share."""
@@ -209,19 +220,56 @@ def q_single_var(
     ctx: QContext | None = None,
 ) -> LaurentPoly:
     """Skew value on a one-variable spec, (1, 0) or (0, 1): zero when the
-    shape grows by more than one row, otherwise a determinant of one-row
-    values."""
+    shape grows by more than one row, otherwise the determinant of the
+    one-row values q_{lam_i - mu_j}, i, j = 1..l(lam).  It is cached under
+    ("Q1", spec, the row-major tuple of those lam_i - mu_j), which is the
+    matrix itself, so shapes with equal differences share one determinant."""
     if spec.n != 1:
         raise PreconditionError(f"needs a one-variable spec, got ({spec.k}, {spec.m})")
     if lam.length - mu.length > 1 or mu.length > lam.length:
         return LaurentPoly.zero(1)
     ctx = _ctx(ctx)
     size = lam.length
-    rows = [
-        [q_row(lam.part(i) - mu.part(j), spec, ctx) for j in range(1, size + 1)]
-        for i in range(1, size + 1)
-    ]
-    return determinant(RingMatrix.from_rows(rows), 1)
+    inner = mu.parts + (0,) * (size - mu.length)
+    diffs = tuple(a - b for a in lam.parts for b in inner)
+    key = ("Q1", spec, diffs)
+    got = ctx.cache.get(key)
+    if got is not None:
+        return got
+    rows = [[q_row(d, spec, ctx) for d in diffs[i * size : (i + 1) * size]] for i in range(size)]
+    out = ctx.cache[key] = determinant(RingMatrix.from_rows(rows), 1)
+    return out
+
+
+def _branch(
+    lam: StrictPartition, mu: StrictPartition, spec: VariableSpec, ctx: QContext
+) -> LaurentPoly:
+    """qI_branch's recursion, for mu inside lam and with no row bound.  On
+    one variable the value is the step itself."""
+    n = spec.n
+    if n == 0:
+        return LaurentPoly.one(0) if lam == mu else LaurentPoly.zero(0)
+    if n == 1:
+        return q_single_var(lam, mu, spec, ctx)
+    key = ("Ibr", lam.parts, mu.parts, spec)
+    got = ctx.cache.get(key)
+    if got is not None:
+        return got
+    if spec.k:
+        step_spec, rest = VariableSpec(1, 0), VariableSpec(spec.k - 1, spec.m)
+    else:
+        step_spec, rest = VariableSpec(0, 1), VariableSpec(0, spec.m - 1)
+    terms = []
+    for nu in enum_strict_between(mu, lam):
+        step = q_single_var(nu, mu, step_spec, ctx)
+        if step.is_zero():
+            continue
+        tail = _branch(lam, nu, rest, ctx)
+        if tail.is_zero():
+            continue
+        terms.append((step.embed(n, 0), tail.embed(n, 1), 1))
+    total = ctx.cache[key] = sum_of_products(n, terms)
+    return total
 
 
 def qI_branch(
@@ -230,35 +278,17 @@ def qI_branch(
     spec: VariableSpec,
     ctx: QContext | None = None,
 ) -> LaurentPoly:
-    """Intermediate value by branching: chains mu = s0 <= s1 <= ... <= sn = lam
-    with a single-variable factor per step, symplectic steps first."""
-    n = spec.n
+    """Intermediate value by branching on the first variable: the sum over nu
+    between mu and lam of its single-variable step nu/mu, symplectic while
+    k > 0, times lam/nu on the other variables, itself a branch value of the
+    spec (k - 1, m) or (0, m - 1).  Each value on two or more variables is
+    cached under ("Ibr", lam, mu, spec) in its own ring, and each step under
+    its "Q1" matrix key, so calls sharing a context reuse the sub-values of
+    smaller specs."""
     spec.check_rows(lam)
-    ctx = _ctx(ctx)
-
-    def suffix(i: int, cur: StrictPartition) -> LaurentPoly:
-        if i > n:
-            return LaurentPoly.one(n) if cur == lam else LaurentPoly.zero(n)
-        key = ("Ibr", i, cur.parts, lam.parts, spec)
-        got = ctx.cache.get(key)
-        if got is not None:
-            return got
-        step_spec = VariableSpec(1, 0) if i <= spec.k else VariableSpec(0, 1)
-        terms = []
-        for nxt in enum_strict_between(cur, lam):
-            step = q_single_var(nxt, cur, step_spec, ctx)
-            if step.is_zero():
-                continue
-            rest = suffix(i + 1, nxt)
-            if rest.is_zero():
-                continue
-            terms.append((step.embed(n, i - 1), rest, 1))
-        total = ctx.cache[key] = sum_of_products(n, terms)
-        return total
-
     if not lam.contains(mu):
-        return LaurentPoly.zero(n)
-    return suffix(1, mu)
+        return LaurentPoly.zero(spec.n)
+    return _branch(lam, mu, spec, _ctx(ctx))
 
 
 def qI_jp(

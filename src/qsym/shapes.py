@@ -150,26 +150,24 @@ def shifted_cells(lam: StrictPartition, mu: StrictPartition) -> SkewShiftedShape
     return SkewShiftedShape(lam, mu)
 
 
-def enum_strict_between(mu: StrictPartition, lam: StrictPartition) -> list[StrictPartition]:
-    """All strict nu with mu inside nu inside lam; empty when mu is not inside lam."""
+def enum_strict_between(mu: StrictPartition, lam: StrictPartition) -> Iterator[StrictPartition]:
+    """All strict nu with mu inside nu inside lam, drawn lazily, so a caller
+    that stops early never builds the rest; none when mu is not inside lam."""
     if not lam.contains(mu):
-        return []
+        return
 
-    out: list[StrictPartition] = []
-
-    def rec(i: int, prev: int, acc: tuple[int, ...]):
+    def rec(i: int, prev: int, acc: tuple[int, ...]) -> Iterator[StrictPartition]:
         # rows i.. of nu are empty from here on; valid only if mu has no more parts
         if mu.length <= len(acc):
-            out.append(StrictPartition(acc))
+            yield StrictPartition(acc)
         if i > lam.length:
             return
         hi = min(prev - 1, lam.part(i))
         lo = max(mu.part(i), 1)
         for p in range(hi, lo - 1, -1):
-            rec(i + 1, p, acc + (p,))
+            yield from rec(i + 1, p, acc + (p,))
 
-    rec(1, lam.part(1) + 1 if lam.parts else 1, ())
-    return out
+    yield from rec(1, lam.part(1) + 1 if lam.parts else 1, ())
 
 
 def pad_for_pfaffian(

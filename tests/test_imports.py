@@ -1,7 +1,9 @@
-"""Every name a qsym module imports is used in that module, and every
-private name a qsym module defines is read somewhere in qsym."""
+"""Every name a qsym module imports is used in that module, every private
+name a qsym module defines is read somewhere in qsym, and every qsym module
+parses at the Python floor that pyproject.toml declares."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -103,3 +105,23 @@ def test_a_dead_private_name_is_found():
     )
     other = "from m import _TABLE\nimport m\nm._TABLE.clear()\n"
     assert dead_private_names(source, [source, other]) == ["_DEAD (line 2)", "_unused (line 6)"]
+
+
+def declared_floor() -> tuple[int, int]:
+    """The (major, minor) of pyproject.toml's `requires-python = ">=X.Y"`."""
+    pyproject = Path(qsym.__file__).parents[2] / "pyproject.toml"
+    found = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject.read_text(), re.M)
+    assert found, "pyproject.toml declares no requires-python floor"
+    return int(found[1]), int(found[2])
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_module_parses_at_the_declared_python_floor(path):
+    ast.parse(path.read_text(), filename=str(path), feature_version=declared_floor())
+
+
+def test_syntax_newer_than_the_floor_is_found():
+    # except* arrived in Python 3.11
+    source = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    with pytest.raises(SyntaxError):
+        ast.parse(source, feature_version=(3, 10))

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 import qsym.lgv
@@ -31,7 +33,8 @@ from qsym import (
     q_single_var,
     qt_weight,
 )
-from qsym.checks import ROUTES, Domain, specs_up_to, strict_partitions
+from qsym.checks import ROUTES, Domain, qi_cases, specs_up_to, strict_partitions
+from qsym.linalg import determinant
 from qsym.ring import _BATCH
 
 
@@ -323,3 +326,94 @@ def test_term_budget_stops_the_tableau_route_within_one_batch(monkeypatch, lam):
     with pytest.raises(TermBudgetExceeded):
         qI_tableau(lam, EMPTY, spec, QContext())
     assert passed <= drawn <= passed + _BATCH
+
+
+@pytest.mark.parametrize("route", [qI_def, qI_branch])
+def test_term_budget_stops_the_route_before_the_shapes_are_listed(monkeypatch, route):
+    built = 0
+    check = StrictPartition.__post_init__
+
+    def counted(self):
+        nonlocal built
+        built += 1
+        check(self)
+
+    monkeypatch.setattr(StrictPartition, "__post_init__", counted)
+    monkeypatch.setenv("QSYM_MAX_TERMS", "50")
+    # 300,501 strict shapes lie inside (800, 600); q_800 on one pair has 801 terms
+    with pytest.raises(TermBudgetExceeded):
+        route(sp(800, 600), EMPTY, VariableSpec(1, 1), QContext())
+    assert built < 1000
+
+
+def _counted_determinants(monkeypatch) -> list[tuple[LaurentPoly, ...]]:
+    """Patch qfun's determinant to record each matrix it expands, row-major."""
+    expanded = []
+
+    def recorded(a, nvars=None):
+        expanded.append(tuple(a.entry(i, j) for i in range(a.rows) for j in range(a.cols)))
+        return determinant(a, nvars)
+
+    monkeypatch.setattr(qsym.qfun, "determinant", recorded)
+    return expanded
+
+
+@pytest.mark.parametrize("spec", [VariableSpec(0, 1), VariableSpec(1, 0)])
+def test_equal_step_matrices_share_one_determinant(monkeypatch, spec):
+    # both shapes have the differences lam_i - mu_j = (1, 2, -1, 0)
+    shapes = [(sp(3, 1), sp(2, 1)), (sp(4, 2), sp(3, 2))]
+    fresh = [q_single_var(lam, mu, spec, QContext()) for lam, mu in shapes]
+    expanded = _counted_determinants(monkeypatch)
+    ctx = QContext()
+    assert [q_single_var(lam, mu, spec, ctx) for lam, mu in shapes] == fresh
+    assert len(expanded) == 1
+
+
+def test_branch_expands_no_step_matrix_twice(monkeypatch):
+    expanded = _counted_determinants(monkeypatch)
+    qI_branch(sp(6, 4, 2), EMPTY, VariableSpec(2, 2), QContext())
+    constants = {LaurentPoly.zero(1), LaurentPoly.one(1)}
+    for entries, times in Counter(expanded).items():
+        # a matrix of constants is the same on both step specs
+        assert times == 1 or (times == 2 and set(entries) <= constants), entries
+
+
+def test_branch_keeps_its_sub_values_per_spec():
+    lam, rest, ctx = sp(4, 2), VariableSpec(1, 1), QContext()
+    qI_branch(lam, EMPTY, VariableSpec(2, 1), ctx)
+    subs = {key[2]: value for key, value in ctx.cache.items() if key[0] == "Ibr" and key[3] == rest}
+    assert set(subs) == {(), (1,), (2,), (3,), (4,)}
+    for nu, value in subs.items():
+        assert value == qI_branch(lam, StrictPartition(nu), rest, QContext())
+
+
+def test_a_budget_stopped_sub_value_leaves_no_entry(monkeypatch):
+    lam, spec, rest = sp(4, 2), VariableSpec(2, 1), VariableSpec(1, 1)
+    sub = qI_branch(lam, EMPTY, rest, QContext())
+    fresh = qI_branch(lam, EMPTY, spec, QContext())
+    key = ("Ibr", lam.parts, (), rest)
+    ctx = QContext()
+    # every step and one-row value here has at most 5 terms, the sub-value 12
+    monkeypatch.setenv("QSYM_MAX_TERMS", str(len(sub.terms) - 1))
+    with pytest.raises(TermBudgetExceeded):
+        qI_branch(lam, EMPTY, spec, ctx)
+    assert key not in ctx.cache
+    assert ("Ibr", lam.parts, (), spec) not in ctx.cache
+    monkeypatch.delenv("QSYM_MAX_TERMS")
+    assert qI_branch(lam, EMPTY, spec, ctx) == fresh
+    assert ctx.cache[key] == sub
+
+
+def test_branch_route_calls_no_other_route(monkeypatch):
+    cases = list(qi_cases())
+    assert len(cases) == 654
+    ctx = QContext()
+    expect = [qI_def(lam, mu, spec, ctx) for lam, mu, spec in cases]
+
+    def other_route(*args):
+        raise AssertionError("the branch route reached another route")
+
+    for name in ("qI_def", "qI_jp", "build_jp_matrix", "pfaffian", "enum_qt", "qt_weight"):
+        monkeypatch.setattr(qsym.qfun, name, other_route)
+    ctx = QContext()
+    assert [qI_branch(lam, mu, spec, ctx) for lam, mu, spec in cases] == expect
