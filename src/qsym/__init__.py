@@ -42,7 +42,6 @@ from .tableaux import (
     enum_spt,
     letter,
     qt_weight,
-    spt_weight,
 )
 from .symfun import (
     Alphabet,

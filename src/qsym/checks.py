@@ -34,6 +34,7 @@ from .symfun import (
     schur_skew,
     schur_skew_e,
     symp_schur,
+    symp_schur_on,
 )
 from .qfun import (
     QContext,
@@ -338,7 +339,8 @@ def schur_checks(max_weight: int = 5, max_vars: int = 4) -> list[CheckResult]:
                 detail = f"{case} definition-tableau: {diff}"
                 first.setdefault("schur.definition-vs-tableau", detail)
             if lam.length <= spec.k + 1 and not check_union_identity(lam, spec):
-                first.setdefault("schur.union-alphabet", case)
+                diff = d - symp_schur_on(lam, Alphabet.mixed(spec))
+                first.setdefault("schur.union-alphabet", f"{case} definition-union: {diff}")
             if lam.weight <= 4 and not is_spec_symmetric(d, spec):
                 first.setdefault("schur.weyl-symmetry", case)
 
@@ -465,11 +467,15 @@ def qfun_checks(
         total = rng.randint(max(1, lam.length), max_vars)
         k = rng.randint(0, total)
         spec = VariableSpec(k, total - k)
-        if qI_tableau(lam, mu, spec, ctx).is_zero() and qI_def(lam, mu, spec, ctx).is_zero():
-            count += 1
-        else:
-            first["qfun.vanishing"] = f"{_case(lam, mu, spec)} is not zero"
+        nonzero = [
+            f"{_case(lam, mu, spec)} {method}: {value}"
+            for (family, method), route in ROUTES.items()
+            if family == "qI" and not (value := route.fn(lam, mu, spec, ctx)).is_zero()
+        ]
+        if nonzero:
+            first["qfun.vanishing"] = nonzero[0]
             break
+        count += 1
     jp_detail = (
         f"{jp_cases} cases of two or more rows, not independent on {jp_pure} pure-spec "
         f"and {jp_two_row} mixed straight two-row cases"

@@ -4,7 +4,8 @@ Subcommands:
   compute   one polynomial by one or several methods; the (family, method)
             pairs and the inputs each accepts come from the route table
             `checks.ROUTES`.  `--method all` cross-checks every route of the
-            family and fails loudly on any disagreement
+            family; on a disagreement it names each route whose value differs
+            from the first route's and prints the difference
   series    one-row generating-series coefficients, self-verified against
             the linear-factor product
   verify    the check suites of `checks.SUITES`, one or all, within a size
@@ -23,7 +24,7 @@ import json
 import sys
 
 from .checks import ROUTES, SUITES, run_suite, series_inverse_holds
-from .errors import ParseError, PreconditionError, QsymError
+from .errors import ParseError, PreconditionError, QsymError, parse_count
 from .qfun import QContext, q_row
 from .shapes import Partition
 from .symfun import Alphabet
@@ -33,12 +34,9 @@ from .tableaux import VariableSpec
 def _count(text: str) -> int:
     """argparse type for a nonnegative integer."""
     try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return value
+        return parse_count(text, "a count")
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def cmd_compute(args) -> int:
@@ -55,8 +53,9 @@ def cmd_compute(args) -> int:
     shapes = {name: route.domain.check(lam, mu, spec) for name, route in chosen.items()}
     ctx = QContext()
     routes = {name: route.fn(*shapes[name], spec, ctx) for name, route in chosen.items()}
-    values = list(routes.values())
-    agreed = all(v == values[0] for v in values)
+    first, ref = next(iter(routes.items()))
+    differences = {name: ref - p for name, p in routes.items() if p != ref}
+    agreed = not differences
     if args.json:
         payload = {
             "family": args.family,
@@ -69,14 +68,14 @@ def cmd_compute(args) -> int:
         }
         print(json.dumps(payload))
     elif len(routes) == 1:
-        print(str(values[0]))
+        print(str(ref))
     else:
         for name, p in routes.items():
             print(f"{name}: {p}")
-    if not agreed:
-        print("DISAGREEMENT between methods", file=sys.stderr)
-        return 1
-    return 0
+    for name, diff in differences.items():
+        print(f"DISAGREEMENT between {first} and {name}: {first} - {name} = {diff}",
+              file=sys.stderr)
+    return 1 if differences else 0
 
 
 def cmd_series(args) -> int:

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and parse_count, the one rule
+for an integer read from outside the program."""
 
 
 class QsymError(Exception):
@@ -31,3 +32,13 @@ class TermBudgetExceeded(QsymError):
 
 class ParseError(QsymError):
     """Malformed textual input (polynomial or partition)."""
+
+
+def parse_count(text: str, what: str) -> int:
+    """The nonnegative integer that text spells in ASCII digits, with spaces
+    around it allowed; ParseError naming `what` otherwise.  Python's int()
+    would also take a sign, underscores and non-ASCII digits."""
+    digits = text.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError(f"{what} must be a nonnegative integer, got {text!r}")
+    return int(digits)

@@ -4,7 +4,10 @@ The directed graph lives on levels 1..K, K = 2k + m: levels 2t-1 and 2t
 (t <= k) carry the letters t and t-bar, level 2k + j carries the plain letter
 k + j.  A step right at a level contributes that level's unprimed letter, a
 diagonal step up-right contributes the primed letter of the target level, and
-vertical steps are silent.  Row i of the skew shape is read off path i:
+vertical steps are silent.  The letters come from the tableaux' alphabet,
+which lists the levels in this order: level b's primed and unprimed letters
+are slots 2b - 2 and 2b - 1 of spec.primed_alphabet().  Row i of the skew
+shape is read off path i:
 
   paths 1..len(mu)  start on the bottom boundary at x = mu_i,
   the remaining paths enter from the left boundary x = 0, either at a level
@@ -47,15 +50,9 @@ from typing import Iterator
 
 from .ring import LaurentPoly, Monomial, sum_of_products
 from .shapes import StrictPartition
-from .tableaux import Letter, VariableSpec, _letter_weight, letter
+from .tableaux import Letter, VariableSpec, _letter_weight
 
 Rows = tuple[tuple[Letter, ...], ...]
-
-
-def _level_letter(spec: VariableSpec, level: int, primed: bool) -> Letter:
-    if level <= 2 * spec.k:
-        return letter((level + 1) // 2, barred=level % 2 == 0, primed=primed)
-    return letter(level - spec.k, primed=primed)
 
 
 def family_weight(rows: Rows, spec: VariableSpec) -> Monomial:
@@ -75,9 +72,10 @@ def enum_path_families(
         return
     k_levels = 2 * spec.k + spec.m
     height = k_levels + 1  # the bits of one column, levels 0..K
+    alphabet = spec.primed_alphabet()
     # from level d: right at d (unprimed) or diagonally to d + 1 (primed)
     moves = [
-        [(_level_letter(spec, b, primed=b > d), b) for b in (d, d + 1) if 1 <= b <= k_levels]
+        [(alphabet[2 * b - 1 - (b > d)], b) for b in (d, d + 1) if 1 <= b <= k_levels]
         for d in range(height)
     ]
     memo: dict[tuple[int, int, int], list[tuple[tuple[Letter, ...], int]]] = {}
@@ -147,7 +145,7 @@ def lgv_weight_sum(
     if not lam.contains(mu):
         return LaurentPoly.zero(n)
     k_levels = 2 * spec.k + spec.m
-    letters = [None] + [_level_letter(spec, level, False) for level in range(1, k_levels + 1)]
+    letters = [None] + spec.unprimed_alphabet()
 
     def weight(state: tuple[int, ...]) -> LaurentPoly:
         return LaurentPoly.monomial(n, _letter_weight([[letters[b] for b in state if b]], spec))

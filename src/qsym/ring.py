@@ -47,7 +47,8 @@ polynomial into a wider ring explicitly.
 
 The optional environment variable QSYM_MAX_TERMS aborts any computation whose
 intermediate results grow beyond that many terms; a value that is not a
-nonnegative integer raises ParseError.  Each ring operation reads it once.
+nonnegative integer in ASCII digits raises ParseError.  Each ring operation
+reads it once.
 """
 
 from __future__ import annotations
@@ -59,7 +60,13 @@ from collections import Counter
 from itertools import islice
 from typing import Iterable, Sequence
 
-from .errors import ExponentOverflow, ParseError, TermBudgetExceeded, VariableCountMismatch
+from .errors import (
+    ExponentOverflow,
+    ParseError,
+    TermBudgetExceeded,
+    VariableCountMismatch,
+    parse_count,
+)
 
 Monomial = tuple[int, ...]
 
@@ -98,14 +105,7 @@ _BUDGET_KEY = os.environ.encodekey("QSYM_MAX_TERMS")
 def _term_budget() -> int | None:
     if not _ENV_DATA.get(_BUDGET_KEY):
         return None
-    raw = os.environ["QSYM_MAX_TERMS"]
-    try:
-        budget = int(raw)
-    except ValueError:
-        budget = -1
-    if budget < 0:
-        raise ParseError(f"QSYM_MAX_TERMS must be a nonnegative integer, got {raw!r}")
-    return budget
+    return parse_count(os.environ["QSYM_MAX_TERMS"], "QSYM_MAX_TERMS")
 
 
 def _over_budget(terms: int, budget: int) -> TermBudgetExceeded:
@@ -350,10 +350,6 @@ class LaurentPoly:
     @classmethod
     def one(cls, n: int) -> "LaurentPoly":
         return _poly(n, {0: 1}, 0)
-
-    @classmethod
-    def const(cls, n: int, c: int) -> "LaurentPoly":
-        return _poly(n, {0: c} if c else {}, 0)
 
     @classmethod
     def variable(cls, n: int, i: int, power: int = 1) -> "LaurentPoly":

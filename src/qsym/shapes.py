@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .errors import NotContained, ParseError
+from .errors import NotContained, ParseError, parse_count
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,8 @@ class Partition:
         if not text:
             return cls()
         try:
-            parts = tuple(int(x) for x in text.split(","))
-        except ValueError as exc:
+            parts = tuple(parse_count(x, "a part") for x in text.split(","))
+        except ParseError as exc:
             raise ParseError(f"bad partition {text!r}") from exc
         try:
             return cls(parts)
@@ -136,10 +136,6 @@ class SkewShiftedShape:
 
     def rows(self) -> list[list[int]]:
         return [self.row_cols(i) for i in range(1, self.outer.length + 1)]
-
-    def diagonal_rows(self) -> list[int]:
-        """Rows whose diagonal cell (i, i) survives in the skew shape."""
-        return [i for i in range(1, self.outer.length + 1) if (i, i) in self.cells]
 
     def size(self) -> int:
         return len(self.cells)

@@ -1,10 +1,15 @@
 """Alphabets and backtracking enumerators for the tableau families.
 
-Two alphabets, controlled by a VariableSpec (k symplectic pairs, m plain
-variables, n = k + m):
+One alphabet per VariableSpec (k symplectic pairs, m plain variables,
+n = k + m), and its unprimed half:
 
   primed:   1' < 1 < 1b' < 1b < ... < k' < k < kb' < kb < (k+1)' < k+1 < ... < n' < n
   unprimed: 1 < 1b < 2 < 2b < ... < k < kb < k+1 < ... < n
+
+The primed alphabet lists the levels 1, 1b, ..., k, kb, k+1, ..., n, each as
+its primed letter and then its unprimed one; the unprimed one is every second
+letter.  It is built once per spec and process, and _walk and lgv's paths
+yield its objects, so equal letters of one spec are the same object.
 
 Primed-alphabet fillings of skew shifted shapes obey:
   (QT1) rows weakly increase;
@@ -90,6 +95,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate, chain, islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -146,20 +152,18 @@ class VariableSpec:
             raise PreconditionError(f"{lam.length} rows on {self.n} variables")
 
     def primed_alphabet(self) -> list[Letter]:
-        out = []
-        for i in range(1, self.k + 1):
-            out += [letter(i, primed=True), letter(i), letter(i, barred=True, primed=True), letter(i, barred=True)]
-        for j in range(self.k + 1, self.n + 1):
-            out += [letter(j, primed=True), letter(j)]
-        return out
+        return list(_alphabet(self.k, self.m))
 
     def unprimed_alphabet(self) -> list[Letter]:
-        out = []
-        for i in range(1, self.k + 1):
-            out += [letter(i), letter(i, barred=True)]
-        for j in range(self.k + 1, self.n + 1):
-            out.append(letter(j))
-        return out
+        return list(_alphabet(self.k, self.m)[1::2])
+
+
+@cache
+def _alphabet(k: int, m: int) -> tuple[Letter, ...]:
+    """The primed alphabet of VariableSpec(k, m), in level order."""
+    levels = [(i, barred) for i in range(1, k + 1) for barred in (False, True)]
+    levels += [(j, False) for j in range(k + 1, k + m + 1)]
+    return tuple(Letter(i, barred, unprimed) for i, barred in levels for unprimed in (False, True))
 
 
 def _record_eq(a: tuple, b: object) -> bool:
@@ -211,10 +215,6 @@ def _letter_weight(rows: Iterable[Iterable[Letter]], spec: VariableSpec) -> Mono
 
 def qt_weight(t: PrimedTableau, spec: VariableSpec) -> Monomial:
     """Exponent of x_i: unbarred occurrences minus barred ones, primes ignored."""
-    return _letter_weight(t.rows, spec)
-
-
-def spt_weight(t: SpTableau, spec: VariableSpec) -> Monomial:
     return _letter_weight(t.rows, spec)
 
 

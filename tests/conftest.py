@@ -14,3 +14,18 @@ def poly_strategy(n: int, max_terms: int = 4):
     return st.lists(term, max_size=max_terms).map(
         lambda items: LaurentPoly(n, {e: c for e, c in items})
     )
+
+
+def rows_weight(rows, n: int) -> tuple[int, ...]:
+    """Exponent of x_i over the letters of rows: unbarred occurrences of
+    index i minus barred ones, primes ignored."""
+    exps = [0] * n
+    for row in rows:
+        for x in row:
+            exps[x.index - 1] += -1 if x.barred else 1
+    return tuple(exps)
+
+
+def diagonal_rows(shape) -> list[int]:
+    """Rows whose diagonal cell (i, i) survives in the skew shifted shape."""
+    return sorted(i for i, j in shape.cells if i == j)

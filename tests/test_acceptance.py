@@ -18,7 +18,9 @@ from qsym.checks import (
 )
 from qsym.shapes import EMPTY
 from qsym.symfun import Alphabet, symp_schur
-from qsym.tableaux import Partition, enum_spt, spt_weight
+from qsym.tableaux import Partition, enum_spt
+
+from conftest import rows_weight
 
 
 def _by_name(results):
@@ -88,7 +90,7 @@ def test_criterion_6_schur_side(schur_results):
     spec = VariableSpec(2, 0)
     king_sum = LaurentPoly.zero(2)
     for t in enum_spt(spec, Partition((1, 1))):
-        king_sum = king_sum + LaurentPoly.monomial(2, spt_weight(t, spec))
+        king_sum = king_sum + LaurentPoly.monomial(2, rows_weight(t.rows, spec.n))
     ok = (
         schur_results["schur.definition-vs-tableau"].passed
         and schur_results["schur.union-alphabet"].passed

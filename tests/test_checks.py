@@ -1,6 +1,6 @@
 import pytest
 
-from qsym import LaurentPoly, VariableSpec, enum_qt, qI_tableau
+from qsym import Alphabet, LaurentPoly, VariableSpec, enum_qt, qI_tableau
 from qsym import checks
 from qsym.checks import (
     ROUTES,
@@ -55,6 +55,36 @@ def test_failing_pfaffian_route_reports_its_own_case(monkeypatch):
     assert results["qfun.def-tableau-branch"].passed
     bad = results["qfun.pfaffian-route"]
     assert bad.detail == "lam=(2,1) mu=() spec=(0,2) definition-pfaffian: -1"
+
+
+def test_vanishing_tries_every_qi_route(monkeypatch):
+    # the pfaffian route alone is off on the non-nested draws
+    pfaffian = ROUTES["qI", "pfaffian"]
+    monkeypatch.setitem(ROUTES, ("qI", "pfaffian"), Route(_plus_one(pfaffian.fn), pfaffian.domain))
+    bad = _by_name(qfun_checks(max_part=2, max_len=2, max_vars=2))["qfun.vanishing"]
+    assert not bad.passed
+    assert bad.detail.startswith("lam=(")
+    assert bad.detail.endswith(" pfaffian: 1")
+
+
+def test_vanishing_counts_its_draws():
+    assert _by_name(qfun_checks(max_part=2, max_len=2, max_vars=2))["qfun.vanishing"].line() == (
+        "PASS qfun.vanishing: 50 non-nested pairs"
+    )
+
+
+def test_union_alphabet_failure_prints_the_difference(monkeypatch):
+    # a union alphabet that forgets the plain letters: the determinant on it
+    # loses every term of a plain variable
+    monkeypatch.setattr(
+        Alphabet, "mixed", classmethod(lambda cls, spec: cls.symplectic(spec.k, nvars=spec.n))
+    )
+    results = _by_name(checks.schur_checks(max_weight=2, max_vars=2))
+    bad = results["schur.union-alphabet"]
+    assert not bad.passed
+    # partitions_up_to_weight lists (2) before (1), and the empty shape is 1 on any alphabet
+    assert bad.detail == "lam=(2) mu=() spec=(0,1) definition-union: x1^2"
+    assert results["schur.definition-vs-tableau"].passed
 
 
 def test_lgv_failure_names_case_and_difference(monkeypatch):

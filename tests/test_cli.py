@@ -56,6 +56,21 @@ def test_compute_parse_error_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("lam", ["1_0", "+2", "\u0663,1"])
+def test_compute_part_outside_ascii_digits_exits_2(capsys, lam):
+    code, _, err = run(capsys, "compute", "--family", "qI", "--lambda", lam, "--k", "2")
+    assert code == 2
+    assert "bad partition" in err
+
+
+def test_compute_spaces_around_parts_are_allowed(capsys):
+    code, out, _ = run(capsys, "compute", "--family", "qI", "--lambda", " 2, 1 ", "--k", "2",
+                       "--method", "branch")
+    assert code == 0
+    assert out == run(capsys, "compute", "--family", "qI", "--lambda", "2,1", "--k", "2",
+                      "--method", "branch")[1]
+
+
 def test_compute_row_limit_exit_3(capsys):
     code, _, _ = run(capsys, "compute", "--family", "qI", "--lambda", "2,1", "--m", "1")
     assert code == 3
@@ -222,6 +237,10 @@ def test_method_outside_family_exits_3(capsys):
         ["series", "--degree", "-1"],
         ["verify", "--max-weight", "-1"],
         ["verify", "--max-vars", "-1"],
+        # int() takes these; a count is ASCII digits only
+        ["compute", "--family", "qI", "--lambda", "1", "--k", "1_0"],
+        ["compute", "--family", "qI", "--lambda", "1", "--k", "+5"],
+        ["compute", "--family", "qI", "--lambda", "1", "--k", "\u0663"],
     ],
 )
 def test_negative_count_exits_2(argv):
@@ -230,7 +249,7 @@ def test_negative_count_exits_2(argv):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("budget", ["abc", "-1", "1.5"])
+@pytest.mark.parametrize("budget", ["abc", "-1", "1.5", "1_0", "+5", "\u0663"])
 def test_bad_term_budget_exits_2(capsys, monkeypatch, budget):
     monkeypatch.setenv("QSYM_MAX_TERMS", budget)
     code, _, err = run(capsys, "compute", "--family", "qI", "--lambda", "1", "--k", "1")
@@ -317,6 +336,28 @@ def test_a_first_row_past_the_exponent_limit_exits_3_before_any_route(capsys, mo
     code, out, err = run(capsys, "compute", *argv)
     assert code == 3 and not out
     assert "the limit is 32767" in err
+
+
+def test_disagreement_names_the_routes_and_prints_the_difference(capsys, monkeypatch):
+    tableau = ROUTES["qI", "tableau"]
+
+    def doubled(lam, mu, spec, ctx):
+        return tableau.fn(lam, mu, spec, ctx).scale(2)
+
+    monkeypatch.setitem(ROUTES, ("qI", "tableau"), Route(doubled, tableau.domain))
+    argv = ["--family", "qI", "--lambda", "2,1", "--k", "1", "--m", "1", "--method", "all"]
+    code, out, err = run(capsys, "compute", *argv)
+    assert code == 1
+    value = qfun.qI_def(StrictPartition((2, 1)), StrictPartition(), VariableSpec(1, 1), QContext())
+    assert not value.is_zero()
+    # the tableau route alone is off, by minus the value
+    assert err.splitlines() == [
+        f"DISAGREEMENT between definition and tableau: definition - tableau = {-value}"
+    ]
+    # stdout and the JSON payload are as before
+    assert out.splitlines()[1] == f"tableau: {value.scale(2)}"
+    code, out, _ = run(capsys, "compute", *argv, "--json")
+    assert code == 1 and json.loads(out)["agree"] is False
 
 
 def test_a_first_row_past_the_exponent_limit_outside_lambda_is_zero(capsys):

@@ -8,6 +8,7 @@ from qsym import (
     VariableSpec,
     enum_path_families,
     enum_qt,
+    enum_spt,
     family_weight,
     letter,
     lgv_weight_sum,
@@ -15,7 +16,7 @@ from qsym import (
     qI_tableau,
     qt_weight,
 )
-from qsym.checks import qi_cases, specs_up_to, strict_partitions
+from qsym.checks import partitions_up_to_weight, qi_cases, specs_up_to, strict_partitions
 from qsym.errors import PreconditionError
 
 L = letter
@@ -64,6 +65,50 @@ def _vertex_family(rows, lam, mu, spec):
         seen.update(verts)
         paths.append(tuple(verts))
     return tuple(paths)
+
+
+def test_levels_carry_the_alphabet_slots():
+    # levels 2t - 1 and 2t carry t and t-bar (t <= k), level 2k + j carries
+    # the plain letter k + j; level b's primed letter is slot 2b - 2 and its
+    # unprimed letter slot 2b - 1
+    for spec in specs_up_to(4):
+        alphabet = spec.primed_alphabet()
+        k_levels = 2 * spec.k + spec.m
+        assert len(alphabet) == 2 * k_levels
+        carried = {}
+        for t in range(1, spec.k + 1):
+            carried[2 * t - 1], carried[2 * t] = (t, False), (t, True)
+        for j in range(1, spec.m + 1):
+            carried[2 * spec.k + j] = (spec.k + j, False)
+        for b in range(1, k_levels + 1):
+            index, barred = carried[b]
+            primed, unprimed = alphabet[2 * b - 2], alphabet[2 * b - 1]
+            assert primed == L(index, barred=barred, primed=True)
+            assert unprimed == L(index, barred=barred)
+            assert primed.primed and unprimed.unprimed
+
+
+def test_every_letter_is_its_alphabet_object():
+    # on the sweep specs, each letter of the tableau and path streams is the
+    # object at its rank in its spec's alphabet, not an equal copy
+    def letters(rows_stream):
+        return {id(x): x for rows in rows_stream for row in rows for x in row}.values()
+
+    seen = 0
+    for spec in specs_up_to(3):
+        alphabet = spec.primed_alphabet()
+        streams = []
+        for lam, mu, case_spec in qi_cases(3, 3, 3):
+            if case_spec == spec:
+                streams.append(t.rows for t in enum_qt(spec, lam, mu))
+                streams.append(enum_path_families(lam, mu, spec))
+        for lam in partitions_up_to_weight(4, 3):
+            streams.append(t.rows for t in enum_spt(spec, lam))
+        for stream in streams:
+            for x in letters(stream):
+                assert alphabet[alphabet.index(x)] is x, (spec, x)
+                seen += 1
+    assert seen > 100
 
 
 def test_one_cell_four_families():

@@ -6,7 +6,7 @@ from qsym import LaurentPoly, MatrixError, RingMatrix, determinant, pfaffian
 
 
 def const(c, n=1):
-    return LaurentPoly.const(n, c)
+    return LaurentPoly.one(n).scale(c)
 
 
 def v(n, i, p=1):

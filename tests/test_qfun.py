@@ -54,7 +54,7 @@ def test_q_row_values():
     assert q_row(0, VariableSpec(2, 1)) == LaurentPoly.one(3)
     assert q_row(-3, VariableSpec(1, 0)) == LaurentPoly.zero(1)
     assert q_row(1, VariableSpec(1, 0)) == u_of(1, 0).scale(2)
-    expect = v(1, 0, 2).scale(2) + LaurentPoly.const(1, 4) + v(1, 0, -2).scale(2)
+    expect = v(1, 0, 2).scale(2) + LaurentPoly.one(1).scale(4) + v(1, 0, -2).scale(2)
     assert q_row(2, VariableSpec(1, 0)) == expect
 
 

@@ -367,7 +367,7 @@ def test_sorted_terms_follow_term_sort_key(n, data):
 
 
 def test_sorted_terms_edges():
-    assert LaurentPoly.const(0, 5).sorted_terms() == [((), 5)]
+    assert LaurentPoly.one(0).scale(5).sorted_terms() == [((), 5)]
     assert LaurentPoly.zero(0).sorted_terms() == []
     p = LaurentPoly(2, {(0, 0): 1, (0, LIMIT): 2, (-LIMIT, 0): 3, (LIMIT, -LIMIT): 4, (0, -LIMIT): 5})
     # the constant first, then x1-led terms by descending x1, then x2-led ones

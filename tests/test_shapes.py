@@ -13,6 +13,8 @@ from qsym import (
     shifted_cells,
 )
 
+from conftest import diagonal_rows
+
 
 def sp(*parts):
     return StrictPartition(tuple(parts))
@@ -26,7 +28,7 @@ def test_shifted_cells_straight():
 def test_shifted_cells_skew():
     shape = shifted_cells(sp(3, 1), sp(2))
     assert shape.cells == {(1, 3), (2, 2)}
-    assert shape.diagonal_rows() == [2]
+    assert diagonal_rows(shape) == [2]
 
 
 def test_shifted_cells_not_contained():

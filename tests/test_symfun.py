@@ -17,13 +17,14 @@ from qsym import (
     schur_skew,
     schur_skew_e,
     series_from_linear_factors,
-    spt_weight,
     symp_schur,
 )
 from qsym.checks import partitions_up_to_weight, specs_up_to
 from qsym.cli import main
 from qsym.errors import ExponentOverflow, TermBudgetExceeded
 from qsym.symfun import _H_CACHE
+
+from conftest import rows_weight
 
 
 def v(n, i, p=1):
@@ -125,7 +126,7 @@ def test_tableau_route_equals_the_counted_stream_with_its_bound():
             if lam.length > spec.n:
                 continue
             got = inter_schur(lam, spec, "tableau")
-            weights = (spt_weight(t, spec) for t in enum_spt(spec, lam))
+            weights = (rows_weight(t.rows, spec.n) for t in enum_spt(spec, lam))
             counted = LaurentPoly.from_exponents(spec.n, weights)
             assert got == counted and got._bound == counted._bound
     big = inter_schur(pp((1 << 15) - 1), VariableSpec(0, 1), "tableau")

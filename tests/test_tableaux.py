@@ -19,7 +19,6 @@ from qsym import (
     enum_spt,
     letter,
     qt_weight,
-    spt_weight,
 )
 from qsym import checks
 from qsym.checks import partitions_up_to_weight, qi_cases, specs_up_to
@@ -27,6 +26,8 @@ from qsym.shapes import enum_strict_between, shifted_cells
 from qsym.errors import ExponentOverflow, NotContained, TermBudgetExceeded
 from qsym.ring import _pack
 from qsym.tableaux import spt_weight_counts
+
+from conftest import diagonal_rows, rows_weight
 
 L = letter
 
@@ -73,7 +74,7 @@ def is_valid_qt(t, spec):
     if any(len(v) != len(set(v)) for v in by_col.values()):
         return False
     prev = 0
-    for i in shape.diagonal_rows():
+    for i in diagonal_rows(shape):
         x = grid[(i, i)]
         if x.index <= prev:
             return False
@@ -199,6 +200,16 @@ def test_primed_alphabet_is_sorted():
             assert alphabet == sorted(alphabet)
 
 
+def test_unprimed_alphabet_is_every_second_primed_letter():
+    for spec in specs_up_to(4):
+        primed, unprimed = spec.primed_alphabet(), spec.unprimed_alphabet()
+        assert unprimed == primed[1::2]
+        assert all(a is b for a, b in zip(unprimed, primed[1::2]))
+        # fresh lists of one alphabet: a caller may change its copy
+        assert spec.primed_alphabet() is not primed
+        assert all(a is b for a, b in zip(VariableSpec(spec.k, spec.m).primed_alphabet(), primed))
+
+
 def test_qt_split_counts_small():
     lam, mu = sp(3, 1), EMPTY
     for spec in (VariableSpec(1, 1), VariableSpec(2, 1), VariableSpec(1, 2)):
@@ -214,7 +225,7 @@ def test_qt_split_counts_small():
 def test_spt_single_cell_plain():
     tabs = list(enum_spt(VariableSpec(0, 2), Partition((1,))))
     assert {t.rows[0][0] for t in tabs} == {L(1), L(2)}
-    weights = sorted(spt_weight(t, VariableSpec(0, 2)) for t in tabs)
+    weights = sorted(rows_weight(t.rows, 2) for t in tabs)
     assert weights == [(0, 1), (1, 0)]
 
 
@@ -240,7 +251,7 @@ def test_spt_weights():
     rows = ((L(2),), (L(2, barred=True),))
     t = list(enum_spt(spec, Partition((1, 1))))
     picked = [x for x in t if x.rows == rows]
-    assert picked and spt_weight(picked[0], spec) == (0, 0)
+    assert picked and rows_weight(picked[0].rows, spec.n) == (0, 0)
 
 
 def test_spt_skew_plain_is_semistandard():
@@ -434,7 +445,7 @@ def test_a_long_row_costs_linear_memory(enum):
 
 def _counted_stream(spec, outer, inner):
     """The oracle: the enum_spt stream's weights, counted as packed keys."""
-    return dict(Counter(_pack(spt_weight(t, spec)) for t in enum_spt(spec, outer, inner)))
+    return dict(Counter(_pack(rows_weight(t.rows, spec.n)) for t in enum_spt(spec, outer, inner)))
 
 
 def _packed_count_cases():
