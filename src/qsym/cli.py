@@ -13,7 +13,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 cross-method disagreement or failed verification,
 2 malformed input (including a negative count and a bad QSYM_MAX_TERMS),
-3 precondition violation (e.g. too many rows, or a non-strict shape for a
+3 precondition violation (e.g. too many rows, more than
+`tableaux.MAX_VARIABLES` variables k + m, or a non-strict shape for a
 Q-family).
 """
 
@@ -28,7 +29,7 @@ from .errors import ParseError, PreconditionError, QsymError, parse_count
 from .qfun import QContext, q_row
 from .shapes import Partition
 from .symfun import Alphabet
-from .tableaux import VariableSpec
+from .tableaux import MAX_VARIABLES, VariableSpec
 
 
 def _count(text: str) -> int:
@@ -95,6 +96,9 @@ def cmd_series(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # the budget's widest spec, built first, so a count past the limit
+    # stops before any suite runs
+    VariableSpec(0, args.max_vars)
     results = run_suite(args.suite, args.max_weight, args.max_vars, args.seed)
     for r in results:
         print(r.line())
@@ -121,10 +125,16 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--json", action="store_true")
     pc.set_defaults(func=cmd_compute)
 
-    ps = sub.add_parser("series", help="one-row generating series coefficients")
-    ps.add_argument("--k", type=_count, default=0)
-    ps.add_argument("--m", type=_count, default=0)
-    ps.add_argument("--degree", "-D", type=_count, default=6)
+    ps = sub.add_parser(
+        "series",
+        help="one-row generating series coefficients",
+        description=f"The coefficients of z^0..z^degree of the one-row series.  "
+        f"k + m is at most {MAX_VARIABLES}; a large degree is bounded by "
+        "QSYM_MAX_TERMS, the term budget, instead.",
+    )
+    ps.add_argument("--k", type=_count, default=0, help="symplectic variable pairs")
+    ps.add_argument("--m", type=_count, default=0, help="plain variables")
+    ps.add_argument("--degree", "-D", type=_count, default=6, help="highest degree")
     ps.set_defaults(func=cmd_series)
 
     pv = sub.add_parser("verify", help="run invariant suites")

@@ -39,12 +39,18 @@ a transfer matrix column by column (Stanley, EC1 section 4.7), over states
 that are the ascending tuples of the levels at which the active paths
 arrive; the graph is planar, so path 1 is always the lowest active path.
 Its cost is polynomial in the number of states, at most C(K + 1, rows) per
-column, rather than in the number of families.
+column, rather than in the number of families.  A column's moves from a
+state depend on the state, whether a path sinks there and K alone, so
+_column_moves caches them for the process (functools.cache), as immutable
+tuples.  Its size is bounded by the (state, sink, K) triples the process
+has walked, one entry each: 282 over the whole acceptance sweep.  Each call
+also memoises each state's weight monomial, for that call only.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
 from itertools import combinations
 from typing import Iterator
 
@@ -139,16 +145,26 @@ def lgv_weight_sum(
     level b, so a transition multiplies by the one monomial of its arrival
     levels, and a left-boundary entry weighs twice its level's letter.
     Every state value is a LaurentPoly, so QSYM_MAX_TERMS stops the walk at
-    the first value that outgrows it."""
+    the first value that outgrows it.
+
+    The moves between columns come from _column_moves' process-wide cache,
+    one entry per (state, sink, K) walked so far, and the weight monomial of
+    each state is built once per call, in a memo that dies with it."""
     spec.check_rows(lam)
     n = spec.n
     if not lam.contains(mu):
         return LaurentPoly.zero(n)
     k_levels = 2 * spec.k + spec.m
     letters = [None] + spec.unprimed_alphabet()
+    weights: dict[tuple[int, ...], LaurentPoly] = {}
 
     def weight(state: tuple[int, ...]) -> LaurentPoly:
-        return LaurentPoly.monomial(n, _letter_weight([[letters[b] for b in state if b]], spec))
+        """The monomial of the letters at the state's levels, once per call."""
+        w = weights.get(state)
+        if w is None:
+            exps = _letter_weight([[letters[b] for b in state if b]], spec)
+            w = weights[state] = LaurentPoly.monomial(n, exps)
+        return w
 
     # left-boundary paths enter column 1 on levels of strictly increasing
     # letter index, each by a primed or an unprimed first letter
@@ -165,7 +181,7 @@ def lgv_weight_sum(
         sink = x in sinks  # the highest active path rises to the top and ends
         sources: dict[tuple[int, ...], list[tuple[LaurentPoly, int]]] = {}
         for s, v in states.items():
-            for t, c in _column_moves(s, sink, k_levels).items():
+            for t, c in _column_moves(s, sink, k_levels):
                 sources.setdefault(t, []).append((v, c))
         states = {}
         for t, vs in sources.items():
@@ -174,15 +190,19 @@ def lgv_weight_sum(
     return states.get((), LaurentPoly.zero(n))
 
 
+@cache
 def _column_moves(
     state: tuple[int, ...], sink: bool, k_levels: int
-) -> Counter[tuple[int, ...]]:
-    """Arrival levels in the next column, with the number of ways to reach them.
+) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Arrival levels in the next column, with the number of ways to reach
+    them, as (levels, ways) pairs.
 
     Path j rises from its arrival level to a level b below the next path's
     arrival and leaves right (b >= 1) or diagonally (b < k_levels); the paths
     stay vertex-disjoint exactly when the new levels strictly increase.  With
-    `sink`, the highest path takes the rest of the column and leaves none."""
+    `sink`, the highest path takes the rest of the column and leaves none.
+    A pure function of its arguments, cached for the process; the value is
+    a tuple, so no caller can change what the next one reads."""
     tops = [a - 1 for a in state[1:]] + [k_levels]
     if sink:
         state, tops = state[:-1], tops[:-1]
@@ -200,4 +220,4 @@ def _column_moves(
                 if not t or b > t[-1]:
                     grown[t + (b,)] += c * w
         partial = grown
-    return partial
+    return tuple(partial.items())

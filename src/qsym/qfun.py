@@ -23,6 +23,7 @@ one-row value, and swapping the rows negates it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .errors import PreconditionError
 from .linalg import RingMatrix, determinant, pfaffian
@@ -208,7 +209,7 @@ def qI_tableau(
     got = ctx.cache.get(key)
     if got is not None:
         return got
-    total = LaurentPoly.from_exponents(n, (qt_weight(t, spec) for t in enum_qt(spec, lam, mu)))
+    total = LaurentPoly.from_exponents(n, map(qt_weight, enum_qt(spec, lam, mu), repeat(spec)))
     ctx.cache[key] = total
     return total
 

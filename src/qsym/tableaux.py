@@ -75,7 +75,8 @@ the ring's packed monomial keys (see ring): the rows above carry a running
 packed weight, one int add per rank, from each letter's packed weight; the
 memo value is the list of (row key, count) pairs, one per distinct weight
 of the row; and each batch adds one key per pair, so no tableau and no
-letter is built.
+letter is built.  Only packed walks build the letters' packed weights and
+carry the running weight; a tableau stream has neither.
 
 The memo holds at most _MEMO_SIZE slots of key ints and of its values: a
 row with more fillings than that streams them unkept, and a memo that would
@@ -86,9 +87,12 @@ one list of ranks, changed in place, and a filling's letters or weight are
 read from it as it comes.  A packed miss reads all of the row's fillings
 before it returns, holding one count per distinct weight.
 
-Tableaux are named tuples, cheap to build.  Equality also compares the
-class, so a PrimedTableau never equals an SpTableau or a plain tuple, and
-ordering records raises TypeError.
+Tableaux are named tuples.  enum_qt, the stream the tableau route weighs,
+builds each record as tuple.__new__(PrimedTableau, (outer, inner, rows)),
+which is all the named tuple's generated __new__ does, without its Python
+call; enum_spt calls SpTableau(...).  Equality also compares the class, so a
+PrimedTableau never equals an SpTableau or a plain tuple, and ordering
+records raises TypeError.
 """
 
 from __future__ import annotations
@@ -108,6 +112,13 @@ from .shapes import EMPTY, Partition, StrictPartition, shifted_cells
 # (3, 0), would reach about 14,300, and enum_spt's largest straight shape of
 # weight <= 7 on <= 4 variables, (7) on (4, 0), about 24,000
 _MEMO_SIZE = 1 << 16
+
+# the most variables, k + m, that a VariableSpec may have: every route's
+# work and memory grow with n before any term budget can stop them (a
+# degree-2 series coefficient has about n^2 / 2 terms of n fields each), and
+# at n = 64 the one-row qI by every method and that coefficient take well
+# under a second
+MAX_VARIABLES = 64
 
 
 @dataclass(frozen=True, order=True)
@@ -132,7 +143,10 @@ def letter(index: int, barred: bool = False, primed: bool = False) -> Letter:
 
 @dataclass(frozen=True)
 class VariableSpec:
-    """k symplectic variable pairs followed by m plain variables."""
+    """k symplectic variable pairs followed by m plain variables.
+
+    Every route and command builds one before any work, so n = k + m past
+    MAX_VARIABLES raises PreconditionError here, and nowhere else."""
 
     k: int
     m: int
@@ -140,6 +154,10 @@ class VariableSpec:
     def __post_init__(self):
         if self.k < 0 or self.m < 0:
             raise ValueError("k and m must be nonnegative")
+        if self.k + self.m > MAX_VARIABLES:
+            raise PreconditionError(
+                f"{self.k + self.m} variables, the limit is {MAX_VARIABLES}"
+            )
 
     @property
     def n(self) -> int:
@@ -206,10 +224,15 @@ class SpTableau(NamedTuple):
 
 def _letter_weight(rows: Iterable[Iterable[Letter]], spec: VariableSpec) -> Monomial:
     """Exponent of x_i: unbarred occurrences of index i minus barred ones."""
-    exps = [0] * spec.n
+    # called once per tableau: k + m and a branch cost less than the n
+    # property and a conditional expression
+    exps = [0] * (spec.k + spec.m)
     for row in rows:
         for x in row:
-            exps[x.index - 1] += -1 if x.barred else 1
+            if x.barred:
+                exps[x.index - 1] -= 1
+            else:
+                exps[x.index - 1] += 1
     return tuple(exps)
 
 
@@ -308,9 +331,11 @@ def _walk(
     Yields one batch per last-row visit that has fillings, as (head, items).
     Unpacked, head is the tuple of the rows above the last non-empty row,
     and each item is the rest of one tableau: a filling of that row followed
-    by the empty rows below it.  Packed, head is the packed weight of the
-    rows above, and each item is a (row key, count) pair, one per distinct
-    weight of the row's fillings.
+    by the empty rows below it; the callers build the records.  Packed, head
+    is the packed weight of the rows above, and each item is a (row key,
+    count) pair, one per distinct weight of the row's fillings.  The table
+    of the letters' packed weights, delta, and the running weight of the
+    cells walked exist only on packed walks.
     """
     cells = [(i + 1, j) for i, cols in enumerate(row_ranges) for j in cols]
     if not cells:
@@ -325,8 +350,6 @@ def _walk(
     # a 0, read at rank -1, the rank of an absent cell
     from_left = [r + p for r, p in enumerate(primed)] + [0]
     from_up = [r + 1 - p for r, p in enumerate(primed)] + [0]
-    # delta[r]: the packed weight of rank r's letter
-    delta = [_pack(_letter_weight(((x,),), spec)) for x in alphabet]
     n = len(cells)
     at = {cell: pos for pos, cell in enumerate(cells)}
     # per cell: its row, its ST3 floor, the position of its upper neighbour,
@@ -358,10 +381,14 @@ def _walk(
     tail = ((),) * (len(row_ranges) - last - 1)
     row_ups, row_floor = up[first + 1 :], row_floors[last]
     rows = [()] * last
-    get, weigh = alphabet.__getitem__, delta.__getitem__
+    get = alphabet.__getitem__
+    if packed:
+        # delta[r]: the packed weight of rank r's letter; weight[p]: the
+        # packed weight of the cells before cell p
+        delta = [_pack(_letter_weight(((x,),), spec)) for x in alphabet]
+        weigh, weight = delta.__getitem__, [0] * (first + 1)
 
-    # weight[p]: the packed weight of the cells before cell p
-    rank, weight = [0] * n + [-1], [0] * (first + 1)
+    rank = [0] * n + [-1]
     memo = _LastRowMemo(2 if packed else n - first)
     items_of = memo.lists
     pos, r, low = 0, cell_floor[0], 0
@@ -389,7 +416,8 @@ def _walk(
                 low = pos
         elif r < n_letters:
             rank[pos] = r
-            weight[pos + 1] = weight[pos] + delta[r]
+            if packed:
+                weight[pos + 1] = weight[pos] + delta[r]
             pos += 1
             r = left_floor[pos][rank[left[pos]]]
             u = from_up[rank[up[pos]]]
@@ -420,9 +448,12 @@ def enum_qt(
     if not lam.contains(mu):
         return
     row_ranges = shifted_cells(lam, mu).rows()
+    # tuple.__new__ is what the named tuple's generated __new__ calls, minus
+    # one Python frame per tableau
+    new = tuple.__new__
     for head, rests in _walk(spec, True, row_ranges, [0] * len(row_ranges), False):
         for rest in rests:
-            yield PrimedTableau(lam, mu, head + rest)
+            yield new(PrimedTableau, (lam, mu, head + rest))
 
 
 def _spt_walk(spec: VariableSpec, outer: Partition, inner: Partition, packed: bool) -> Iterator:

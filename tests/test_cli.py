@@ -369,6 +369,31 @@ def test_a_first_row_past_the_exponent_limit_outside_lambda_is_zero(capsys):
     assert out.splitlines() == [f"{method}: 0" for f, method in ROUTES if f == "qI"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--family", "qI", "--lambda", "1", "--k", "65", "--method", "all"],
+        ["series", "--k", "10000", "--degree", "2"],
+        ["verify", "--max-vars", "65"],
+    ],
+)
+def test_a_variable_count_past_the_limit_stops_at_once(capsys, argv):
+    # before the bound, --k 512 on compute took 2.2 s and series --k 512
+    # --degree 2 ran out of memory
+    start = time.perf_counter()
+    code, _, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2
+    assert code == 3
+    assert "65 variables" in err or "10000 variables" in err
+    assert "limit is 64" in err
+
+
+def test_the_variable_limit_itself_is_allowed():
+    assert VariableSpec(64, 0).n == VariableSpec(0, 64).n == VariableSpec(40, 24).n == 64
+    with pytest.raises(qsym.PreconditionError):
+        VariableSpec(40, 25)
+
+
 def _exit_code(argv: list[str]) -> tuple[int, str]:
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -381,7 +406,9 @@ def _exit_code(argv: list[str]) -> tuple[int, str]:
 
 _parts = st.lists(st.integers(-1, 3), max_size=3).map(lambda ps: ",".join(map(str, ps)))
 _shape = st.one_of(_parts, st.sampled_from(["x", "2,,1", " "]))
-_count_arg = st.integers(-3, 3).map(str)
+# 65 and 10**4 pass the variable bound; 64 is left out, as a valid count
+# that large can run for minutes
+_count_arg = st.one_of(st.integers(-3, 3), st.sampled_from([65, 10**4])).map(str)
 
 
 @st.composite

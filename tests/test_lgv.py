@@ -1,3 +1,6 @@
+from collections import Counter
+from itertools import combinations, product
+
 import pytest
 
 from qsym import (
@@ -227,6 +230,42 @@ def test_transfer_matrix_keeps_the_index_rule():
     total = lgv_weight_sum(lam, mu, spec)
     assert total == _family_sum(lam, mu, spec) == qI_tableau(lam, mu, spec)
     assert sum(total.terms.values()) == 56
+
+
+def _moves_by_brute_force(state, sink, k_levels):
+    """Every way the paths of one column can go on: each path picks a rise
+    level from its arrival up to just below the next path's arrival (up to
+    k_levels for the top one; when sinking, the top one takes the column and
+    goes nowhere) and leaves right, arriving at that level if it is >= 1, or
+    diagonally, arriving one level up if that is <= k_levels; only the
+    strictly increasing arrivals stay."""
+    moving = state[:-1] if sink else state
+    choices = []
+    for j, a in enumerate(moving):
+        top = state[j + 1] - 1 if j + 1 < len(state) else k_levels
+        right = [b for b in range(a, top + 1) if b >= 1]
+        diagonal = [b + 1 for b in range(a, top + 1) if b + 1 <= k_levels]
+        choices.append(right + diagonal)
+    return Counter(
+        arrivals for arrivals in product(*choices)
+        if all(b < c for b, c in zip(arrivals, arrivals[1:]))
+    )
+
+
+def test_column_moves_match_a_brute_force():
+    from qsym.lgv import _column_moves
+
+    for k_levels in range(7):
+        levels = range(k_levels + 1)  # level 0 is the bottom boundary
+        for size in range(len(levels) + 1):
+            for state in combinations(levels, size):
+                for sink in (False, True):
+                    got = _column_moves(state, sink, k_levels)
+                    # cached for the process, so shared values must be immutable
+                    assert type(got) is tuple
+                    assert dict(got) == _moves_by_brute_force(state, sink, k_levels), (
+                        state, sink, k_levels,
+                    )
 
 
 def test_transfer_matrix_edges():

@@ -177,6 +177,24 @@ def test_enumeration_stream_is_pinned():
     )
 
 
+def test_enum_qt_yields_real_records():
+    # enum_qt builds its records with tuple.__new__, bypassing the named
+    # tuple's __new__; each must still be a PrimedTableau with its record
+    # equality and no order
+    count = 0
+    for lam, mu, spec in qi_cases(max_part=4, max_len=3, max_vars=3):
+        if lam.weight > 6:
+            continue
+        for t in enum_qt(spec, lam, mu):
+            assert type(t) is PrimedTableau
+            assert t == PrimedTableau(*t)
+            assert t != tuple(t)
+            with pytest.raises(TypeError):
+                t < t
+            count += 1
+    assert count == 107105
+
+
 def test_spt_stream_is_pinned():
     # every ordered pair of partitions of weight <= 6 with <= 4 rows, contained
     # or not, so rows past the k symplectic ones meet the plain-letter floor
