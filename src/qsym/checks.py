@@ -44,6 +44,7 @@ from .qfun import (
     qI_jp,
     qI_tableau,
     q_row,
+    q_single_var,
 )
 from .tableaux import VariableSpec, enum_qt, enum_spt, qt_weight
 from .lgv import enum_path_families, family_weight, lgv_weight_sum
@@ -394,12 +395,30 @@ def is_spec_symmetric(p: LaurentPoly, spec: VariableSpec) -> bool:
     return True
 
 
+def single_step_determinant(
+    lam: StrictPartition, mu: StrictPartition, spec: VariableSpec, ctx: QContext
+) -> LaurentPoly:
+    """The reference for q_single_var on a one-variable spec: zero when mu
+    has more rows than lam, otherwise the determinant of the one-row values
+    q_{lam_i - mu_j}, i, j = 1..l(lam), mu padded by zeros.  When lam has two
+    or more rows beyond mu's, their zero parts give equal columns, so the
+    QT5 zero comes out of the determinant itself."""
+    if mu.length > lam.length:
+        return LaurentPoly.zero(1)
+    inner = mu.parts + (0,) * (lam.length - mu.length)
+    rows = [[q_row(a - b, spec, ctx) for b in inner] for a in lam.parts]
+    return determinant(RingMatrix.from_rows(rows), 1)
+
+
 def qfun_checks(
     max_part: int = 4, max_len: int = 3, max_vars: int = 3, seed: int = 0
 ) -> list[CheckResult]:
     """Checks on the intermediate family.  Every qI row of ROUTES but lgv is
     compared with the definition route; lgv_checks compares the lgv row's
-    path families with the enumerated tableaux.
+    path families with the enumerated tableaux.  The branch route shares the
+    tableau rules QT1-QT5 with the other routes, but no code: its steps are
+    strip rules, and qfun.single-step compares each with its determinant of
+    one-row values on every pair of the budget's strict shapes.
 
     The pfaffian comparison is not independent on every case, and its detail
     counts the cases where it is not: on a pure spec the definition's inner
@@ -454,9 +473,21 @@ def qfun_checks(
                 detail = f"{_case(lam, EMPTY, spec)} tableau-series: {diff}"
                 first.setdefault("qfun.one-row-series", detail)
 
+    shapes = strict_partitions(max_part, max_len)
+    steps = 0
+    for spec in (VariableSpec(0, 1), VariableSpec(1, 0)) if max_vars else ():
+        for lam in shapes:
+            for mu in shapes:
+                steps += 1
+                step = q_single_var(lam, mu, spec, ctx)
+                diff = single_step_determinant(lam, mu, spec, ctx) - step
+                if not diff.is_zero():
+                    detail = f"{_case(lam, mu, spec)} determinant-step: {diff}"
+                    first.setdefault("qfun.single-step", detail)
+
     rng = random.Random(seed)
     count = 0
-    lams = [p for p in strict_partitions(max_part, max_len) if p.parts]
+    lams = [p for p in shapes if p.parts]
     attempts = 0
     while count < 50 and lams and max_vars >= 1 and attempts < 5000:
         attempts += 1
@@ -480,7 +511,11 @@ def qfun_checks(
         f"{jp_cases} cases of two or more rows, not independent on {jp_pure} pure-spec "
         f"and {jp_two_row} mixed straight two-row cases"
     )
-    details = {"qfun.pfaffian-route": jp_detail, "qfun.vanishing": f"{count} non-nested pairs"}
+    details = {
+        "qfun.pfaffian-route": jp_detail,
+        "qfun.single-step": f"{steps} one-variable cases",
+        "qfun.vanishing": f"{count} non-nested pairs",
+    }
     names = (
         "qfun.def-tableau-branch",
         "qfun.pfaffian-route",
@@ -488,6 +523,7 @@ def qfun_checks(
         "qfun.weyl-symmetry",
         "qfun.degenerations",
         "qfun.one-row-series",
+        "qfun.single-step",
         "qfun.vanishing",
     )
     return [_result(name, first, details.get(name, "")) for name in names]

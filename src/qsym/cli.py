@@ -141,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--suite", default="all", choices=[*SUITES, "all"])
     pv.add_argument("--max-weight", type=_count, default=4)
     pv.add_argument("--max-vars", type=_count, default=3)
-    pv.add_argument("--seed", type=int, default=0)
+    pv.add_argument("--seed", type=_count, default=0)
     pv.set_defaults(func=cmd_verify)
     return parser
 

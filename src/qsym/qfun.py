@@ -1,19 +1,16 @@
 """Q-polynomial evaluators: the one-row series, the closed two-row forms of
 the plain and symplectic families, and the intermediate family by four
-independent routes (inner-sum definition, tableau sum, branching chains,
-Pfaffian).  The table that names these routes, with the inputs each accepts,
-is `checks.ROUTES`.
+independent routes (inner-sum definition, tableau sum, branching chains of
+strip-rule steps that read no series (Macdonald III.8), Pfaffian).  The table
+that names these routes, with the inputs each accepts, is `checks.ROUTES`.
 
 The spec is the family: k = 0 gives the plain family (Schur's Q-functions),
 m = 0 the symplectic one (Okada's), and each route evaluates all three.
 
-All evaluators are pure; a QContext carries their memo tables: the one-row
-series per spec, and in `cache` the two-row values ("A2", "C2"), each
-route's values ("Idef", "Itab", "Ijp"), the branch route's values per spec
-("Ibr", sub-values of smaller specs included) and its single-variable steps
-("Q1", keyed by their matrix).  A call without a context gets a fresh one,
-so nothing is cached between such calls; callers that want reuse pass the
-same context to each call.
+All evaluators are pure; a QContext carries their memo tables, whose keys
+its docstring lists.  A call without a context gets a fresh one, so nothing
+is cached between such calls; callers that want reuse pass the same context
+to each call.
 
 Conventions used throughout: a negative subscript means the zero polynomial;
 for matrix entries, the two-row value at (r, r) is zero, at (r, 0) it is the
@@ -22,11 +19,12 @@ one-row value, and swapping the rows negates it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import repeat, zip_longest
 
 from .errors import PreconditionError
-from .linalg import RingMatrix, determinant, pfaffian
+from .linalg import RingMatrix, pfaffian
 from .ring import GrowingSeries, LaurentPoly, grow_series, sum_of_products
 from .shapes import EMPTY, StrictPartition, enum_strict_between, pad_for_pfaffian
 from .symfun import Alphabet
@@ -42,7 +40,7 @@ class QContext:
       ("A2", r, s, n) and ("C2", r, s, k)  two-row values, plain and symplectic;
       ("Idef" | "Itab" | "Ijp", lam, mu, spec)  qI_def, qI_tableau, qI_jp;
       ("Ibr", lam, mu, spec)  qI_branch values, one per spec of its recursion;
-      ("Q1", spec, diffs)  single-variable steps, keyed by their matrix.
+      ("Q1", spec, lam, mu)  q_single_var's strip-rule steps.
     A value is stored only once it is complete, so a raise leaves no entry.
 
     Concurrent tasks should each own a context; the cached polynomials
@@ -214,39 +212,55 @@ def qI_tableau(
     return total
 
 
+def _strip(lam: StrictPartition, mu: StrictPartition) -> tuple[int, int] | None:
+    """(c, d) if lam_1 >= mu_1 >= lam_2 >= mu_2 >= ... padded by zeros (so
+    l(lam) - l(mu) <= 1), else None: lam/mu has d cells in c edge-connected
+    components, rows i and i + 1 touching iff both have cells and mu_i = lam_{i+1}."""
+    c = d = 0
+    above, touch = lam.part(1), None  # mu_{i-1}, and mu_{i-1} if row i - 1 has cells
+    for a, b in zip_longest(lam.parts, mu.parts, fillvalue=0):
+        if not above >= a >= b:
+            return None
+        c += a > b and touch != a
+        d += a - b
+        above, touch = b, (b if a > b else None)
+    return c, d
+
+
 def q_single_var(
     lam: StrictPartition,
     mu: StrictPartition,
     spec: VariableSpec,
     ctx: QContext | None = None,
 ) -> LaurentPoly:
-    """Skew value on a one-variable spec, (1, 0) or (0, 1): zero when the
-    shape grows by more than one row, otherwise the determinant of the
-    one-row values q_{lam_i - mu_j}, i, j = 1..l(lam).  It is cached under
-    ("Q1", spec, the row-major tuple of those lam_i - mu_j), which is the
-    matrix itself, so shapes with equal differences share one determinant."""
+    """Skew value on a one-variable spec by the strip rule (Macdonald III.8),
+    with no series: on (0, 1) it is 2^c x^d for a strip lam/mu (`_strip`),
+    else zero; on (1, 0) the sum over nu of that rule on nu/mu at x times it
+    on lam/nu at 1/x.  Both vanish when the shape grows by more than one row
+    (QT5 on one index).  It is cached under ("Q1", spec, lam, mu)."""
     if spec.n != 1:
         raise PreconditionError(f"needs a one-variable spec, got ({spec.k}, {spec.m})")
-    if lam.length - mu.length > 1 or mu.length > lam.length:
+    if lam.length - mu.length > 1:
         return LaurentPoly.zero(1)
     ctx = _ctx(ctx)
-    size = lam.length
-    inner = mu.parts + (0,) * (size - mu.length)
-    diffs = tuple(a - b for a in lam.parts for b in inner)
-    key = ("Q1", spec, diffs)
+    key = ("Q1", spec, lam.parts, mu.parts)
     got = ctx.cache.get(key)
     if got is not None:
         return got
-    rows = [[q_row(d, spec, ctx) for d in diffs[i * size : (i + 1) * size]] for i in range(size)]
-    out = ctx.cache[key] = determinant(RingMatrix.from_rows(rows), 1)
+    terms = Counter()
+    for nu in enum_strict_between(mu, lam) if spec.k else (lam,):
+        inner, outer = _strip(nu, mu), _strip(lam, nu)
+        if inner and outer:
+            terms[(inner[1] - outer[1],)] += 2 ** (inner[0] + outer[0])
+    out = ctx.cache[key] = LaurentPoly(1, terms)
     return out
 
 
 def _branch(
     lam: StrictPartition, mu: StrictPartition, spec: VariableSpec, ctx: QContext
 ) -> LaurentPoly:
-    """qI_branch's recursion, for mu inside lam and with no row bound.  On
-    one variable the value is the step itself."""
+    """qI_branch's recursion, with no row bound; zero when mu is not inside
+    lam, as no nu lies between them.  On one variable it is the step itself."""
     n = spec.n
     if n == 0:
         return LaurentPoly.one(0) if lam == mu else LaurentPoly.zero(0)
@@ -282,13 +296,11 @@ def qI_branch(
     """Intermediate value by branching on the first variable: the sum over nu
     between mu and lam of its single-variable step nu/mu, symplectic while
     k > 0, times lam/nu on the other variables, itself a branch value of the
-    spec (k - 1, m) or (0, m - 1).  Each value on two or more variables is
-    cached under ("Ibr", lam, mu, spec) in its own ring, and each step under
-    its "Q1" matrix key, so calls sharing a context reuse the sub-values of
-    smaller specs."""
+    spec (k - 1, m) or (0, m - 1).  The steps are strip rules (Macdonald III.8),
+    read from no series.  Each value on two or more variables is cached under
+    ("Ibr", lam, mu, spec) in its own ring, and each step under "Q1", so calls
+    sharing a context reuse the sub-values of smaller specs."""
     spec.check_rows(lam)
-    if not lam.contains(mu):
-        return LaurentPoly.zero(spec.n)
     return _branch(lam, mu, spec, _ctx(ctx))
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+import qsym.qfun
 from qsym import Alphabet, LaurentPoly, VariableSpec, enum_qt, qI_tableau
 from qsym import checks
 from qsym.checks import (
@@ -169,6 +170,11 @@ def _reversed(enum):
             "lam=() mu=() spec=(0,2) h-e: -1",
         ),
         ("linalg", "determinant", _plus_one, "linalg.pfaffian-square-random", "matrix 0 "),
+        # the step on the empty shape is 1, so the first pair is off by one
+        (
+            "qfun", "q_single_var", _plus_one, "qfun.single-step",
+            "lam=() mu=() spec=(0,1) determinant-step: -1",
+        ),
         # the families are compared with the tableaux in step, so a repeat or
         # a change of order fails at the first case with one or two families
         (
@@ -180,7 +186,10 @@ def _reversed(enum):
             "lam=(2) mu=() spec=(0,1) 2 families, 2 tableaux",
         ),
     ],
-    ids=["ring", "tableaux", "tableaux-spt", "schur", "linalg", "lgv-twice", "lgv-reversed"],
+    ids=[
+        "ring", "tableaux", "tableaux-spt", "schur", "linalg", "single-step", "lgv-twice",
+        "lgv-reversed",
+    ],
 )
 def test_failing_suite_names_its_first_case(monkeypatch, suite, dependency, corrupt, check, case):
     monkeypatch.setattr(checks, dependency, corrupt(getattr(checks, dependency)))
@@ -190,6 +199,48 @@ def test_failing_suite_names_its_first_case(monkeypatch, suite, dependency, corr
     if dependency == "determinant":
         # the determinant is one too large, so the difference is -1
         assert bad.detail.endswith(" pfaffian^2-determinant: -1")
+
+
+def test_a_strip_rule_without_components_fails_both_step_checks(monkeypatch):
+    real = qsym.qfun._strip
+
+    def one_component(lam, mu):
+        got = real(lam, mu)
+        return got and (1, got[1])
+
+    monkeypatch.setattr(qsym.qfun, "_strip", one_component)
+    results = _by_name(qfun_checks(max_part=2, max_len=2, max_vars=2))
+    for name in ("qfun.def-tableau-branch", "qfun.single-step"):
+        assert not results[name].passed, name
+        assert results[name].detail.startswith("lam=("), name
+
+
+def test_all_suite_runs_these_checks():
+    # the names do not depend on the budget
+    assert [r.name for r in run_suite("all", 0, 1)] == [
+        "ring.axioms",
+        "ring.roundtrip",
+        "ring.series-inverse",
+        "tableaux.duplicate-free",
+        "tableaux.split-counts",
+        "tableaux.split-counts-unprimed",
+        "schur.definition-vs-tableau",
+        "schur.union-alphabet",
+        "schur.weyl-symmetry",
+        "schur.jacobi-trudi-h-vs-e",
+        "schur.symplectic-invariance",
+        "qfun.def-tableau-branch",
+        "qfun.pfaffian-route",
+        "qfun.pfaffian-square",
+        "qfun.weyl-symmetry",
+        "qfun.degenerations",
+        "qfun.one-row-series",
+        "qfun.single-step",
+        "qfun.vanishing",
+        "lgv.weight-sums",
+        "lgv.path-tableau-bijection",
+        "linalg.pfaffian-square-random",
+    ]
 
 
 def test_all_runs_every_suite_in_order():

@@ -241,6 +241,10 @@ def test_method_outside_family_exits_3(capsys):
         ["compute", "--family", "qI", "--lambda", "1", "--k", "1_0"],
         ["compute", "--family", "qI", "--lambda", "1", "--k", "+5"],
         ["compute", "--family", "qI", "--lambda", "1", "--k", "\u0663"],
+        ["verify", "--seed", "\u0663"],
+        ["verify", "--seed", "1_0"],
+        ["verify", "--seed", "+5"],
+        ["verify", "--seed", "-3"],
     ],
 )
 def test_negative_count_exits_2(argv):

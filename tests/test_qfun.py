@@ -1,5 +1,3 @@
-from collections import Counter
-
 import pytest
 
 import qsym.lgv
@@ -33,8 +31,14 @@ from qsym import (
     q_single_var,
     qt_weight,
 )
-from qsym.checks import ROUTES, Domain, qi_cases, specs_up_to, strict_partitions
-from qsym.linalg import determinant
+from qsym.checks import (
+    ROUTES,
+    Domain,
+    qi_cases,
+    single_step_determinant,
+    specs_up_to,
+    strict_partitions,
+)
 from qsym.ring import _BATCH
 
 
@@ -346,36 +350,38 @@ def test_term_budget_stops_the_route_before_the_shapes_are_listed(monkeypatch, r
     assert built < 1000
 
 
-def _counted_determinants(monkeypatch) -> list[tuple[LaurentPoly, ...]]:
-    """Patch qfun's determinant to record each matrix it expands, row-major."""
-    expanded = []
-
-    def recorded(a, nvars=None):
-        expanded.append(tuple(a.entry(i, j) for i in range(a.rows) for j in range(a.cols)))
-        return determinant(a, nvars)
-
-    monkeypatch.setattr(qsym.qfun, "determinant", recorded)
-    return expanded
-
-
 @pytest.mark.parametrize("spec", [VariableSpec(0, 1), VariableSpec(1, 0)])
-def test_equal_step_matrices_share_one_determinant(monkeypatch, spec):
-    # both shapes have the differences lam_i - mu_j = (1, 2, -1, 0)
-    shapes = [(sp(3, 1), sp(2, 1)), (sp(4, 2), sp(3, 2))]
+def test_each_step_is_computed_once_per_context(monkeypatch, spec):
+    # (4, 2) grows by two rows over the empty shape, so its step is zero at once
+    shapes = [(sp(3, 1), sp(2, 1)), (sp(4, 2), sp(3, 2)), (sp(3, 1), sp(1)), (sp(4, 2), EMPTY)]
     fresh = [q_single_var(lam, mu, spec, QContext()) for lam, mu in shapes]
-    expanded = _counted_determinants(monkeypatch)
+    assert all(not value.is_zero() for value in fresh[:3])
+    calls = []
+    real = qsym.qfun._strip
+    monkeypatch.setattr(qsym.qfun, "_strip", lambda lam, mu: calls.append(lam) or real(lam, mu))
     ctx = QContext()
     assert [q_single_var(lam, mu, spec, ctx) for lam, mu in shapes] == fresh
-    assert len(expanded) == 1
+    made = len(calls)
+    assert made
+    assert [q_single_var(lam, mu, spec, ctx) for lam, mu in shapes] == fresh
+    assert len(calls) == made
+    for (lam, mu), value in zip(shapes[:3], fresh):
+        assert ctx.cache["Q1", spec, lam.parts, mu.parts] == value
 
 
-def test_branch_expands_no_step_matrix_twice(monkeypatch):
-    expanded = _counted_determinants(monkeypatch)
-    qI_branch(sp(6, 4, 2), EMPTY, VariableSpec(2, 2), QContext())
-    constants = {LaurentPoly.zero(1), LaurentPoly.one(1)}
-    for entries, times in Counter(expanded).items():
-        # a matrix of constants is the same on both step specs
-        assert times == 1 or (times == 2 and set(entries) <= constants), entries
+def test_single_steps_equal_their_determinants():
+    # every pair of strict shapes with parts <= 7 and at most 4 rows, nested or not
+    shapes = strict_partitions(7, 4)
+    assert len(shapes) == 99
+    for spec in (VariableSpec(0, 1), VariableSpec(1, 0)):
+        steps, rows = QContext(), QContext()
+        mismatches = [
+            (lam, mu)
+            for lam in shapes
+            for mu in shapes
+            if q_single_var(lam, mu, spec, steps) != single_step_determinant(lam, mu, spec, rows)
+        ]
+        assert mismatches == []
 
 
 def test_branch_keeps_its_sub_values_per_spec():
@@ -413,7 +419,12 @@ def test_branch_route_calls_no_other_route(monkeypatch):
     def other_route(*args):
         raise AssertionError("the branch route reached another route")
 
-    for name in ("qI_def", "qI_jp", "build_jp_matrix", "pfaffian", "enum_qt", "qt_weight"):
+    # the steps are strip rules: no one-row series and no determinant
+    assert not hasattr(qsym.qfun, "determinant")
+    for name in (
+        "qI_def", "qI_jp", "build_jp_matrix", "pfaffian", "enum_qt", "qt_weight", "q_row",
+        "grow_series",
+    ):
         monkeypatch.setattr(qsym.qfun, name, other_route)
     ctx = QContext()
     assert [qI_branch(lam, mu, spec, ctx) for lam, mu, spec in cases] == expect
