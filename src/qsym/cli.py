@@ -58,16 +58,13 @@ def cmd_compute(args) -> int:
     differences = {name: ref - p for name, p in routes.items() if p != ref}
     agreed = not differences
     if args.json:
-        payload = {
-            "family": args.family,
-            "lambda": args.lam,
-            "mu": args.mu,
-            "k": args.k,
-            "m": args.m,
-            "routes": {name: json.loads(p.to_json()) for name, p in routes.items()},
-            "agree": agreed,
-        }
-        print(json.dumps(payload))
+        # json.dumps of the whole payload, with each route's to_json text,
+        # which is json.dumps of that polynomial, spliced in as it is
+        head = json.dumps(
+            {"family": args.family, "lambda": args.lam, "mu": args.mu, "k": args.k, "m": args.m}
+        )
+        values = ", ".join(f"{json.dumps(name)}: {p.to_json()}" for name, p in routes.items())
+        print(f'{head[:-1]}, "routes": {{{values}}}, "agree": {json.dumps(agreed)}}}')
     elif len(routes) == 1:
         print(str(ref))
     else:

@@ -83,6 +83,10 @@ def determinant(a: RingMatrix, nvars: int | None = None) -> LaurentPoly:
 
 
 def check_skew_symmetric(a: RingMatrix) -> None:
+    """Raise MatrixError unless a is square of even size with zero diagonal
+    and a[j][i] = -a[i][j].  Each pair is compared term by term, with no
+    negated polynomial built: equally many terms, each of the upper entry's
+    met by its negative in the lower one, make the lower entry the negative."""
     if a.rows != a.cols:
         raise MatrixError(f"Pfaffian of a {a.rows}x{a.cols} matrix")
     if a.rows % 2 == 1:
@@ -91,7 +95,8 @@ def check_skew_symmetric(a: RingMatrix) -> None:
         if not a.entry(i, i).is_zero():
             raise MatrixError(f"nonzero diagonal entry at ({i}, {i})")
         for j in range(i + 1, a.cols):
-            if a.entry(i, j) != -a.entry(j, i):
+            upper, lower = a.entry(i, j).terms, a.entry(j, i).terms
+            if len(upper) != len(lower) or any(lower.get(e) != -c for e, c in upper.items()):
                 raise MatrixError(f"skew-symmetry fails at ({i}, {j})")
 
 

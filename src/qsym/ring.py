@@ -40,6 +40,16 @@ edges: the constructor `LaurentPoly(n, {Monomial: int})`, `from_exponents`,
 take them; `sorted_terms`, `str`, `to_json`, `from_json` and `parse_poly`
 give or read them.
 
+`sorted_terms`, `str` and `to_json` give the terms in one canonical order,
+computed in one pass over the whole polynomial (`LaurentPoly._sorted_rows`).
+Every term's fields go into one buffer, which a fixed number of whole-int
+operations on its 16-bit lanes turn into one order digit per exponent: with
+B = 2^15 - 1, the ring's largest exponent, B - e + [e > 0] for e != 0,
+2B + 1 for a zero that a nonzero exponent follows and 0 for a zero that ends
+the term.  These 2^16 digits fill a lane exactly and never depend on a
+polynomial's bound; each term's digits, x1 first, are a 2n-byte key that
+bytes comparison sorts.
+
 Values are immutable after construction and safe to share.  The variable
 count is fixed per polynomial; combining mismatched counts raises instead of
 promoting, which keeps specialization maps honest.  `embed` re-indexes a
@@ -56,8 +66,12 @@ from __future__ import annotations
 import json
 import os
 import re
+import sys
+from array import array
 from collections import Counter
+from functools import cache, lru_cache, partial
 from itertools import islice
+from struct import Struct
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -73,7 +87,6 @@ Monomial = tuple[int, ...]
 _BITS = 16
 _MASK = (1 << _BITS) - 1
 _LIMIT = 1 << (_BITS - 1)  # every exponent and every bound stays below this in absolute value
-_GAP = 1 << _BITS  # the sort digit of a zero exponent that a nonzero one follows
 _BATCH = 4096  # exponent tuples that from_exponents counts between budget checks
 
 
@@ -93,6 +106,74 @@ def _bias(n: int) -> int:
 def _unpack(key: int, n: int) -> Monomial:
     key += _bias(n)
     return tuple([((key >> s) & _MASK) - _LIMIT for s in range(0, _BITS * n, _BITS)])
+
+
+# `_order_keys` works one chunk of at most _CHUNK_LANES lanes (terms times
+# variables) at a time.  A chunk's ints, 8 KB at most, reuse memory the
+# process already holds, where ints as large as the whole buffer of a
+# 14,286-term polynomial each took fresh pages and raised the expand
+# benchmark's peak resident memory.  Full chunks, and polynomials of at most
+# _CACHED_LANES lanes, such as the few-term values that most sweep cases
+# print, reuse their masks and key struct, which cost about as much to build
+# as the rest of a few terms' sort; other chunks build theirs, so the cache
+# stays small.
+_CHUNK_LANES = 4096
+_CACHED_LANES = 64
+
+
+@cache
+def _layout(n: int) -> tuple[int, int, int, str]:
+    """The per-term constants of n variables: the bias of a key and the sign
+    bit of each of its fields, which turn the key into its fields e1, ...,
+    en in 16-bit two's complement; the terms in one chunk of `_order_keys`;
+    and the %-template of a term's JSON object."""
+    sign = int.from_bytes(b"\0\1" * n, "big") << (_BITS - 1)
+    template = '{"exps": [' + ", ".join(["%d"] * n) + '], "coeff": "%d"}'
+    return _bias(n), sign, max(1, _CHUNK_LANES // max(n, 1)), template
+
+
+def _masks(n: int, count: int) -> tuple[int, int, int, int, Struct]:
+    """Over count terms in n variables: bit 0 of each term's last lane, the
+    top bit of each term's first lane, bit 0 of every lane, bit 15 of every
+    lane, and the struct that splits count 2n-byte keys."""
+    unit = int.from_bytes((b"\0" * (2 * n - 1) + b"\1") * count, "big")
+    low = unit * int.from_bytes(b"\0\1" * n, "big")
+    return unit, (unit << (_BITS * n)) >> 1, low, low << (_BITS - 1), Struct(f"{2 * n}s" * count)
+
+
+_cached_masks = lru_cache(maxsize=256)(_masks)
+
+
+def _order_keys(buf: bytearray, n: int, count: int, step: int) -> Sequence[bytes]:
+    """The order keys of the count terms whose fields `buf` holds, 2n
+    little-endian bytes each: one 2n-byte big-endian key per term, in buf's
+    order, computed step terms at a time (see `LaurentPoly._sorted_rows`)."""
+    if count <= step:
+        masks = _cached_masks if n * count <= _CACHED_LANES else _masks
+        return _chunk_keys(buf, masks(n, count))
+    keys: list[bytes] = []
+    for start in range(0, count, step):
+        m = min(step, count - start)
+        chunk = buf[2 * n * start : 2 * n * (start + m)]
+        keys += _chunk_keys(chunk, (_cached_masks if m == step else _masks)(n, m))
+    return keys
+
+
+def _chunk_keys(chunk: bytearray, masks: tuple[int, int, int, int, Struct]) -> Sequence[bytes]:
+    """`_order_keys` on one chunk, with its `_masks`."""
+    unit, guard, low, sign, split = masks
+    e = int.from_bytes(chunk, "big")
+    low8 = low * 0xFF  # the low byte of every lane
+    e = ((e >> 8) & low8) | ((e & low8) << 8)  # big-endian lanes: x1 of the first term on top
+    low15 = sign - low  # the bits below the sign bit of every lane
+    nonzero = ((((e & low15) + low15) | e) & sign) >> (_BITS - 1)
+    digits = (e ^ low15) + (((e >> (_BITS - 1)) & low) ^ nonzero)  # B - e + [e > 0]
+    # subtracting unit borrows from each term's last lane through its
+    # trailing zeros, up to its last nonzero lane or, with none, its guard
+    marked = nonzero | guard
+    gap = ((marked - unit) ^ marked ^ low) & (low ^ nonzero)  # the zeros a nonzero follows
+    digits = (digits & (nonzero * _MASK)) | (gap * _MASK)
+    return split.unpack(digits.to_bytes(len(chunk), "big"))
 
 
 # os.environ keeps the encoded environment in `_data`.  A get there is one
@@ -463,34 +544,49 @@ class LaurentPoly:
     def _sorted_rows(self) -> list[tuple[int, ...]]:
         """One tuple (e1, ..., en, c) per term, in `sorted_terms` order.
 
-        The sort key is an int with one 17-bit digit per variable, x1 the
-        most significant: _LIMIT - e for an exponent e != 0, and for a zero
-        2^16 when a nonzero exponent follows it, else 0.  Where two terms
-        first differ, a nonzero exponent e sorts by -e, before a zero that
-        a later variable follows and after one that ends the term, exactly
-        as that order compares them.
+        One pass over the whole polynomial, with no loop over variables.
+        Each key, biased and with the sign bit of each field flipped, is
+        written as its fields e1, ..., en in 16-bit two's complement, 2n
+        little-endian bytes, and all of them into one buffer.  `array("h")`
+        reads every exponent back at once, and `_order_keys` reads the same
+        buffer, a chunk of whole terms at a time, as one int of 16-bit lanes
+        with the first term's x1 lane on top, where a fixed number of
+        whole-int operations give each lane its order digit.  With
+        B = 2^15 - 1, the largest exponent the ring holds:
+
+          B - e + [e > 0]   for e != 0, in [1, 2B]: higher exponents first;
+          2B + 1            for a zero that a nonzero exponent follows;
+          0                 for a zero that ends the term.
+
+        That is 2B + 2 = 2^16 digits, so they fill a 16-bit lane exactly, and
+        they depend on the exponents alone, never on the bound.  An OR over
+        the later lanes of a term tells its two kinds of zero apart: one
+        subtraction borrows from each term's last lane through its trailing
+        zeros up to its last nonzero lane, so the lanes above that one are
+        the zeros a nonzero follows, and a guard bit above each term stops
+        the borrow of a term with no nonzero.  A term's digits, x1 first and
+        each big-endian, are one 2n-byte key, and bytes compare as the order
+        does: where two terms first differ, a nonzero exponent e sorts by
+        -e, before a zero that a later variable follows and after one that
+        ends the term.
         """
-        n = self.n
-        bias = _bias(n)
-        # per variable: its field's shift and the biased key of the fields
-        # above it when all of them are zero
-        fields = [(s, bias >> (s + _BITS)) for s in range(0, _BITS * n, _BITS)]
-        decorated = []
-        for key, c in self.terms.items():
-            key += bias
-            row, order = [], 0
-            for s, zero_tail in fields:
-                e = ((key >> s) & _MASK) - _LIMIT
-                row.append(e)
-                if e:
-                    digit = _LIMIT - e
-                else:
-                    digit = _GAP if key >> (s + _BITS) != zero_tail else 0
-                order = (order << (_BITS + 1)) + digit
-            row.append(c)
-            decorated.append((order, tuple(row)))
-        decorated.sort()  # the orders differ, so no two rows are compared
-        return [row for _, row in decorated]
+        n, count = self.n, len(self.terms)
+        bias, flip, step, _ = _layout(n)
+        buf = bytearray()  # b"".join would hold an 80-byte record per term
+        for k in self.terms:
+            buf += ((k + bias) ^ flip).to_bytes(2 * n, "little")
+        keys = _order_keys(buf, n, count, step) if count > 1 else ()
+        exps = array("h", buf)
+        del buf
+        if sys.byteorder == "big":
+            exps.byteswap()
+        rows = list(zip(*[iter(exps)] * n, self.terms.values()))
+        del exps
+        if keys:
+            # the key function is called once per row, in list order, so
+            # each row takes the next key
+            rows.sort(key=partial(next, iter(keys)))
+        return rows
 
     def __str__(self) -> str:
         if not self.terms:
@@ -524,7 +620,7 @@ class LaurentPoly:
         "coeff": "c"}, ...]}, written directly from one %-template for n
         variables: an int's %d text is its JSON text, and a decimal
         coefficient needs no escaping."""
-        template = '{"exps": [' + ", ".join(["%d"] * self.n) + '], "coeff": "%d"}'
+        template = _layout(self.n)[3]
         terms = ", ".join(map(template.__mod__, self._sorted_rows()))
         return f'{{"n": {self.n}, "terms": [{terms}]}}'
 

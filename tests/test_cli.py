@@ -191,7 +191,9 @@ def test_every_route_matches_its_function(capsys, family, method):
         "--lambda", "3,1", "--mu", mu, "--k", str(k), "--m", str(m), "--json",
     )
     assert code == 0
-    got = json.loads(out)["routes"][method]
+    payload = json.loads(out)
+    assert out == json.dumps(payload) + "\n"  # the route texts are spliced in as json.dumps writes them
+    got = payload["routes"][method]
     lam, sub = StrictPartition((3, 1)), StrictPartition.from_string(mu)
     direct = route.fn(lam, sub, VariableSpec(k, m), QContext())
     assert got == json.loads(direct.to_json())

@@ -94,6 +94,19 @@ def test_pfaffian_shape_errors():
     diag = RingMatrix.from_rows([[const(2), const(1)], [-const(1), const(0)]])
     with pytest.raises(MatrixError, match=r"\(0, 0\)"):
         pfaffian(diag)
+    # a 50-term entry against a lower one that differs in one coefficient,
+    # and against one with an extra term
+    terms = {(i, 1 - i): i + 1 for i in range(50)}
+    upper = LaurentPoly(2, terms)
+    one_off = LaurentPoly(2, {**{e: -c for e, c in terms.items()}, (7, -6): -7})
+    extra = LaurentPoly(2, {**{e: -c for e, c in terms.items()}, (0, 0): 1})
+    zero = LaurentPoly.zero(2)
+    for lower in (one_off, extra):
+        rows = [[zero] * 4 for _ in range(4)]
+        rows[1][2], rows[2][1] = upper, lower
+        rows[0][3], rows[3][0] = upper, -upper
+        with pytest.raises(MatrixError, match=r"skew-symmetry fails at \(1, 2\)"):
+            pfaffian(RingMatrix.from_rows(rows))
 
 
 def _random_skew(rng, size, n):

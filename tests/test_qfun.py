@@ -1,3 +1,7 @@
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 import qsym.lgv
@@ -428,3 +432,16 @@ def test_branch_route_calls_no_other_route(monkeypatch):
         monkeypatch.setattr(qsym.qfun, name, other_route)
     ctx = QContext()
     assert [qI_branch(lam, mu, spec, ctx) for lam, mu, spec in cases] == expect
+
+
+def test_q_row_texts_match_the_recorded_digests():
+    # q_row(0..14) on every spec with 1-4 variables, hashed as the benchmark
+    # hashes its schur_series q_row items: the canonical texts of polynomials
+    # of up to 17,025 terms in 4 variables, byte for byte as recorded
+    digests = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
+    recorded = json.loads(digests.read_text())["schur_series"]
+    for n in range(1, 5):
+        for k in range(n + 1):
+            spec, ctx = VariableSpec(k, n - k), QContext()
+            text = "\n".join(q_row(d, spec, ctx).to_json() for d in range(15))
+            assert hashlib.sha256(text.encode()).hexdigest() == recorded[f"q_row;k={k};m={n - k}"]

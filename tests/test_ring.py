@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -24,6 +25,7 @@ from qsym.ring import (
     _row_path_pays,
     grow_series,
 )
+from qsym.tableaux import MAX_VARIABLES
 
 
 def v(n, i, p=1):
@@ -171,14 +173,14 @@ def _json_dumps_form(p):
 
 _wide_terms = st.lists(
     st.tuples(
-        st.lists(st.integers(-(2**15) + 1, 2**15 - 1), min_size=3, max_size=3),
+        st.lists(st.integers(-(2**15) + 1, 2**15 - 1), min_size=6, max_size=6),
         st.integers(-(10**30), 10**30),
     ),
     max_size=6,
 )
 
 
-@given(n=st.integers(0, 3), items=_wide_terms)
+@given(n=st.integers(0, 6), items=_wide_terms)
 @settings(max_examples=80, deadline=None)
 def test_to_json_is_the_json_dumps_text(n, items):
     # n = 0, the zero polynomial, negative and big coefficients, extreme exponents
@@ -354,16 +356,18 @@ def term_sort_key(exps):
     return tuple((i, -e) for i, e in enumerate(exps) if e)
 
 
-@given(n=st.integers(0, 5), data=st.data())
+def by_term_sort_key(terms):
+    return sorted(((e, c) for e, c in terms.items() if c), key=lambda t: term_sort_key(t[0]))
+
+
+@given(n=st.integers(0, 8), data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_sorted_terms_follow_term_sort_key(n, data):
     # zeros placed before, between and after nonzeros decide the order; the
     # extreme exponents fill every bit of a field
     exponent = st.sampled_from([0, 0, 1, -1, 2, -2, LIMIT, -LIMIT, LIMIT - 1, -LIMIT + 1])
-    terms = data.draw(st.dictionaries(st.tuples(*[exponent] * n), st.integers(-3, 3), max_size=12))
-    p = LaurentPoly(n, terms)
-    expected = sorted(((e, c) for e, c in terms.items() if c), key=lambda t: term_sort_key(t[0]))
-    assert p.sorted_terms() == expected
+    terms = data.draw(st.dictionaries(st.tuples(*[exponent] * n), st.integers(-3, 3), max_size=300))
+    assert LaurentPoly(n, terms).sorted_terms() == by_term_sort_key(terms)
 
 
 def test_sorted_terms_edges():
@@ -378,6 +382,44 @@ def test_sorted_terms_edges():
         ((0, LIMIT), 2),
         ((0, -LIMIT), 5),
     ]
+    # +-LIMIT next to zeros where one term's lanes end and the next one's
+    # start, the constant between them, and terms led by their last lane
+    terms = {
+        (0, 0, LIMIT): 1,
+        (0, 0, -LIMIT): 2,
+        (LIMIT, 0, 0): 3,
+        (0, 0, 0): 4,
+        (-LIMIT, 0, 0): 5,
+        (LIMIT, 0, -LIMIT): 6,
+        (0, -LIMIT, 0): 7,
+        (-LIMIT, 0, LIMIT): 8,
+    }
+    assert [c for _, c in LaurentPoly(3, terms).sorted_terms()] == [4, 3, 6, 5, 8, 7, 1, 2]
+    # 64 variables: every zero of x64 alone is followed by a nonzero, and the
+    # borrow that tells the zeros apart runs through all 64 lanes of the
+    # constant to its guard
+    n = MAX_VARIABLES
+
+    def mono(*pairs):
+        exps = [0] * n
+        for i, e in pairs:
+            exps[i] = e
+        return tuple(exps)
+
+    terms = {
+        mono((n - 1, 1)): 1,
+        mono(): 2,
+        mono((n - 1, -LIMIT)): 3,
+        mono((0, 1)): 4,
+        mono((0, 1), (n - 1, LIMIT)): 5,
+        mono((n - 2, 2)): 6,
+        mono((0, -1), (n - 2, 1), (n - 1, 1)): 7,
+    }
+    assert [c for _, c in LaurentPoly(n, terms).sorted_terms()] == [2, 4, 5, 7, 6, 1, 3]
+    assert LaurentPoly(n, terms).sorted_terms() == by_term_sort_key(terms)
+    # 2,000 terms, every exponent of x1..x4 in -3..3 in turn
+    terms = dict(zip(itertools.islice(itertools.product(range(-3, 4), repeat=4), 2000), range(1, 2001)))
+    assert LaurentPoly(4, terms).sorted_terms() == by_term_sort_key(terms)
 
 
 # -- sum_of_products, against the tuple-keyed reference -------------------------
