@@ -44,7 +44,6 @@ from .tableaux import (
     qt_weight,
 )
 from .symfun import (
-    Alphabet,
     check_union_identity,
     complete_h,
     elementary_e,
@@ -66,6 +65,6 @@ from .qfun import (
     q_row,
     q_single_var,
 )
-from .lgv import enum_path_families, family_weight, lgv_weight_sum
+from .lgv import enum_path_families, lgv_weight_sum
 
 __version__ = "0.1.0"

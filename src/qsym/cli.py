@@ -28,7 +28,6 @@ from .checks import ROUTES, SUITES, run_suite, series_inverse_holds
 from .errors import ParseError, PreconditionError, QsymError, parse_count
 from .qfun import QContext, q_row
 from .shapes import Partition
-from .symfun import Alphabet
 from .tableaux import MAX_VARIABLES, VariableSpec
 
 
@@ -85,7 +84,7 @@ def cmd_series(args) -> int:
     coeffs = [q_row(l, spec, ctx) for l in range(args.degree)] + [top]
     for p in coeffs:
         print(str(p))
-    monos = list(Alphabet.mixed(spec).monomials)
+    monos = spec.monomials()
     if not series_inverse_holds(coeffs, monos, monos, spec.n):
         print("series coefficients disagree with product expansion", file=sys.stderr)
         return 1

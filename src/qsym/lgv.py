@@ -54,15 +54,11 @@ from functools import cache
 from itertools import combinations
 from typing import Iterator
 
-from .ring import LaurentPoly, Monomial, sum_of_products
+from .ring import LaurentPoly, sum_of_products
 from .shapes import StrictPartition
 from .tableaux import Letter, VariableSpec, _letter_weight
 
 Rows = tuple[tuple[Letter, ...], ...]
-
-
-def family_weight(rows: Rows, spec: VariableSpec) -> Monomial:
-    return _letter_weight(rows, spec)
 
 
 def enum_path_families(

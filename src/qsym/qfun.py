@@ -27,7 +27,6 @@ from .errors import PreconditionError
 from .linalg import RingMatrix, pfaffian
 from .ring import GrowingSeries, LaurentPoly, grow_series, sum_of_products
 from .shapes import EMPTY, StrictPartition, enum_strict_between, pad_for_pfaffian
-from .symfun import Alphabet
 from .tableaux import VariableSpec, enum_qt, qt_weight
 
 
@@ -35,10 +34,11 @@ from .tableaux import VariableSpec, enum_qt, qt_weight
 class QContext:
     """Shared memo tables; cached values always equal fresh recomputation.
 
-    `row_series` holds each spec's one-row series.  `cache` keys are tuples
-    that start with their kind:
+    `row_series` holds each spec's one-row series, on the alphabet of
+    `VariableSpec.monomials`.  `cache` keys are tuples that start with their
+    kind:
       ("A2", r, s, n) and ("C2", r, s, k)  two-row values, plain and symplectic;
-      ("Idef" | "Itab" | "Ijp", lam, mu, spec)  qI_def, qI_tableau, qI_jp;
+      ("Idef" | "Ijp", lam, mu, spec)  qI_def and qI_jp;
       ("Ibr", lam, mu, spec)  qI_branch values, one per spec of its recursion;
       ("Q1", spec, lam, mu)  q_single_var's strip-rule steps.
     A value is stored only once it is complete, so a raise leaves no entry.
@@ -56,13 +56,14 @@ def _ctx(ctx: QContext | None) -> QContext:
 
 def q_row(l: int, spec: VariableSpec, ctx: QContext | None = None) -> LaurentPoly:
     """One-row value: coefficient of z^l in the product of (1+xz)/(1-xz) over
-    the alphabet x1, x1^-1, ..., xk, xk^-1, x_{k+1}, ..., x_n, read from the
-    context's series for the spec by grow_series, so zero for l < 0."""
+    the spec's alphabet x1, x1^-1, ..., xk, xk^-1, x_{k+1}, ..., x_n
+    (`VariableSpec.monomials`), read from the context's series for the spec
+    by grow_series, so zero for l < 0."""
     if ctx is None:  # _ctx inlined: a Pfaffian expansion makes ~10^5 of these calls
         ctx = QContext()
     series = ctx.row_series.get(spec)
     if series is None:
-        monos = list(Alphabet.mixed(spec).monomials)
+        monos = spec.monomials()
         series = ctx.row_series[spec] = GrowingSeries(monos, monos, spec.n)
     return grow_series(series, l)
 
@@ -199,17 +200,14 @@ def qI_tableau(
     spec: VariableSpec,
     ctx: QContext | None = None,
 ) -> LaurentPoly:
-    """Intermediate value as the weight sum over primed shifted tableaux."""
-    n = spec.n
+    """Intermediate value as the weight sum over primed shifted tableaux,
+    one qt_weight per tableau of the enum_qt stream.  ctx is taken for the
+    route signature only: nothing is cached, since no route asks for a value
+    twice (of the checks, only qfun.one-row-series repeats a case)."""
     spec.check_rows(lam)
-    ctx = _ctx(ctx)
-    key = ("Itab", lam.parts, mu.parts, spec)
-    got = ctx.cache.get(key)
-    if got is not None:
-        return got
-    total = LaurentPoly.from_exponents(n, map(qt_weight, enum_qt(spec, lam, mu), repeat(spec)))
-    ctx.cache[key] = total
-    return total
+    return LaurentPoly.from_exponents(
+        spec.n, map(qt_weight, enum_qt(spec, lam, mu), repeat(spec))
+    )
 
 
 def _strip(lam: StrictPartition, mu: StrictPartition) -> tuple[int, int] | None:

@@ -1,25 +1,28 @@
-"""Schur-side evaluators on finite alphabets.
+"""Schur-side evaluators on the alphabets of variable specs.
 
-An Alphabet is a multiset of monomials in a fixed ambient ring; the three
-specialization maps of interest are just alphabet choices:
+The alphabet of a VariableSpec (k, m) is x1, x1^-1, ..., xk, xk^-1,
+x_{k+1}, ..., x_n, the weights of its unprimed letters
+(`VariableSpec.monomials`), so the three specializations of interest are
+three kinds of spec:
 
-  type_a(m)       x1, ..., xm
-  symplectic(k)   x1, x1^-1, ..., xk, xk^-1
-  mixed(k, m)     x1, x1^-1, ..., xk, xk^-1, x_{k+1}, ..., x_{k+m}
+  (0, m)   x1, ..., xm
+  (k, 0)   x1, x1^-1, ..., xk, xk^-1
+  (k, m)   x1, x1^-1, ..., xk, xk^-1, x_{k+1}, ..., x_{k+m}
 
 Complete homogeneous polynomials h_r come from the geometric series expansion
 of prod 1/(1 - x z); everything else is a determinant in the h_r (or e_r).
 The symplectic determinant's global 1/2 is realized structurally: its first
 column is twice h, so that column is written halved and no division ever
-happens.
+happens.  The intermediate character's skew factor is a Schur polynomial on
+(0, m), embedded at offset k, as qI_def embeds its plain factor.
 
 Two module-level caches live here, for the life of the process, because
 `symp_schur` and `inter_schur` take no context and every caller (the CLI,
 `verify`, the benchmark) calls them without one:
 
-  _H_CACHE    the h-series of each alphabet, grown exactly as far as asked
-  _SP_CACHE   the final value sp_mu on the k-pair alphabet x1^+-1, ..., xk^+-1,
-              keyed by (mu.parts, k); no minor and no h-entry is kept
+  _H_CACHE    the h-series of each spec, grown exactly as far as asked
+  _SP_CACHE   the final value sp_mu on the k-pair spec (k, 0), keyed by
+              (mu.parts, k); no minor and no h-entry is kept
 
 sp_mu depends only on mu and k, never on the outer shape or on m, and a
 polynomial on k variables embeds at offset 0 into any n >= k by sharing its
@@ -33,14 +36,11 @@ intermediate of the determinant passes stops a fresh value but not a hit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import PreconditionError
 from .linalg import RingMatrix, determinant
 from .ring import (
     GrowingSeries,
     LaurentPoly,
-    Monomial,
     _poly,
     grow_series,
     series_from_linear_factors,
@@ -50,92 +50,54 @@ from .shapes import Partition
 from .tableaux import VariableSpec, spt_weight_counts
 
 
-def _unit_mono(nvars: int, i: int, power: int = 1) -> Monomial:
-    exps = [0] * nvars
-    exps[i] = power
-    return tuple(exps)
+_H_CACHE: dict[VariableSpec, GrowingSeries] = {}
 
 
-@dataclass(frozen=True)
-class Alphabet:
-    """Multiset of monomials sharing one ambient variable count."""
-
-    nvars: int
-    monomials: tuple[Monomial, ...]
-
-    def __post_init__(self):
-        for m in self.monomials:
-            if len(m) != self.nvars:
-                raise ValueError(f"monomial {m} does not fit nvars={self.nvars}")
-
-    @classmethod
-    def type_a(cls, m: int, nvars: int | None = None, offset: int = 0) -> "Alphabet":
-        nv = m if nvars is None else nvars
-        return cls(nv, tuple(_unit_mono(nv, offset + i) for i in range(m)))
-
-    @classmethod
-    def symplectic(cls, k: int, nvars: int | None = None) -> "Alphabet":
-        nv = k if nvars is None else nvars
-        monos = []
-        for i in range(k):
-            monos.append(_unit_mono(nv, i))
-            monos.append(_unit_mono(nv, i, -1))
-        return cls(nv, tuple(monos))
-
-    @classmethod
-    def mixed(cls, spec: VariableSpec) -> "Alphabet":
-        n = spec.n
-        monos = list(cls.symplectic(spec.k, nvars=n).monomials)
-        monos += [_unit_mono(n, j) for j in range(spec.k, n)]
-        return cls(n, tuple(monos))
-
-
-_H_CACHE: dict[Alphabet, GrowingSeries] = {}
-
-
-def complete_h(r: int, a: Alphabet) -> LaurentPoly:
-    """h_r on the alphabet, read from its _H_CACHE series by grow_series:
-    zero for r < 0, one for r = 0."""
-    series = _H_CACHE.get(a)
+def complete_h(r: int, spec: VariableSpec) -> LaurentPoly:
+    """h_r on the spec's alphabet, read from its _H_CACHE series by
+    grow_series: zero for r < 0, one for r = 0."""
+    series = _H_CACHE.get(spec)
     if series is None:
-        series = _H_CACHE[a] = GrowingSeries([], list(a.monomials), a.nvars)
+        series = _H_CACHE[spec] = GrowingSeries([], spec.monomials(), spec.n)
     return grow_series(series, r)
 
 
-def elementary_e(r: int, a: Alphabet) -> LaurentPoly:
-    """e_r on the alphabet, the coefficient of z^r in the finite product prod(1 + x z)."""
-    if r < 0 or r > len(a.monomials):
-        return LaurentPoly.zero(a.nvars)
-    return series_from_linear_factors(list(a.monomials), [], r, a.nvars).coeffs[r]
+def elementary_e(r: int, spec: VariableSpec) -> LaurentPoly:
+    """e_r on the spec's alphabet, the coefficient of z^r in the finite
+    product prod(1 + x z)."""
+    monos = spec.monomials()
+    if r < 0 or r > len(monos):
+        return LaurentPoly.zero(spec.n)
+    return series_from_linear_factors(monos, [], r, spec.n).coeffs[r]
 
 
-def schur_skew(lam: Partition, mu: Partition, a: Alphabet) -> LaurentPoly:
+def schur_skew(lam: Partition, mu: Partition, spec: VariableSpec) -> LaurentPoly:
     """Skew Schur polynomial via the h-determinant; zero when mu is not inside lam."""
     if not lam.contains(mu):
-        return LaurentPoly.zero(a.nvars)
+        return LaurentPoly.zero(spec.n)
     size = lam.length
     rows = [
-        [complete_h(lam.part(i) - mu.part(j) - i + j, a) for j in range(1, size + 1)]
+        [complete_h(lam.part(i) - mu.part(j) - i + j, spec) for j in range(1, size + 1)]
         for i in range(1, size + 1)
     ]
-    return determinant(RingMatrix.from_rows(rows), a.nvars)
+    return determinant(RingMatrix.from_rows(rows), spec.n)
 
 
-def schur_skew_e(lam: Partition, mu: Partition, a: Alphabet) -> LaurentPoly:
+def schur_skew_e(lam: Partition, mu: Partition, spec: VariableSpec) -> LaurentPoly:
     """Same polynomial via the dual e-determinant on the transposed shapes."""
     if not lam.contains(mu):
-        return LaurentPoly.zero(a.nvars)
+        return LaurentPoly.zero(spec.n)
     lt, mt = lam.transpose(), mu.transpose()
     size = lt.length
     rows = [
-        [elementary_e(lt.part(i) - mt.part(j) - i + j, a) for j in range(1, size + 1)]
+        [elementary_e(lt.part(i) - mt.part(j) - i + j, spec) for j in range(1, size + 1)]
         for i in range(1, size + 1)
     ]
-    return determinant(RingMatrix.from_rows(rows), a.nvars)
+    return determinant(RingMatrix.from_rows(rows), spec.n)
 
 
-def symp_schur_on(lam: Partition, a: Alphabet) -> LaurentPoly:
-    """Symplectic Schur determinant on an arbitrary alphabet.
+def symp_schur_on(lam: Partition, spec: VariableSpec) -> LaurentPoly:
+    """Symplectic Schur determinant on the spec's alphabet.
 
     Entry (i, j) is h_{lam_i - i + j} + h_{lam_i - i - j + 2} for j >= 2; the
     j = 1 entry of that matrix is 2 h_{lam_i - i + 1}, so the first column is
@@ -145,12 +107,12 @@ def symp_schur_on(lam: Partition, a: Alphabet) -> LaurentPoly:
     rows = []
     for i in range(1, size + 1):
         d = lam.part(i) - i
-        row = [complete_h(d + 1, a)]
+        row = [complete_h(d + 1, spec)]
         row += [
-            complete_h(d + j, a) + complete_h(d - j + 2, a) for j in range(2, size + 1)
+            complete_h(d + j, spec) + complete_h(d - j + 2, spec) for j in range(2, size + 1)
         ]
         rows.append(row)
-    return determinant(RingMatrix.from_rows(rows), a.nvars)
+    return determinant(RingMatrix.from_rows(rows), spec.n)
 
 
 _SP_CACHE: dict[tuple[tuple[int, ...], int], LaurentPoly] = {}
@@ -162,7 +124,7 @@ def _symp_on_pairs(lam: Partition, k: int, n: int) -> LaurentPoly:
     key = (lam.parts, k)
     value = _SP_CACHE.get(key)
     if value is None:
-        value = _SP_CACHE[key] = symp_schur_on(lam, Alphabet.symplectic(k))
+        value = _SP_CACHE[key] = symp_schur_on(lam, VariableSpec(k, 0))
     return value.embed(n)
 
 
@@ -182,7 +144,9 @@ def inter_schur(lam: Partition, spec: VariableSpec, method: str = "definition") 
     character, never zero, so only the skew factor can drop a term.  Each
     factor sp_mu is computed once per process on the k pairs alone, kept in
     _SP_CACHE under (mu.parts, k) and embedded into the n variables at
-    offset 0, since it depends on neither lam nor m.
+    offset 0, since it depends on neither lam nor m.  The skew factor is
+    computed on (0, m), whose h-series serves every k, and embedded at
+    offset k.
 
     method="tableau" sums weights over the unprimed tableau
     family: the polynomial's terms are the packed weight counts of
@@ -198,27 +162,27 @@ def inter_schur(lam: Partition, spec: VariableSpec, method: str = "definition") 
         return _poly(n, spt_weight_counts(spec, lam), lam.part(1))
     if method != "definition":
         raise ValueError(f"unknown method {method!r}")
-    a_alpha = Alphabet.type_a(spec.m, nvars=n, offset=spec.k)
+    a_spec = VariableSpec(0, spec.m)
     terms = []
     for mu in lam.subpartitions():
         if mu.length > spec.k:
             continue
         c_part = _symp_on_pairs(mu, spec.k, n)
-        a_part = schur_skew(lam, mu, a_alpha)
+        a_part = schur_skew(lam, mu, a_spec)
         if a_part.is_zero():
             continue
-        terms.append((c_part, a_part, 1))
+        terms.append((c_part, a_part.embed(n, spec.k), 1))
     return sum_of_products(n, terms)
 
 
 def check_union_identity(lam: Partition, spec: VariableSpec) -> bool:
     """Compare the definition sum against the symplectic determinant on the
-    combined alphabet x1, x1^-1, ..., xk, xk^-1, x_{k+1}, ..., x_n.
+    spec's whole alphabet x1, x1^-1, ..., xk, xk^-1, x_{k+1}, ..., x_n.
 
     Valid for shapes with at most k + 1 rows.
     """
     if lam.length > spec.k + 1:
         raise PreconditionError(f"{lam.length} rows exceeds k + 1 = {spec.k + 1}")
     lhs = inter_schur(lam, spec, "definition")
-    rhs = symp_schur_on(lam, Alphabet.mixed(spec))
+    rhs = symp_schur_on(lam, spec)
     return lhs == rhs

@@ -11,6 +11,11 @@ its primed letter and then its unprimed one; the unprimed one is every second
 letter.  It is built once per spec and process, and _walk and lgv's paths
 yield its objects, so equal letters of one spec are the same object.
 
+The alphabet gives the letters and their monomials: a letter weighs x_i, or
+x_i^-1 when barred, primes ignored, and `VariableSpec.monomials` lists the
+unprimed letters' weights x1, x1^-1, ..., xk, xk^-1, x_{k+1}, ..., x_n, the
+one alphabet of every series and Schur-side determinant.
+
 Primed-alphabet fillings of skew shifted shapes obey:
   (QT1) rows weakly increase;
   (QT2) columns weakly increase;
@@ -175,6 +180,11 @@ class VariableSpec:
     def unprimed_alphabet(self) -> list[Letter]:
         return list(_alphabet(self.k, self.m)[1::2])
 
+    def monomials(self) -> tuple[Monomial, ...]:
+        """The weight of each unprimed letter, in alphabet order: x1, x1^-1,
+        ..., xk, xk^-1, x_{k+1}, ..., x_n."""
+        return _monomials(self.k, self.m)
+
 
 @cache
 def _alphabet(k: int, m: int) -> tuple[Letter, ...]:
@@ -182,6 +192,13 @@ def _alphabet(k: int, m: int) -> tuple[Letter, ...]:
     levels = [(i, barred) for i in range(1, k + 1) for barred in (False, True)]
     levels += [(j, False) for j in range(k + 1, k + m + 1)]
     return tuple(Letter(i, barred, unprimed) for i, barred in levels for unprimed in (False, True))
+
+
+@cache
+def _monomials(k: int, m: int) -> tuple[Monomial, ...]:
+    """The weights of the unprimed alphabet of VariableSpec(k, m), in its order."""
+    spec = VariableSpec(k, m)
+    return tuple(_letter_weight([[x]], spec) for x in spec.unprimed_alphabet())
 
 
 def _record_eq(a: tuple, b: object) -> bool:

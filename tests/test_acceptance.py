@@ -17,7 +17,7 @@ from qsym.checks import (
     schur_checks,
 )
 from qsym.shapes import EMPTY
-from qsym.symfun import Alphabet, symp_schur
+from qsym.symfun import symp_schur
 from qsym.tableaux import Partition, enum_spt
 
 from conftest import rows_weight

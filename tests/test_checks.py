@@ -1,7 +1,8 @@
 import pytest
 
 import qsym.qfun
-from qsym import Alphabet, LaurentPoly, VariableSpec, enum_qt, qI_tableau
+import qsym.symfun
+from qsym import LaurentPoly, VariableSpec, enum_qt, qI_tableau
 from qsym import checks
 from qsym.checks import (
     ROUTES,
@@ -75,11 +76,15 @@ def test_vanishing_counts_its_draws():
 
 
 def test_union_alphabet_failure_prints_the_difference(monkeypatch):
-    # a union alphabet that forgets the plain letters: the determinant on it
-    # loses every term of a plain variable
-    monkeypatch.setattr(
-        Alphabet, "mixed", classmethod(lambda cls, spec: cls.symplectic(spec.k, nvars=spec.n))
-    )
+    # a union-alphabet determinant that forgets the plain letters: it loses
+    # every term of a plain variable
+    real = qsym.symfun.symp_schur_on
+
+    def pairs_only(lam, spec):
+        return real(lam, VariableSpec(spec.k, 0)).embed(spec.n)
+
+    monkeypatch.setattr(qsym.symfun, "symp_schur_on", pairs_only)
+    monkeypatch.setattr(checks, "symp_schur_on", pairs_only)
     results = _by_name(checks.schur_checks(max_weight=2, max_vars=2))
     bad = results["schur.union-alphabet"]
     assert not bad.passed
@@ -89,15 +94,11 @@ def test_union_alphabet_failure_prints_the_difference(monkeypatch):
 
 
 def test_lgv_failure_names_case_and_difference(monkeypatch):
-    real_sum, real_weight = checks.lgv_weight_sum, checks.family_weight
+    real_sum, real_families = checks.lgv_weight_sum, checks.enum_path_families
 
     def sum_times_x1(lam, mu, spec):
         got = real_sum(lam, mu, spec)
         return got * LaurentPoly.variable(spec.n, 0) if spec.n else got
-
-    def off_by_x1(fam, spec):
-        w = real_weight(fam, spec)
-        return (w[0] + 1,) + w[1:] if w else w
 
     # the weight sums come from the transfer matrix, the bijection from the families
     monkeypatch.setattr(checks, "lgv_weight_sum", sum_times_x1)
@@ -108,11 +109,22 @@ def test_lgv_failure_names_case_and_difference(monkeypatch):
     assert sums.detail == "lam=() mu=() spec=(0,1) tableau-lgv: 1 - x1"
     assert results["lgv.path-tableau-bijection"].passed
 
+    # faulty families, each caught on the first case it shows in: out of
+    # order needs two families, a dropped one shows on the empty shape
     monkeypatch.setattr(checks, "lgv_weight_sum", real_sum)
-    monkeypatch.setattr(checks, "family_weight", off_by_x1)
-    results = _by_name(lgv_checks(max_part=1, max_len=1, max_vars=1))
-    assert results["lgv.weight-sums"].passed
-    assert results["lgv.path-tableau-bijection"].detail.startswith("lam=() mu=() spec=(0,1) ")
+    faults = [
+        (lambda fams: fams[::-1], "lam=(1) mu=() spec=(0,1) 2 families, 2 tableaux: "
+         "the families do not strictly increase"),
+        (lambda fams: fams[1:], "lam=() mu=() spec=(0,0) 0 families, 1 tableaux: "
+         "the families are not the tableau rows in order"),
+    ]
+    for fault, detail in faults:
+        monkeypatch.setattr(
+            checks, "enum_path_families", lambda *args: fault(list(real_families(*args)))
+        )
+        results = _by_name(lgv_checks(max_part=1, max_len=1, max_vars=1))
+        assert results["lgv.weight-sums"].passed
+        assert results["lgv.path-tableau-bijection"].detail == detail
 
 
 def test_lgv_checks_count_cases_and_families():

@@ -125,3 +125,48 @@ def test_syntax_newer_than_the_floor_is_found():
     source = "try:\n    pass\nexcept* ValueError:\n    pass\n"
     with pytest.raises(SyntaxError):
         ast.parse(source, feature_version=(3, 10))
+
+
+def qsym_imports(source: str) -> set[str]:
+    """The qsym modules a source imports, by short name: `from .m import`,
+    `from qsym.m import`, `from . import m`, `from qsym import m` and
+    `import qsym.m`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names if a.name.startswith("qsym."))
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                if module != "qsym" and not module.startswith("qsym."):
+                    continue
+                module = module[len("qsym.") :]
+            if module:
+                found.add(module.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+# the Q side and everything below it read alphabets from the spec, never
+# from the Schur side
+BELOW_SYMFUN = ["ring", "shapes", "linalg", "tableaux", "qfun", "lgv"]
+
+
+@pytest.mark.parametrize("name", BELOW_SYMFUN)
+def test_module_imports_nothing_from_symfun(name):
+    path = Path(qsym.__file__).parent / f"{name}.py"
+    assert "symfun" not in qsym_imports(path.read_text())
+
+
+def test_a_symfun_import_is_found():
+    sources = (
+        "from .symfun import complete_h\n",
+        "from qsym.symfun import complete_h\n",
+        "from . import symfun\n",
+        "from qsym import symfun\n",
+        "import qsym.symfun\n",
+    )
+    for source in sources:
+        assert qsym_imports(source) == {"symfun"}, source
+    assert qsym_imports("from .ring import LaurentPoly\nimport os.path\n") == {"ring"}

@@ -12,7 +12,6 @@ from qsym import (
     enum_path_families,
     enum_qt,
     enum_spt,
-    family_weight,
     letter,
     lgv_weight_sum,
     qI_branch,
@@ -21,6 +20,8 @@ from qsym import (
 )
 from qsym.checks import partitions_up_to_weight, qi_cases, specs_up_to, strict_partitions
 from qsym.errors import PreconditionError
+
+from conftest import rows_weight
 
 L = letter
 
@@ -129,7 +130,7 @@ def test_equal_shapes_single_vertical_family():
     families = list(enum_path_families(sp(2, 1), sp(2, 1), spec))
     assert len(families) == 1
     assert families == [((), ())]
-    assert family_weight(families[0], spec) == (0, 0)
+    assert rows_weight(families[0], spec.n) == (0, 0)
 
 
 def test_not_contained_empty():
@@ -153,7 +154,7 @@ def test_bijection_on_small_shape():
     mapped = [PrimedTableau(lam, mu, rows) for rows in families]
     assert len(set(mapped)) == len(families)
     assert set(mapped) == tabs
-    assert sorted(family_weight(f, spec) for f in families) == sorted(
+    assert sorted(rows_weight(f, spec.n) for f in families) == sorted(
         qt_weight(t, spec) for t in tabs
     )
 
@@ -199,7 +200,7 @@ def test_figure_family_validates_and_maps():
         ((0, 14), (1, 14), (1, 16)),
     )
     assert _vertex_family(rows, lam, mu, spec) == paths
-    assert family_weight(rows, spec) == (0, 1, 0, 2, 1)
+    assert rows_weight(rows, spec.n) == (0, 1, 0, 2, 1)
     # a last path entering on 2' arrives at (1, 6), a vertex of path 4
     assert _vertex_family(rows[:4] + ((L(2, primed=True),),), lam, mu, spec) is None
 
@@ -214,7 +215,7 @@ def test_enumeration_families_all_validate():
 
 def _family_sum(lam, mu, spec):
     return LaurentPoly.from_exponents(
-        spec.n, (family_weight(f, spec) for f in enum_path_families(lam, mu, spec))
+        spec.n, (rows_weight(f, spec.n) for f in enum_path_families(lam, mu, spec))
     )
 
 

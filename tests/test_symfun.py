@@ -4,7 +4,6 @@ import pytest
 
 import qsym.symfun as symfun
 from qsym import (
-    Alphabet,
     LaurentPoly,
     Partition,
     PreconditionError,
@@ -36,21 +35,21 @@ def pp(*parts):
 
 
 def test_complete_h_conventions():
-    a = Alphabet.symplectic(1)
+    a = VariableSpec(1, 0)
     assert complete_h(-1, a) == LaurentPoly.zero(1)
     assert complete_h(0, a) == LaurentPoly.one(1)
     assert complete_h(1, a) == v(1, 0) + v(1, 0, -1)
 
 
 def test_complete_h_two_plain_vars():
-    a = Alphabet.type_a(2)
+    a = VariableSpec(0, 2)
     x1, x2 = v(2, 0), v(2, 1)
     assert complete_h(2, a) == x1 * x1 + x1 * x2 + x2 * x2
 
 
 def test_a_failed_growth_leaves_the_h_series_at_its_last_degree(monkeypatch):
-    a = Alphabet.mixed(VariableSpec(2, 2))
-    fresh = series_from_linear_factors([], list(a.monomials), 17, a.nvars).coeffs[17]
+    a = VariableSpec(2, 2)
+    fresh = series_from_linear_factors([], a.monomials(), 17, a.n).coeffs[17]
     _H_CACHE.pop(a, None)
     complete_h(16, a)
     monkeypatch.setenv("QSYM_MAX_TERMS", str(len(fresh.terms) - 1))
@@ -62,7 +61,7 @@ def test_a_failed_growth_leaves_the_h_series_at_its_last_degree(monkeypatch):
 
 
 def test_elementary_e():
-    a = Alphabet.type_a(3)
+    a = VariableSpec(0, 3)
     x1, x2, x3 = (v(3, i) for i in range(3))
     assert elementary_e(2, a) == x1 * x2 + x1 * x3 + x2 * x3
     assert elementary_e(4, a) == LaurentPoly.zero(3)
@@ -70,7 +69,7 @@ def test_elementary_e():
 
 
 def test_schur_basic():
-    a = Alphabet.type_a(2)
+    a = VariableSpec(0, 2)
     x1, x2 = v(2, 0), v(2, 1)
     assert schur_skew(pp(1), pp(), a) == x1 + x2
     assert schur_skew(pp(2, 1), pp(), a) == x1 * x1 * x2 + x1 * x2 * x2
@@ -78,7 +77,7 @@ def test_schur_basic():
 
 
 def test_schur_h_vs_e_forms():
-    a = Alphabet.type_a(3)
+    a = VariableSpec(0, 3)
     for lam in (pp(2, 1), pp(3, 2, 1), pp(2, 2)):
         for mu in (pp(), pp(1), pp(1, 1)):
             assert schur_skew(lam, mu, a) == schur_skew_e(lam, mu, a)
@@ -105,7 +104,7 @@ def test_inter_schur_one_cell():
 def test_inter_schur_degenerations():
     for lam in (pp(1), pp(2), pp(2, 1), pp(2, 2)):
         spec = VariableSpec(0, 2)
-        assert inter_schur(lam, spec) == schur_skew(lam, pp(), Alphabet.type_a(2))
+        assert inter_schur(lam, spec) == schur_skew(lam, pp(), spec)
         if lam.length <= 2:
             assert inter_schur(lam, VariableSpec(2, 0)) == symp_schur(lam, 2)
 
@@ -156,9 +155,9 @@ def test_each_symplectic_factor_is_one_determinant(monkeypatch):
     fresh = symfun.symp_schur_on
     calls = Counter()
 
-    def counted(lam, a):
-        calls[lam.parts, a] += 1
-        return fresh(lam, a)
+    def counted(lam, spec):
+        calls[lam.parts, spec] += 1
+        return fresh(lam, spec)
 
     monkeypatch.setattr(symfun, "symp_schur_on", counted)
     cases = [
@@ -177,9 +176,19 @@ def test_each_symplectic_factor_is_one_determinant(monkeypatch):
         if mu.length <= spec.k
     }
     assert set(symfun._SP_CACHE) == factors
-    assert calls == Counter({(parts, Alphabet.symplectic(k)): 1 for parts, k in factors})
+    assert calls == Counter({(parts, VariableSpec(k, 0)): 1 for parts, k in factors})
     for (parts, k), value in symfun._SP_CACHE.items():
-        assert value == fresh(Partition(parts), Alphabet.symplectic(k))
+        assert value == fresh(Partition(parts), VariableSpec(k, 0))
+
+
+def test_the_skew_factor_has_one_h_series_for_every_k(monkeypatch):
+    # the plain factor of inter_schur on (k, 2) is a Schur polynomial on
+    # (0, 2), embedded at offset k, so k = 1 and k = 2 share its series
+    monkeypatch.setattr(symfun, "_H_CACHE", {})
+    monkeypatch.setattr(symfun, "_SP_CACHE", {})
+    for spec in (VariableSpec(1, 2), VariableSpec(2, 2)):
+        assert inter_schur(pp(2, 1), spec) == inter_schur(pp(2, 1), spec, "tableau")
+    assert set(symfun._H_CACHE) == {VariableSpec(0, 2), VariableSpec(1, 0), VariableSpec(2, 0)}
 
 
 def test_a_memo_hit_meets_the_term_budget(monkeypatch, capsys):

@@ -228,6 +228,16 @@ def test_unprimed_alphabet_is_every_second_primed_letter():
         assert all(a is b for a, b in zip(VariableSpec(spec.k, spec.m).primed_alphabet(), primed))
 
 
+def test_monomials_are_the_unprimed_letter_weights():
+    for spec in specs_up_to(4):
+        weights = tuple(rows_weight([[x]], spec.n) for x in spec.unprimed_alphabet())
+        assert spec.monomials() == weights
+    assert VariableSpec(2, 1).monomials() == (
+        (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1)
+    )
+    assert VariableSpec(0, 0).monomials() == ()
+
+
 def test_qt_split_counts_small():
     lam, mu = sp(3, 1), EMPTY
     for spec in (VariableSpec(1, 1), VariableSpec(2, 1), VariableSpec(1, 2)):
