@@ -50,7 +50,12 @@ def cmd_compute(args) -> int:
             raise PreconditionError(f"method {method!r} not implemented for {args.family}")
         methods = [method]
     chosen = {name: ROUTES[args.family, name] for name in methods}
-    shapes = {name: route.domain.check(lam, mu, spec) for name, route in chosen.items()}
+    shapes = {}
+    for name, route in chosen.items():
+        try:
+            shapes[name] = route.domain.check(lam, mu, spec)
+        except PreconditionError as exc:
+            raise PreconditionError(f"{name}: {exc}") from exc
     ctx = QContext()
     routes = {name: route.fn(*shapes[name], spec, ctx) for name, route in chosen.items()}
     first, ref = next(iter(routes.items()))

@@ -4,6 +4,12 @@ independent routes (inner-sum definition, tableau sum, branching chains of
 strip-rule steps that read no series (Macdonald III.8), Pfaffian).  The table
 that names these routes, with the inputs each accepts, is `checks.ROUTES`.
 
+A branching step adds one variable.  A plain step is one strip at x, and a
+symplectic step a strip at x followed by one at 1/x.  `_strips` is the one
+home of the strip rule: it walks only the shapes that the interlacing bounds
+reach, counting cells and components as it goes, so each step table lists
+the shapes its step reaches and nothing else.
+
 The spec is the family: k = 0 gives the plain family (Schur's Q-functions),
 m = 0 the symplectic one (Okada's), and each route evaluates all three.
 
@@ -19,13 +25,21 @@ one-row value, and swapping the rows negates it.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat, zip_longest
+from itertools import repeat
 
-from .errors import PreconditionError
+from .errors import ExponentOverflow, PreconditionError
 from .linalg import RingMatrix, pfaffian
-from .ring import GrowingSeries, LaurentPoly, grow_series, sum_of_products
+from .ring import (
+    GrowingSeries,
+    LaurentPoly,
+    _LIMIT,
+    _over_budget,
+    _poly,
+    _term_budget,
+    grow_series,
+    sum_of_products,
+)
 from .shapes import EMPTY, StrictPartition, enum_strict_between, pad_for_pfaffian
 from .tableaux import VariableSpec, enum_qt, qt_weight
 
@@ -40,7 +54,10 @@ class QContext:
       ("A2", r, s, n) and ("C2", r, s, k)  two-row values, plain and symplectic;
       ("Idef" | "Ijp", lam, mu, spec)  qI_def and qI_jp;
       ("Ibr", lam, mu, spec)  qI_branch values, one per spec of its recursion;
-      ("Q1", spec, lam, mu)  q_single_var's strip-rule steps.
+      ("Step", spec, lam, mu, floor)  a one-variable spec's step table: each
+        strict nu between floor and lam that the step from mu reaches, with
+        its step polynomial.  qI_branch's steps take floor (), and its last
+        step, as q_single_var does, floor lam.
     A value is stored only once it is complete, so a raise leaves no entry.
 
     Concurrent tasks should each own a context; the cached polynomials
@@ -210,19 +227,81 @@ def qI_tableau(
     )
 
 
-def _strip(lam: StrictPartition, mu: StrictPartition) -> tuple[int, int] | None:
-    """(c, d) if lam_1 >= mu_1 >= lam_2 >= mu_2 >= ... padded by zeros (so
-    l(lam) - l(mu) <= 1), else None: lam/mu has d cells in c edge-connected
-    components, rows i and i + 1 touching iff both have cells and mu_i = lam_{i+1}."""
-    c = d = 0
-    above, touch = lam.part(1), None  # mu_{i-1}, and mu_{i-1} if row i - 1 has cells
-    for a, b in zip_longest(lam.parts, mu.parts, fillvalue=0):
-        if not above >= a >= b:
-            return None
-        c += a > b and touch != a
-        d += a - b
-        above, touch = b, (b if a > b else None)
-    return c, d
+def _strips(
+    mu: tuple[int, ...], lam: tuple[int, ...], floor: tuple[int, ...], new_row: bool
+) -> list[tuple[tuple[int, ...], int, int]]:
+    """Each strict nu between floor and lam with nu/mu a strip, as (nu, c, d):
+    lam_1 >= nu_1 >= mu_1 >= nu_2 >= mu_2 >= ..., so nu_i runs over
+    [max(mu_i, floor_i), min(mu_{i-1}, lam_i)], with at most one row past
+    mu's, and none unless new_row.  nu/mu has d cells in c edge-connected
+    components: row i joins row i - 1's iff nu_i = mu_{i-1}, which
+    strictness allows only when row i - 1 has cells.  Empty when mu is not
+    inside lam.  The walk goes row by row, each partial nu carrying c, d and
+    whether its last row has cells."""
+    rows = min(len(lam), len(mu) + new_row)
+    if rows < len(mu) or rows < len(floor):
+        return []
+    walks = [((), 0, 0, False)]
+    for i in range(rows):
+        b = mu[i] if i < len(mu) else 0
+        low = floor[i] if i < len(floor) and floor[i] > b else b
+        touch = mu[i - 1] if i else lam[0] + 1
+        top = lam[i] if lam[i] < touch else touch
+        moves = [(a, a > b and a != touch, a - b, a > b) for a in range(low, top + 1)]
+        grown = []
+        for nu, c, d, grew in walks:
+            for a, dc, dd, cells in moves:
+                if a == touch and not grew:
+                    continue
+                # a = 0 only on the new row, which then stays empty
+                grown.append((nu + (a,) if a else nu, c + dc, d + dd, cells))
+        walks = grown
+    return [(nu, c, d) for nu, c, d, _ in walks]
+
+
+def _step_table(
+    spec: VariableSpec,
+    lam: tuple[int, ...],
+    mu: tuple[int, ...],
+    floor: tuple[int, ...],
+    ctx: QContext,
+) -> dict[tuple[int, ...], LaurentPoly]:
+    """The one-variable step on spec from mu to every strict nu between floor
+    and lam that it reaches, by the strip rule (Macdonald III.8).  Both kinds
+    start with a strip kappa/mu at x, weighing 2^c x^d.  On (0, 1) that is
+    the step, and nu = kappa.  On (1, 0) a strip nu/kappa at 1/x follows, so
+    kappa_i >= nu_{i+1} >= floor_{i+1}, and the step sums the products over
+    kappa.  A kappa past mu's rows leaves nu none of its own (QT5 on one
+    index), so no nu grows by more than one row.  Each step's terms are
+    checked against the term budget as they are found.  Cached under
+    ("Step", spec, lam, mu, floor)."""
+    key = ("Step", spec, lam, mu, floor)
+    got = ctx.cache.get(key)
+    if got is not None:
+        return got
+    budget = _term_budget()
+    table: dict[tuple[int, ...], dict[int, int]] = {}  # a one-variable term's key is its exponent
+    for kappa, c1, d1 in _strips(mu, lam, floor[1:] if spec.k else floor, True):
+        if spec.k:
+            seconds = _strips(kappa, lam, floor, len(kappa) == len(mu))
+        else:
+            seconds = [(kappa, 0, 0)]
+        for nu, c2, d2 in seconds:
+            terms = table.get(nu)
+            if terms is None:
+                terms = table[nu] = {}
+            e = d1 - d2
+            terms[e] = terms.get(e, 0) + (1 << (c1 + c2))
+            if budget is not None and len(terms) > budget:
+                raise _over_budget(len(terms), budget)
+    out = {}
+    for nu, terms in table.items():
+        bound = max(map(abs, terms))
+        if bound >= _LIMIT:
+            raise ExponentOverflow(f"exponent of size {bound}, the limit is {_LIMIT - 1}")
+        out[nu] = _poly(1, terms, bound)
+    ctx.cache[key] = out
+    return out
 
 
 def q_single_var(
@@ -231,40 +310,28 @@ def q_single_var(
     spec: VariableSpec,
     ctx: QContext | None = None,
 ) -> LaurentPoly:
-    """Skew value on a one-variable spec by the strip rule (Macdonald III.8),
-    with no series: on (0, 1) it is 2^c x^d for a strip lam/mu (`_strip`),
-    else zero; on (1, 0) the sum over nu of that rule on nu/mu at x times it
-    on lam/nu at 1/x.  Both vanish when the shape grows by more than one row
-    (QT5 on one index).  It is cached under ("Q1", spec, lam, mu)."""
+    """Skew value on a one-variable spec by the strip rule, with no series:
+    the lam entry of the step table from mu whose floor is lam, so that the
+    walk lists lam alone (`_step_table`), else zero.  It vanishes when the
+    shape grows by more than one row (QT5 on one index)."""
     if spec.n != 1:
         raise PreconditionError(f"needs a one-variable spec, got ({spec.k}, {spec.m})")
-    if lam.length - mu.length > 1:
-        return LaurentPoly.zero(1)
-    ctx = _ctx(ctx)
-    key = ("Q1", spec, lam.parts, mu.parts)
-    got = ctx.cache.get(key)
-    if got is not None:
-        return got
-    terms = Counter()
-    for nu in enum_strict_between(mu, lam) if spec.k else (lam,):
-        inner, outer = _strip(nu, mu), _strip(lam, nu)
-        if inner and outer:
-            terms[(inner[1] - outer[1],)] += 2 ** (inner[0] + outer[0])
-    out = ctx.cache[key] = LaurentPoly(1, terms)
-    return out
+    return _branch(lam.parts, mu.parts, spec, _ctx(ctx))
 
 
 def _branch(
-    lam: StrictPartition, mu: StrictPartition, spec: VariableSpec, ctx: QContext
+    lam: tuple[int, ...], mu: tuple[int, ...], spec: VariableSpec, ctx: QContext
 ) -> LaurentPoly:
-    """qI_branch's recursion, with no row bound; zero when mu is not inside
-    lam, as no nu lies between them.  On one variable it is the step itself."""
+    """qI_branch's recursion on part tuples, with no row bound; zero when mu
+    is not inside lam, as no step reaches lam then.  On one variable it is
+    the step to lam alone, whose table has lam as its floor."""
     n = spec.n
     if n == 0:
         return LaurentPoly.one(0) if lam == mu else LaurentPoly.zero(0)
     if n == 1:
-        return q_single_var(lam, mu, spec, ctx)
-    key = ("Ibr", lam.parts, mu.parts, spec)
+        step = _step_table(spec, lam, mu, lam, ctx).get(lam)
+        return LaurentPoly.zero(1) if step is None else step
+    key = ("Ibr", lam, mu, spec)
     got = ctx.cache.get(key)
     if got is not None:
         return got
@@ -273,10 +340,7 @@ def _branch(
     else:
         step_spec, rest = VariableSpec(0, 1), VariableSpec(0, spec.m - 1)
     terms = []
-    for nu in enum_strict_between(mu, lam):
-        step = q_single_var(nu, mu, step_spec, ctx)
-        if step.is_zero():
-            continue
+    for nu, step in _step_table(step_spec, lam, mu, (), ctx).items():
         tail = _branch(lam, nu, rest, ctx)
         if tail.is_zero():
             continue
@@ -291,15 +355,17 @@ def qI_branch(
     spec: VariableSpec,
     ctx: QContext | None = None,
 ) -> LaurentPoly:
-    """Intermediate value by branching on the first variable: the sum over nu
-    between mu and lam of its single-variable step nu/mu, symplectic while
-    k > 0, times lam/nu on the other variables, itself a branch value of the
-    spec (k - 1, m) or (0, m - 1).  The steps are strip rules (Macdonald III.8),
-    read from no series.  Each value on two or more variables is cached under
-    ("Ibr", lam, mu, spec) in its own ring, and each step under "Q1", so calls
-    sharing a context reuse the sub-values of smaller specs."""
+    """Intermediate value by branching on the first variable: the sum over
+    the nu that the single-variable step from mu reaches within lam, the step
+    symplectic while k > 0, of that step times lam/nu on the other variables,
+    itself a branch value of the spec (k - 1, m) or (0, m - 1).  The steps
+    are the entries of strip-rule step tables (`_step_table`), read from no
+    series, and a nu that no step reaches is never listed.  Each value on two
+    or more variables is cached under ("Ibr", lam, mu, spec) in its own ring,
+    and each table under "Step", so calls sharing a context reuse the
+    sub-values of smaller specs."""
     spec.check_rows(lam)
-    return _branch(lam, mu, spec, _ctx(ctx))
+    return _branch(lam.parts, mu.parts, spec, _ctx(ctx))
 
 
 def qI_jp(

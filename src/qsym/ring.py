@@ -591,26 +591,20 @@ class LaurentPoly:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        chunks = []
-        for exps, c in self.sorted_terms():
+        n = self.n
+        names = [f"x{i + 1}" for i in range(n)]
+        words = []
+        for row in self._sorted_rows():
             factors = [
-                f"x{i + 1}" + (f"^{e}" if e != 1 else "")
-                for i, e in enumerate(exps)
-                if e
+                names[i] if e == 1 else f"{names[i]}^{e}" for i, e in enumerate(row[:n]) if e
             ]
-            mag = abs(c)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            chunks.append(("-" if c < 0 else "+", body))
-        sign, body = chunks[0]
-        out = ("-" if sign == "-" else "") + body
-        for sign, body in chunks[1:]:
-            out += f" {sign} {body}"
-        return out
+            c = row[n]
+            mag = -c if c < 0 else c
+            if mag != 1 or not factors:
+                factors.insert(0, str(mag))
+            words += ("-" if c < 0 else "+", "*".join(factors))
+        first = words[1] if words[0] == "+" else "-" + words[1]
+        return " ".join([first, *words[2:]])
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.n}, {self})"

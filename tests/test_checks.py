@@ -214,13 +214,12 @@ def test_failing_suite_names_its_first_case(monkeypatch, suite, dependency, corr
 
 
 def test_a_strip_rule_without_components_fails_both_step_checks(monkeypatch):
-    real = qsym.qfun._strip
+    real = qsym.qfun._strips
 
-    def one_component(lam, mu):
-        got = real(lam, mu)
-        return got and (1, got[1])
+    def one_component(*args):
+        return ((nu, 1, d) for nu, c, d in real(*args))
 
-    monkeypatch.setattr(qsym.qfun, "_strip", one_component)
+    monkeypatch.setattr(qsym.qfun, "_strips", one_component)
     results = _by_name(qfun_checks(max_part=2, max_len=2, max_vars=2))
     for name in ("qfun.def-tableau-branch", "qfun.single-step"):
         assert not results[name].passed, name

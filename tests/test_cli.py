@@ -220,6 +220,13 @@ def test_domain_violation_exits_3_naming_the_condition(capsys, argv, named):
     assert named in err
 
 
+def test_a_refusal_names_the_route_that_refused(capsys):
+    code, out, err = run(capsys, "compute", "--family", "schur", "--lambda", "4,2,1",
+                         "--mu", "2,1", "--m", "3", "--method", "all")
+    assert (code, out) == (3, "")
+    assert "tableau: needs a straight shape (mu empty), got mu = 2,1" in err
+
+
 def test_method_outside_family_exits_3(capsys):
     code, _, err = run(capsys, "compute", "--family", "qA", "--lambda", "2", "--m", "1",
                        "--method", "branch")

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -354,6 +355,25 @@ def test_term_budget_stops_the_route_before_the_shapes_are_listed(monkeypatch, r
     assert built < 1000
 
 
+def test_term_budget_stops_a_step_table_as_it_grows(monkeypatch):
+    # q_800 on one pair: the step to (800) gains one term per kappa, 801 in
+    # all, so the walk must stop at the pair that passes the budget
+    budget, drawn, real = 50, 0, qsym.qfun._strips
+
+    def counted(*args):
+        nonlocal drawn
+        for strip in real(*args):
+            drawn += 1
+            yield strip
+
+    monkeypatch.setattr(qsym.qfun, "_strips", counted)
+    monkeypatch.setenv("QSYM_MAX_TERMS", str(budget))
+    with pytest.raises(TermBudgetExceeded):
+        q_single_var(sp(800), EMPTY, VariableSpec(1, 0), QContext())
+    # budget + 1 kappas, each with the one nu it reaches
+    assert drawn == 2 * (budget + 1)
+
+
 @pytest.mark.parametrize("spec", [VariableSpec(0, 1), VariableSpec(1, 0)])
 def test_each_step_is_computed_once_per_context(monkeypatch, spec):
     # (4, 2) grows by two rows over the empty shape, so its step is zero at once
@@ -361,8 +381,8 @@ def test_each_step_is_computed_once_per_context(monkeypatch, spec):
     fresh = [q_single_var(lam, mu, spec, QContext()) for lam, mu in shapes]
     assert all(not value.is_zero() for value in fresh[:3])
     calls = []
-    real = qsym.qfun._strip
-    monkeypatch.setattr(qsym.qfun, "_strip", lambda lam, mu: calls.append(lam) or real(lam, mu))
+    real = qsym.qfun._strips
+    monkeypatch.setattr(qsym.qfun, "_strips", lambda *args: calls.append(args) or real(*args))
     ctx = QContext()
     assert [q_single_var(lam, mu, spec, ctx) for lam, mu in shapes] == fresh
     made = len(calls)
@@ -370,22 +390,49 @@ def test_each_step_is_computed_once_per_context(monkeypatch, spec):
     assert [q_single_var(lam, mu, spec, ctx) for lam, mu in shapes] == fresh
     assert len(calls) == made
     for (lam, mu), value in zip(shapes[:3], fresh):
-        assert ctx.cache["Q1", spec, lam.parts, mu.parts] == value
+        assert ctx.cache["Step", spec, lam.parts, mu.parts, lam.parts] == {lam.parts: value}
+
+
+@cache
+def step_determinants(spec: VariableSpec) -> dict[tuple[tuple, tuple], LaurentPoly]:
+    """single_step_determinant on every pair of strict shapes with parts <= 7
+    and at most 4 rows, nested or not, keyed by their parts."""
+    shapes, rows = strict_partitions(7, 4), QContext()
+    assert len(shapes) == 99
+    return {
+        (lam.parts, mu.parts): single_step_determinant(lam, mu, spec, rows)
+        for lam in shapes
+        for mu in shapes
+    }
 
 
 def test_single_steps_equal_their_determinants():
-    # every pair of strict shapes with parts <= 7 and at most 4 rows, nested or not
-    shapes = strict_partitions(7, 4)
-    assert len(shapes) == 99
     for spec in (VariableSpec(0, 1), VariableSpec(1, 0)):
-        steps, rows = QContext(), QContext()
+        steps = QContext()
         mismatches = [
             (lam, mu)
-            for lam in shapes
-            for mu in shapes
-            if q_single_var(lam, mu, spec, steps) != single_step_determinant(lam, mu, spec, rows)
+            for (lam, mu), value in step_determinants(spec).items()
+            if q_single_var(StrictPartition(lam), StrictPartition(mu), spec, steps) != value
         ]
         assert mismatches == []
+
+
+@pytest.mark.parametrize("spec", [VariableSpec(0, 1), VariableSpec(1, 0)])
+def test_step_tables_list_exactly_the_steps_with_a_nonzero_determinant(spec):
+    shapes = strict_partitions(7, 4)
+    inside = {lam: {nu.parts for nu in enum_strict_between(EMPTY, lam)} for lam in shapes}
+    reached = {mu.parts: {} for mu in shapes}
+    for (nu, mu), value in step_determinants(spec).items():
+        if not value.is_zero():
+            reached[mu][nu] = value
+    ctx = QContext()
+    mismatches = []
+    for lam in shapes:
+        for mu in shapes:
+            expect = {nu: value for nu, value in reached[mu.parts].items() if nu in inside[lam]}
+            if qsym.qfun._step_table(spec, lam.parts, mu.parts, (), ctx) != expect:
+                mismatches.append((lam, mu))
+    assert mismatches == []
 
 
 def test_branch_keeps_its_sub_values_per_spec():

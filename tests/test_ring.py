@@ -370,6 +370,40 @@ def test_sorted_terms_follow_term_sort_key(n, data):
     assert LaurentPoly(n, terms).sorted_terms() == by_term_sort_key(terms)
 
 
+def term_by_term_str(p: LaurentPoly) -> str:
+    """The text of p as it was once built, one term and one += at a time."""
+    if not p.terms:
+        return "0"
+    chunks = []
+    for exps, c in p.sorted_terms():
+        factors = [f"x{i + 1}" + (f"^{e}" if e != 1 else "") for i, e in enumerate(exps) if e]
+        mag = abs(c)
+        if not factors:
+            body = str(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([str(mag)] + factors)
+        chunks.append(("-" if c < 0 else "+", body))
+    sign, body = chunks[0]
+    out = ("-" if sign == "-" else "") + body
+    for sign, body in chunks[1:]:
+        out += f" {sign} {body}"
+    return out
+
+
+@given(n=st.integers(0, 5), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_str_equals_the_term_by_term_text(n, data):
+    # coefficients of both signs and of size 1 or more, with and without
+    # factors; exponents of 1, other sizes and both signs
+    exponent = st.sampled_from([0, 0, 1, -1, 2, -2, 10, LIMIT - 1, -LIMIT + 1])
+    coeff = st.one_of(st.integers(-3, 3), st.integers(-(10**30), 10**30))
+    terms = data.draw(st.dictionaries(st.tuples(*[exponent] * n), coeff, max_size=20))
+    p = LaurentPoly(n, terms)
+    assert str(p) == term_by_term_str(p)
+
+
 def test_sorted_terms_edges():
     assert LaurentPoly.one(0).scale(5).sorted_terms() == [((), 5)]
     assert LaurentPoly.zero(0).sorted_terms() == []
