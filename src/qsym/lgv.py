@@ -80,34 +80,35 @@ def enum_path_families(
         [(alphabet[2 * b - 1 - (b > d)], b) for b in (d, d + 1) if 1 <= b <= k_levels]
         for d in range(height)
     ]
-    memo: dict[tuple[int, int, int], list[tuple[tuple[Letter, ...], int]]] = {}
 
-    def tails(x: int, a: int, sink: int) -> list[tuple[tuple[Letter, ...], int]]:
-        """(letters, bits) of each path that arrives in column x at level a
-        and ends at the top of column sink."""
-        key = (x, a, sink)
-        if key not in memo:
+    def tails(start: int, sink: int) -> list[list[tuple[tuple[Letter, ...], int]]]:
+        """For each level a, the (letters, bits) of each path that arrives
+        in column start at level a and ends at the top of column sink, built
+        column by column from the sink leftward."""
+        column = [[((), ((1 << height) - (1 << a)) << sink * height)] for a in range(height)]
+        for x in range(sink - 1, start - 1, -1):
             low = x * height
-            if x == sink:
-                memo[key] = [((), ((1 << height) - (1 << a)) << low)]
-            else:
-                memo[key] = [
+            column = [
+                [
                     ((step,) + letters, bits | ((2 << d) - (1 << a)) << low)
                     for d in range(a, height)
                     for step, b in moves[d]
-                    for letters, bits in tails(x + 1, b, sink)
+                    for letters, bits in column[b]
                 ]
-        return memo[key]
+                for a in range(height)
+            ]
+        return column
 
     # each row's paths with their first-letter index, 0 on the bottom boundary
     rows = [
-        [(0, letters, bits) for letters, bits in tails(mu.part(i), 0, lam.part(i))]
+        [(0, letters, bits) for letters, bits in tails(mu.part(i), lam.part(i))[0]]
         if i <= mu.length
         else [
             (step.index, (step,) + letters, bits)
+            for column in [tails(1, lam.part(i))]
             for d in range(height)
             for step, b in moves[d]
-            for letters, bits in tails(1, b, lam.part(i))
+            for letters, bits in column[b]
         ]
         for i in range(1, lam.length + 1)
     ]

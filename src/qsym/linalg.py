@@ -1,7 +1,7 @@
 """Division-free determinant and Pfaffian over the Laurent-polynomial ring.
 
-Both use expansion with memoization on the bitmask of surviving column or
-index sets, so repeated sub-minors (ubiquitous in the Pfaffian formulas) are
+Both use one expansion, `_expand`, memoized on the bitmask of surviving
+column or index sets, so repeated sub-minors (ubiquitous in the Pfaffian formulas) are
 computed once.  Each expansion step, a signed sum of entry times sub-minor,
 is one `sum_of_products` call, so its products are never built one by one.
 Matrix sizes here stay small, a dozen or so.
@@ -10,6 +10,7 @@ Matrix sizes here stay small, a dozen or so.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import MatrixError
 from .ring import LaurentPoly, sum_of_products
@@ -48,38 +49,47 @@ class RingMatrix:
         return self.entries[0].n if self.entries else 0
 
 
-def determinant(a: RingMatrix, nvars: int | None = None) -> LaurentPoly:
-    """Exact determinant by Laplace expansion memoized on column subsets."""
-    if a.rows != a.cols:
-        raise MatrixError(f"determinant of a {a.rows}x{a.cols} matrix")
-    n = a.rows
-    if nvars is None:
-        nvars = a.nvars()
-    if n == 0:
-        return LaurentPoly.one(nvars)
-    full = (1 << n) - 1
+def _expand(
+    a: RingMatrix, nvars: int, size: int, pick: Callable[[int], tuple[int, int]]
+) -> LaurentPoly:
+    """The expansion behind both, from the mask of all size indices: with
+    (row, partners) = pick(mask), a mask's value is the sum over the j in
+    partners, signs alternating in index order, of a[row][j] times the value
+    of partners without j; the empty mask's value is 1."""
     memo: dict[int, LaurentPoly] = {0: LaurentPoly.one(nvars)}
 
     def rec(mask: int) -> LaurentPoly:
         got = memo.get(mask)
         if got is not None:
             return got
-        row = n - bin(mask).count("1")  # rows are consumed top-down
+        row, partners = pick(mask)
         terms = []
         sign = 1
-        rest = mask
-        while rest:
-            low = rest & -rest
-            j = low.bit_length() - 1
-            e = a.entry(row, j)
+        scan = partners
+        while scan:
+            low = scan & -scan
+            e = a.entry(row, low.bit_length() - 1)
             if e.terms:
-                terms.append((rec(mask ^ low), e, sign))
+                terms.append((rec(partners ^ low), e, sign))
             sign = -sign
-            rest ^= low
+            scan ^= low
         total = memo[mask] = sum_of_products(nvars, terms)
         return total
 
-    return rec(full)
+    return rec((1 << size) - 1)
+
+
+def determinant(a: RingMatrix, nvars: int | None = None) -> LaurentPoly:
+    """Exact determinant by Laplace expansion memoized on column subsets."""
+    if a.rows != a.cols:
+        raise MatrixError(f"determinant of a {a.rows}x{a.cols} matrix")
+    n = a.rows
+
+    def pick(mask: int) -> tuple[int, int]:
+        # rows are consumed top-down, each along the surviving columns
+        return n - bin(mask).count("1"), mask
+
+    return _expand(a, a.nvars() if nvars is None else nvars, n, pick)
 
 
 def check_skew_symmetric(a: RingMatrix) -> None:
@@ -108,30 +118,9 @@ def pfaffian(a: RingMatrix, nvars: int | None = None) -> LaurentPoly:
     Pf of the empty matrix is 1.
     """
     check_skew_symmetric(a)
-    n = a.rows
-    if nvars is None:
-        nvars = a.nvars()
-    memo: dict[int, LaurentPoly] = {0: LaurentPoly.one(nvars)}
 
-    def rec(mask: int) -> LaurentPoly:
-        got = memo.get(mask)
-        if got is not None:
-            return got
+    def pick(mask: int) -> tuple[int, int]:
         low = mask & -mask
-        i0 = low.bit_length() - 1
-        rest = mask ^ low
-        terms = []
-        sign = 1
-        scan = rest
-        while scan:
-            jb = scan & -scan
-            j = jb.bit_length() - 1
-            e = a.entry(i0, j)
-            if e.terms:
-                terms.append((rec(rest ^ jb), e, sign))
-            sign = -sign
-            scan ^= jb
-        total = memo[mask] = sum_of_products(nvars, terms)
-        return total
+        return low.bit_length() - 1, mask ^ low
 
-    return rec((1 << n) - 1)
+    return _expand(a, a.nvars() if nvars is None else nvars, a.rows, pick)

@@ -31,8 +31,9 @@ that differ only in their x1 exponent, is one Python int with its
 coefficients in fixed-width slots, so one native int product does the work
 of many term pairs (Kronecker substitution in x1 alone).  Weight counts are
 the other accumulator: `from_exponents` counts exponent tuples, and
-`tableaux.spt_weight_counts` counts packed keys as it walks, for
-`symfun.inter_schur` to wrap with `_poly` and the bound it knows.
+`tableaux.spt_weight_counts` counts packed keys row by row, multiplying its
+groups of fillings with `_add_products`, for `symfun.inter_schur` to wrap
+with `_poly` and the bound it knows.
 
 Exponent tuples (Monomial, one exponent per variable) appear only at the
 edges: the constructor `LaurentPoly(n, {Monomial: int})`, `from_exponents`,

@@ -148,13 +148,13 @@ def inter_schur(lam: Partition, spec: VariableSpec, method: str = "definition") 
     computed on (0, m), whose h-series serves every k, and embedded at
     offset k.
 
-    method="tableau" sums weights over the unprimed tableau
-    family: the polynomial's terms are the packed weight counts of
-    `spt_weight_counts`, made by enum_spt's walk without building a tableau.
+    method="tableau" sums weights over the unprimed tableau family: the
+    polynomial's terms are the packed weight counts of `spt_weight_counts`,
+    a transfer over the rows of enum_spt's tableaux that lists none of them.
     Their exponent bound is lam_1: row i filled with the letter i is a
     tableau, so x1^lam_1 is a term, and a column holds each letter at most
     once, so no exponent passes the lam_1 columns.  ExponentOverflow comes
-    before the walk when lam_1 >= 2^15.
+    before the transfer when lam_1 >= 2^15.
     """
     n = spec.n
     spec.check_rows(lam)

@@ -35,7 +35,7 @@ On straight shapes ST3 forces every entry in row i, plain ones included, to
 be at least the letter i; scoping it to symplectic letters is what makes the
 k = 0 family of a skew shape the plain semistandard one.
 
-One backtracker, _walk, enumerates both families.  It fills cells
+One backtracker, _walk, streams both families.  It fills cells
 row-major and backtracks in one generator frame, on ranks: a letter is its
 position in its alphabet list, which is sorted, so the order of letters is
 the order of ints, and Letter objects are looked up only to build finished
@@ -65,32 +65,31 @@ row.  Every filling of that row depends only on the floors set on its cells
 from outside it: its first cell's lowest rank, and on each other cell the
 larger of the up floor and the row floor.  So the walk fills the row in one
 step from a memo keyed by exactly those ints, one per cell of the row.  The
-memo lives in the call, and its value depends on the consumer.  For a
-tableau stream, in enum_qt and enum_spt, it is the list of the row's
-fillings as tuples of letters, each followed by the empty rows below, in
-ascending rank order, so each tableau of a batch is the rows above plus one
-item of the list, and the stream is the one a cell-by-cell walk of that row
-gives; the rows above are rebuilt once per batch, from that of the lowest
-cell assigned since the previous batch down.  The memo pays when keys
-repeat, that is when the last row is short next to the rows above (in the
-sweep of shapes (4, 3, 2) and below, 99 % of enum_qt's last-row visits hit).
+memo lives in the call, and its value is the list of the row's fillings as
+tuples of letters, each followed by the empty rows below, in ascending rank
+order, so each tableau of a batch is the rows above plus one item of the
+list, and the stream is the one a cell-by-cell walk of that row gives; the
+rows above are rebuilt once per batch, from that of the lowest cell
+assigned since the previous batch down.  The memo pays when keys repeat,
+that is when the last row is short next to the rows above (in the sweep of
+shapes (4, 3, 2) and below, 99 % of enum_qt's last-row visits hit).
 
-spt_weight_counts takes only the weights of enum_spt's tableaux, counted on
-the ring's packed monomial keys (see ring): the rows above carry a running
-packed weight, one int add per rank, from each letter's packed weight; the
-memo value is the list of (row key, count) pairs, one per distinct weight
-of the row; and each batch adds one key per pair, so no tableau and no
-letter is built.  Only packed walks build the letters' packed weights and
-carry the running weight; a tableau stream has neither.
-
-The memo holds at most _MEMO_SIZE slots of key ints and of its values: a
-row with more fillings than that streams them unkept, and a memo that would
+The memo holds at most _MEMO_SIZE slots of key ints and of letters: a row
+with more fillings than that streams them unkept, and a memo that would
 pass the cap is emptied first, so it stays bounded however many keys a call
 meets.  Everything else a call holds, the per-cell lists, the key and the
 filling being read, is linear in its cells: a row's fillings are made as
-one list of ranks, changed in place, and a filling's letters or weight are
-read from it as it comes.  A packed miss reads all of the row's fillings
-before it returns, holding one count per distinct weight.
+one list of ranks, changed in place, and a filling's letters are read from
+it as it comes.
+
+spt_weight_counts sums the weights of enum_spt's tableaux without listing
+them, by a transfer over the rows (Stanley, EC1 section 4.7; lgv_weight_sum
+runs one over columns) on the same fact: V(i, key), the weight counts of
+rows i, i + 1, ... under the floors key, sums x^w(f) * V(i + 1, key'(f))
+over the fillings f of row i, where key'(f) gives each cell of row i + 1
+the larger of its ST3 floor and one past the rank above (ST2).  Grouped by
+key', a row costs one product per distinct key', and no tableau or letter
+is built.  _spt_rows is the one home of the rows and floors both read.
 
 Tableaux are named tuples.  enum_qt, the stream the tableau route weighs,
 builds each record as tuple.__new__(PrimedTableau, (outer, inner, rows)),
@@ -102,14 +101,13 @@ records raises TypeError.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, chain, islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ExponentOverflow, PreconditionError
-from .ring import _LIMIT, Monomial, _over_budget, _pack, _term_budget
+from .ring import _LIMIT, Monomial, _add_products, _over_budget, _pack, _term_budget
 from .shapes import EMPTY, Partition, StrictPartition, shifted_cells
 
 # the most key ints plus row letters that the last-row memo of one _walk
@@ -262,13 +260,13 @@ def _row_fillings(floors: Sequence[int], primed: list[bool]) -> Iterator[list[in
     """Every filling of one row, in ascending rank order, as its list of ranks.
 
     floors[p] is the floor set on cell p from outside the row, and the
-    floors are the last-row memo's key.  Cell p takes any rank from the
-    larger of floors[p] and the floor its left neighbour sets, that
-    neighbour's rank, one past it when its letter is primed (QT3), to the
-    end of the alphabet: with every rule a floor, nothing is rejected.  The
-    fillings are made one at a time, and each is the same list, changed in
-    place by the next step, so a consumer reads it at once; the memory held
-    is linear in the row's length.
+    floors are the key of the last-row memo and of the transfer.  Cell p
+    takes any rank from the larger of floors[p] and the floor its left
+    neighbour sets, that neighbour's rank, one past it when its letter is
+    primed (QT3), to the end of the alphabet: with every rule a floor,
+    nothing is rejected.  The fillings are made one at a time, and each is
+    the same list, changed in place by the next step, so a consumer reads it
+    at once; the memory held is linear in the row's length.
 
     Cell p's options are fixed by its left neighbour's rank alone, and a
     higher left rank leaves it fewer, so when a rank of cell p leads to no
@@ -304,8 +302,8 @@ def _row_fillings(floors: Sequence[int], primed: list[bool]) -> Iterator[list[in
 class _LastRowMemo:
     """The last row's value by key, for one call, at most _MEMO_SIZE big.
 
-    A value is a list of items, and each item takes `width` slots: the
-    letters of one filling, or the two ints of a (row key, count) pair.  An
+    A value is a list of items, and each item, the letters of one filling,
+    takes one slot per cell of the row, as many as its key has ints.  An
     entry's size is its key's length plus its items' slots.  A miss reads
     the items from their stream; when they would pass the cap on their own
     they are not kept, and the items read so far come back followed by the
@@ -313,18 +311,18 @@ class _LastRowMemo:
     the cap, it is emptied first.
     """
 
-    __slots__ = ("lists", "size", "width")
+    __slots__ = ("lists", "size")
 
-    def __init__(self, width: int):
+    def __init__(self):
         self.lists: dict[tuple[int, ...], list] = {}
-        self.size, self.width = 0, width
+        self.size = 0
 
     def fill(self, key: tuple[int, ...], stream: Iterator) -> Iterable:
-        limit = max(_MEMO_SIZE - len(key), 0) // self.width
+        limit = max(_MEMO_SIZE - len(key), 0) // len(key)
         head = list(islice(stream, limit + 1))
         if len(head) > limit:
             return chain(head, stream)
-        size = len(key) + len(head) * self.width
+        size = (len(head) + 1) * len(key)
         self.size += size
         if self.size > _MEMO_SIZE:
             self.lists.clear()
@@ -338,25 +336,20 @@ def _walk(
     shifted: bool,
     row_ranges: Sequence[Sequence[int]],
     row_floors: Sequence[int],
-    packed: bool,
-) -> Iterator:
+) -> Iterator[tuple[tuple, Iterable[tuple]]]:
     """The one backtracker of both tableau families: the primed alphabet on
     a skew shifted shape (shifted True) or the unprimed one on an ordinary
     skew diagram, with row_ranges[i] the columns of row i + 1 and
     row_floors[i] the lowest rank ST3 allows in it.
 
-    Yields one batch per last-row visit that has fillings, as (head, items).
-    Unpacked, head is the tuple of the rows above the last non-empty row,
-    and each item is the rest of one tableau: a filling of that row followed
-    by the empty rows below it; the callers build the records.  Packed, head
-    is the packed weight of the rows above, and each item is a (row key,
-    count) pair, one per distinct weight of the row's fillings.  The table
-    of the letters' packed weights, delta, and the running weight of the
-    cells walked exist only on packed walks.
+    Yields one batch per last-row visit that has fillings, as (head, items):
+    head is the tuple of the rows above the last non-empty row, and each
+    item is the rest of one tableau, a filling of that row followed by the
+    empty rows below it; the callers build the records.
     """
     cells = [(i + 1, j) for i, cols in enumerate(row_ranges) for j in cols]
     if not cells:
-        yield (0, [(0, 1)]) if packed else ((), [((),) * len(row_ranges)])
+        yield (), [((),) * len(row_ranges)]
         return
 
     alphabet = spec.primed_alphabet() if shifted else spec.unprimed_alphabet()
@@ -399,14 +392,8 @@ def _walk(
     row_ups, row_floor = up[first + 1 :], row_floors[last]
     rows = [()] * last
     get = alphabet.__getitem__
-    if packed:
-        # delta[r]: the packed weight of rank r's letter; weight[p]: the
-        # packed weight of the cells before cell p
-        delta = [_pack(_letter_weight(((x,),), spec)) for x in alphabet]
-        weigh, weight = delta.__getitem__, [0] * (first + 1)
-
     rank = [0] * n + [-1]
-    memo = _LastRowMemo(2 if packed else n - first)
+    memo = _LastRowMemo()
     items_of = memo.lists
     pos, r, low = 0, cell_floor[0], 0
     while True:
@@ -416,25 +403,16 @@ def _walk(
             items = items_of.get(key)
             if items is None:
                 fillings = _row_fillings(key, primed)
-                if packed:
-                    stream = iter(Counter([sum(map(weigh, f)) for f in fillings]).items())
-                else:
-                    stream = ((tuple(map(get, f)),) + tail for f in fillings)
-                items = memo.fill(key, stream)
+                items = memo.fill(key, ((tuple(map(get, f)),) + tail for f in fillings))
             if items:
-                if packed:
-                    yield weight[first], items
-                else:
-                    # rebuild the rows from that of the lowest cell
-                    # assigned since the last batch down
-                    for i in range(row_of[low], last):
-                        rows[i] = tuple(map(get, rank[starts[i] : starts[i + 1]]))
-                    yield tuple(rows), items
+                # rebuild the rows from that of the lowest cell assigned
+                # since the last batch down
+                for i in range(row_of[low], last):
+                    rows[i] = tuple(map(get, rank[starts[i] : starts[i + 1]]))
+                yield tuple(rows), items
                 low = pos
         elif r < n_letters:
             rank[pos] = r
-            if packed:
-                weight[pos + 1] = weight[pos] + delta[r]
             pos += 1
             r = left_floor[pos][rank[left[pos]]]
             u = from_up[rank[up[pos]]]
@@ -468,39 +446,21 @@ def enum_qt(
     # tuple.__new__ is what the named tuple's generated __new__ calls, minus
     # one Python frame per tableau
     new = tuple.__new__
-    for head, rests in _walk(spec, True, row_ranges, [0] * len(row_ranges), False):
+    for head, rests in _walk(spec, True, row_ranges, [0] * len(row_ranges)):
         for rest in rests:
             yield new(PrimedTableau, (lam, mu, head + rest))
 
 
-def _spt_walk(spec: VariableSpec, outer: Partition, inner: Partition, packed: bool) -> Iterator:
-    """_walk on the ordinary skew diagram outer/inner with the unprimed
-    alphabet, for enum_spt (packed False) and spt_weight_counts (packed
-    True).  Nothing when inner is not inside outer; when packed,
-    ExponentOverflow first if the shape spans 2^15 columns or more.
-    """
-    if not outer.contains(inner):
-        return iter(())
-    if packed:
-        # a column holds each letter at most once, so no exponent of a
-        # filling or of any part of one passes the shape's column count,
-        # and below 2^15 no packed field carries into its neighbour
-        width = sum(
-            max(outer.part(i) - max(inner.part(i), outer.part(i + 1)), 0)
-            for i in range(1, outer.length + 1)
-        )
-        if width >= _LIMIT:
-            raise ExponentOverflow(
-                f"the weights' exponents may reach {width}, the limit is {_LIMIT - 1}"
-            )
-    row_ranges = [
-        range(inner.part(i) + 1, outer.part(i) + 1) for i in range(1, outer.length + 1)
-    ]
+def _spt_rows(
+    spec: VariableSpec, outer: Partition, inner: Partition
+) -> tuple[list[range], list[int]]:
+    """The column ranges and ST3 floors of the rows of the ordinary skew
+    diagram outer/inner, inner inside outer, for enum_spt and the transfer."""
+    row_ranges = [range(inner.part(i) + 1, outer.part(i) + 1) for i in range(1, outer.length + 1)]
     # the ST3 floor of row i: the rank of the unbarred letter i when i <= k,
     # of the first plain letter when i > k, as the unprimed alphabet lists
     # two letters per symplectic index
-    floors = [2 * min(i, spec.k) for i in range(len(row_ranges))]
-    return _walk(spec, False, row_ranges, floors, packed)
+    return row_ranges, [2 * min(i, spec.k) for i in range(outer.length)]
 
 
 def enum_spt(
@@ -508,11 +468,14 @@ def enum_spt(
 ) -> Iterator[SpTableau]:
     """All unprimed-alphabet fillings of the ordinary skew diagram outer/inner.
 
-    With k = 0 these are semistandard tableaux, with m = 0 the symplectic
-    tableaux with entries in row i at least the letter i.  The row-minimum
-    rule empties the stream when the shape outgrows the alphabet.
+    Empty stream when inner is not inside outer.  With k = 0 these are
+    semistandard tableaux, with m = 0 the symplectic tableaux with entries
+    in row i at least the letter i.  The row-minimum rule empties the stream
+    when the shape outgrows the alphabet.
     """
-    for head, rests in _spt_walk(spec, outer, inner, False):
+    if not outer.contains(inner):
+        return
+    for head, rests in _walk(spec, False, *_spt_rows(spec, outer, inner)):
         for rest in rests:
             yield SpTableau(outer, inner, head + rest)
 
@@ -521,21 +484,58 @@ def spt_weight_counts(
     spec: VariableSpec, outer: Partition, inner: Partition = Partition()
 ) -> dict[int, int]:
     """The weights of enum_spt(spec, outer, inner), counted, without the
-    tableaux: {packed monomial key: number of tableaux of that weight}.
+    tableaux: {packed monomial key (see ring): number of tableaux}.
 
-    Keys are the ring's packed form (see ring), so the dict is a
-    polynomial's terms.  The term budget QSYM_MAX_TERMS is checked after
-    each batch, so the count stops within one batch of distinct weights of
-    passing it.  Raises ExponentOverflow before the walk when the shape
-    spans 2^15 columns or more.
+    The transfer of the module docstring: down the rows, each key a row is
+    reached with and its fillings grouped by the key they set below (an
+    empty row has one filling, the empty one); then up the rows, V(i, key)
+    for each, one _add_products per group.  QSYM_MAX_TERMS is checked on
+    each group as fillings enter it and on each value after each row of a
+    product.  ExponentOverflow comes first when the shape spans 2^15
+    columns or more.
     """
+    if not outer.contains(inner):
+        return {}
+    # a column holds each letter at most once, so no exponent of a filling
+    # or of any part of one passes the shape's column count, and below 2^15
+    # no packed field carries into its neighbour
+    width = sum(
+        max(outer.part(i) - max(inner.part(i), outer.part(i + 1)), 0)
+        for i in range(1, outer.length + 1)
+    )
+    if width >= _LIMIT:
+        raise ExponentOverflow(
+            f"the weights' exponents may reach {width}, the limit is {_LIMIT - 1}"
+        )
+    row_ranges, row_floors = _spt_rows(spec, outer, inner)
     budget = _term_budget()
-    counts: dict[int, int] = {}
-    get = counts.get
-    for head, pairs in _spt_walk(spec, outer, inner, True):
-        for row, c in pairs:
-            key = head + row
-            counts[key] = get(key, 0) + c
-        if budget is not None and len(counts) > budget:
-            raise _over_budget(len(counts), budget)
-    return counts
+    weights = [_pack(m) for m in spec.monomials()]
+    weigh, primed = weights.__getitem__, [False] * len(weights)
+    top = (row_floors[0],) * len(row_ranges[0]) if row_ranges else ()
+    layers, keys = [], [top]
+    for cols, below, floor in zip(row_ranges, row_ranges[1:] + [range(0)], row_floors[1:] + [0]):
+        # the last `under` cells below have a cell above; the others take the ST3 floor alone
+        under = max(below.stop - cols.start, 0)
+        gap = (floor,) * (len(below) - under)
+        up = [max(r + 1, floor) for r in range(len(weights))].__getitem__
+        layer: dict[tuple[int, ...], dict[tuple[int, ...], dict[int, int]]] = {}
+        for key in keys:
+            groups = layer[key] = {}
+            for f in _row_fillings(key, primed) if key else ((),):
+                key_below = gap + tuple(map(up, f[:under])) if under else gap
+                group = groups.get(key_below) or groups.setdefault(key_below, {})
+                w = sum(map(weigh, f))
+                group[w] = group.get(w, 0) + 1
+                if budget is not None and len(group) > budget:
+                    raise _over_budget(len(group), budget)
+        layers.append(layer)
+        keys = {key_below for groups in layer.values() for key_below in groups}
+    values: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
+    while layers:
+        below_values, values = values, {}
+        for key, groups in layers.pop().items():
+            out = values[key] = {}
+            for key_below, group in groups.items():
+                # the smaller factor gives the rows
+                _add_products(out, *sorted((group, below_values[key_below]), key=len), 1, budget)
+    return values[top]

@@ -182,6 +182,15 @@ def test_families_come_in_the_tableau_order():
     assert (cases, families) == (1906, 242845)
 
 
+def test_a_long_row_needs_no_recursion_per_column():
+    # one row of 1,200 columns: a path built by one call per column passed
+    # the interpreter's recursion limit
+    lam, spec = sp(1200), VariableSpec(0, 1)
+    rows = [t.rows for t in enum_qt(spec, lam)]
+    assert len(rows) == 2
+    assert list(enum_path_families(lam, EMPTY, spec)) == rows
+
+
 def test_figure_family_validates_and_maps():
     spec = VariableSpec(3, 2)
     lam, mu = sp(7, 6, 5, 2, 1), sp(6, 4, 1)

@@ -17,6 +17,7 @@ from qsym import (
     VariableSpec,
     enum_qt,
     enum_spt,
+    inter_schur,
     letter,
     qt_weight,
 )
@@ -498,8 +499,8 @@ def test_packed_weight_counts_equal_the_counted_stream(monkeypatch, size):
     cases = list(_packed_count_cases())
     expect = [_counted_stream(*case) for case in cases]
     if size is not None:
-        # the memo streams its (row key, count) pairs unkept, and empties
-        # itself, on nearly every visit
+        # the row transfer keeps no last-row memo, so no cap may change the
+        # counts
         monkeypatch.setattr(tableaux, "_MEMO_SIZE", size)
     assert [spt_weight_counts(*case) for case in cases] == expect
     assert spt_weight_counts(VariableSpec(0, 0), Partition()) == {0: 1}
@@ -528,3 +529,31 @@ def test_packed_weights_overflow_instead_of_carrying():
     # the guard counts the columns that hold cells, not the outer shape's first part
     one_cell = spt_weight_counts(VariableSpec(0, 2), Partition((40000,)), Partition((39999,)))
     assert one_cell == {_pack((1, 0)): 1, _pack((0, 1)): 1}
+
+
+def test_a_one_row_shape_stops_at_the_budget_before_reading_its_fillings(monkeypatch):
+    # (20) on (3, 3) has 3.1 million fillings and 719,026 weights; counting
+    # them all before the first budget check took seconds and 274 MB
+    spec, budget = VariableSpec(3, 3), 50
+    monkeypatch.setenv("QSYM_MAX_TERMS", str(budget))
+    with pytest.raises(TermBudgetExceeded) as info:
+        spt_weight_counts(spec, Partition((20,)))
+    (reached,) = map(int, re.findall(r"has (\d+) terms", str(info.value)))
+    assert budget < reached <= budget + len(spec.unprimed_alphabet())
+
+
+@pytest.mark.parametrize(
+    "lam, spec",
+    [((6, 4, 3, 1), (2, 2)), ((7, 5, 3, 2), (3, 1)), ((9, 6, 3), (0, 4))],
+)
+def test_row_transfer_equals_the_definition_on_larger_shapes(lam, spec):
+    lam, spec = Partition(lam), VariableSpec(*spec)
+    assert spt_weight_counts(spec, lam) == inter_schur(lam, spec, "definition").terms
+
+
+def test_row_transfer_across_an_empty_middle_row():
+    # row 2 is empty, so row 3 takes its ST3 floor alone and sits under no cell
+    spec, outer, inner = VariableSpec(2, 2), Partition((4, 3, 3, 1)), Partition((3, 3))
+    expect = _counted_stream(spec, outer, inner)
+    assert len(expect) > 10
+    assert spt_weight_counts(spec, outer, inner) == expect
