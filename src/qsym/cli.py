@@ -50,14 +50,15 @@ def cmd_compute(args) -> int:
             raise PreconditionError(f"method {method!r} not implemented for {args.family}")
         methods = [method]
     chosen = {name: ROUTES[args.family, name] for name in methods}
-    shapes = {}
-    for name, route in chosen.items():
-        try:
+    shapes, routes, ctx = {}, {}, QContext()
+    # preconditions before any route runs; a refusal names its route, class kept
+    try:
+        for name, route in chosen.items():
             shapes[name] = route.domain.check(lam, mu, spec)
-        except PreconditionError as exc:
-            raise PreconditionError(f"{name}: {exc}") from exc
-    ctx = QContext()
-    routes = {name: route.fn(*shapes[name], spec, ctx) for name, route in chosen.items()}
+        for name, route in chosen.items():
+            routes[name] = route.fn(*shapes[name], spec, ctx)
+    except QsymError as exc:
+        raise type(exc)(f"{name}: {exc}") from exc
     first, ref = next(iter(routes.items()))
     differences = {name: ref - p for name, p in routes.items() if p != ref}
     agreed = not differences

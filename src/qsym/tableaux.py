@@ -35,61 +35,56 @@ On straight shapes ST3 forces every entry in row i, plain ones included, to
 be at least the letter i; scoping it to symplectic letters is what makes the
 k = 0 family of a skew shape the plain semistandard one.
 
-One backtracker, _walk, streams both families.  It fills cells
-row-major and backtracks in one generator frame, on ranks: a letter is its
-position in its alphabet list, which is sorted, so the order of letters is
-the order of ints, and Letter objects are looked up only to build finished
-rows.  Every rule above is a floor on a cell's rank, and a cell's lowest
-rank is the largest of four:
+One backtracker, _walk, streams both families, a row at a time, on
+ranks: a letter is its position in its alphabet list, which is sorted, so
+the order of letters is the order of ints, and Letter objects are looked up
+only to build finished rows.  Every rule above is a floor on a cell's rank,
+and three helpers hold them, each rule in one:
 
-  left      the left neighbour's rank, one past it when that letter is
-            primed (QT1, QT3, ST1);
-  up        the upper neighbour's rank, one past it when that letter is
-            unprimed (QT2, QT4, ST2);
-  diagonal  on a shifted shape, the first rank whose index exceeds that of
-            the previous diagonal cell (QT5); a diagonal cell starts its
-            row, so it reads this floor where other cells read the left one;
-  row       a constant per row: the ST3 floor of row i, the rank of the
-            unbarred letter i when i <= k, of the first plain letter when
-            i > k; 0 in the primed family.
+  _rows          the rows' column ranges, and each row's ST3 floor: the
+                 rank of the unbarred letter i in row i when i <= k, of the
+                 first plain letter when i > k; 0 in the primed family;
+  _row_fillings  the left floor within a row: the left neighbour's rank,
+                 one past it when that letter is primed (QT1, QT3, ST1);
+  _key_maps      the floors a filling of row i sets on row i + 1, its key:
+                 under a cell, the larger of the ST3 floor and the rank
+                 above, one past it when that letter is unprimed (QT2,
+                 QT4, ST2); under no cell, the ST3 floor alone; and when
+                 both rows start on the diagonal of a shifted shape, on
+                 the first cell also the first rank whose index exceeds
+                 that of the diagonal cell above (QT5).
 
-Every rank from that floor to the end of the alphabet is legal, so nothing
-is rejected and the streams are duplicate-free by construction.  QT3 and
-QT4 need no record of the letters in a row or a column: every row and every
-column of a skew shifted shape or skew diagram is one run of consecutive
-cells, and its entries weakly increase, so a second i' in a row, or a second
-unprimed i in a column, could only sit next to the first.
+So a row's fillings depend only on its key, and every rank from a cell's
+floor to the end of the alphabet is legal: nothing is rejected and the
+streams are duplicate-free by construction.  QT3 and QT4 need no record of
+the letters in a row or a column: every row and every column of a skew
+shifted shape or skew diagram is one run of consecutive cells, and its
+entries weakly increase, so a second i' in a row, or a second unprimed i in
+a column, could only sit next to the first.
 
-The walk goes cell by cell only down to the first cell of the last non-empty
-row.  Every filling of that row depends only on the floors set on its cells
-from outside it: its first cell's lowest rank, and on each other cell the
-larger of the up floor and the row floor.  So the walk fills the row in one
-step from a memo keyed by exactly those ints, one per cell of the row.  The
-memo lives in the call, and its value is the list of the row's fillings as
-tuples of letters, each followed by the empty rows below, in ascending rank
-order, so each tableau of a batch is the rows above plus one item of the
-list, and the stream is the one a cell-by-cell walk of that row gives; the
-rows above are rebuilt once per batch, from that of the lowest cell
-assigned since the previous batch down.  The memo pays when keys repeat,
-that is when the last row is short next to the rows above (in the sweep of
-shapes (4, 3, 2) and below, 99 % of enum_qt's last-row visits hit).
-
-The memo holds at most _MEMO_SIZE slots of key ints and of letters: a row
-with more fillings than that streams them unkept, and a memo that would
-pass the cap is emptied first, so it stays bounded however many keys a call
-meets.  Everything else a call holds, the per-cell lists, the key and the
-filling being read, is linear in its cells: a row's fillings are made as
-one list of ranks, changed in place, and a filling's letters are read from
-it as it comes.
+_walk holds one _row_fillings stream per row above the last non-empty row
+and runs them depth first: each filling of row i sets the key of row i + 1
+through _key_maps and opens that row's stream.  Both orders are ascending,
+so the tableaux come in the lexicographic order of their rank vectors.  The
+last row comes in one step from a memo keyed by its key, whose value lists
+the row's fillings as tuples of letters, each followed by the empty rows
+below; a batch is the rows above plus that list.  The memo pays when keys
+repeat, that is when the last row is short next to the rows above (in the
+sweep of shapes (4, 3, 2) and below, 99 % of enum_qt's last-row visits hit).
+It holds at most _MEMO_SIZE slots of key ints and of letters (_LastRowMemo),
+so it stays bounded however many keys a call meets.  Everything else a call
+holds, the rows' streams, keys and letters, is linear in its cells: a row's
+fillings are made as one list of ranks, changed in place, and read as they
+come.
 
 spt_weight_counts sums the weights of enum_spt's tableaux without listing
 them, by a transfer over the rows (Stanley, EC1 section 4.7; lgv_weight_sum
 runs one over columns) on the same fact: V(i, key), the weight counts of
 rows i, i + 1, ... under the floors key, sums x^w(f) * V(i + 1, key'(f))
-over the fillings f of row i, where key'(f) gives each cell of row i + 1
-the larger of its ST3 floor and one past the rank above (ST2).  Grouped by
-key', a row costs one product per distinct key', and no tableau or letter
-is built.  _spt_rows is the one home of the rows and floors both read.
+over the fillings f of row i, where key'(f) is the key _key_maps gives row
+i + 1.  Grouped by key', a row costs one product per distinct key', and no
+tableau or letter is built.  It reads _rows, _row_fillings and _key_maps as
+_walk does.
 
 Tableaux are named tuples.  enum_qt, the stream the tableau route weighs,
 builds each record as tuple.__new__(PrimedTableau, (outer, inner, rows)),
@@ -103,12 +98,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, chain, islice
+from itertools import chain, islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ExponentOverflow, PreconditionError
 from .ring import _LIMIT, Monomial, _add_products, _over_budget, _pack, _term_budget
-from .shapes import EMPTY, Partition, StrictPartition, shifted_cells
+from .shapes import EMPTY, Partition, StrictPartition
 
 # the most key ints plus row letters that the last-row memo of one _walk
 # call holds; uncapped, enum_qt's largest sweep case, shifted (4, 3)/(1) on
@@ -260,13 +255,13 @@ def _row_fillings(floors: Sequence[int], primed: list[bool]) -> Iterator[list[in
     """Every filling of one row, in ascending rank order, as its list of ranks.
 
     floors[p] is the floor set on cell p from outside the row, and the
-    floors are the key of the last-row memo and of the transfer.  Cell p
+    floors are the row's key, as _key_maps sets it on every row.  Cell p
     takes any rank from the larger of floors[p] and the floor its left
     neighbour sets, that neighbour's rank, one past it when its letter is
-    primed (QT3), to the end of the alphabet: with every rule a floor,
-    nothing is rejected.  The fillings are made one at a time, and each is
-    the same list, changed in place by the next step, so a consumer reads it
-    at once; the memory held is linear in the row's length.
+    primed (QT1, QT3, ST1), to the end of the alphabet: with every rule a
+    floor, nothing is rejected.  The fillings are made one at a time, and
+    each is the same list, changed in place by the next step, so a consumer
+    reads it at once; the memory held is linear in the row's length.
 
     Cell p's options are fixed by its left neighbour's rank alone, and a
     higher left rank leaves it fewer, so when a rank of cell p leads to no
@@ -331,102 +326,115 @@ class _LastRowMemo:
         return head
 
 
+def _rows(
+    spec: VariableSpec, shifted: bool, outer: Partition, inner: Partition
+) -> tuple[list[range], list[int]]:
+    """The column ranges and ST3 floors of the rows of outer/inner, inner
+    inside outer: the skew shifted shape (shifted True), where row i spans
+    columns inner_i + i .. outer_i + i - 1 and every floor is 0, or the
+    ordinary skew diagram, where row i spans inner_i + 1 .. outer_i."""
+    rows = range(1, outer.length + 1)
+    if shifted:
+        return [range(inner.part(i) + i, outer.part(i) + i) for i in rows], [0] * len(rows)
+    # the ST3 floor of row i: the rank of the unbarred letter i when i <= k, of
+    # the first plain letter when i > k (two letters per symplectic index)
+    ranges = [range(inner.part(i) + 1, outer.part(i) + 1) for i in rows]
+    return ranges, [2 * min(i - 1, spec.k) for i in rows]
+
+
+def _diag_floors(spec: VariableSpec) -> list[int]:
+    """QT5 on the primed alphabet: the floor a diagonal cell of rank r sets
+    on the diagonal cell below it, the first rank of a higher index."""
+    alphabet = spec.primed_alphabet()
+    n = len(alphabet)
+    return [next((s for s in range(r, n) if alphabet[s].index > x.index), n)
+            for r, x in enumerate(alphabet)]
+
+
+def _key_maps(
+    spec: VariableSpec, primed: list[bool], shifted: bool,
+    row_ranges: list[range], row_floors: list[int],
+) -> list[tuple]:
+    """How a filling f of row i, as ranks, sets the key of row i + 1, one
+    (gap, above, up, diag) per row; the last row's sets the empty key of
+    no row.  The key is gap + tuple(map(up, f[above])), or gap when above
+    is None, with its first int raised to diag[f[0]] when diag is not None:
+
+      gap    the ST3 floor of row i + 1 on each of its first cells, which
+             sit under no cell of row i;
+      above  the slice of row i's cells that the other cells sit under,
+             None when there are none;
+      up     the floor a rank sets on the cell below it: one past it when
+             its letter is unprimed (QT2, QT4, ST2), and at least the ST3
+             floor;
+      diag   when both rows start on the diagonal of a shifted shape, the
+             floor the first cell's rank sets on the first cell below (QT5).
+    """
+    from_diag = _diag_floors(spec) if shifted else None
+    maps = []
+    below_rows = zip([*row_ranges[1:], range(0)], [*row_floors[1:], 0])
+    for i, (cols, (below, floor)) in enumerate(zip(row_ranges, below_rows)):
+        start = max(cols.start, below.start)
+        stop = max(min(cols.stop, below.stop), start)
+        gap = (floor,) * (len(below) - (stop - start))
+        up = [max(r + 1 - p, floor) for r, p in enumerate(primed)]
+        diag = from_diag if cols.start == i + 1 and below.start == i + 2 else None
+        above = slice(start - cols.start, stop - cols.start) if stop > start else None
+        maps.append((gap, above, up.__getitem__, diag))
+    return maps
+
+
 def _walk(
-    spec: VariableSpec,
-    shifted: bool,
-    row_ranges: Sequence[Sequence[int]],
-    row_floors: Sequence[int],
+    spec: VariableSpec, shifted: bool, row_ranges: list[range], row_floors: list[int]
 ) -> Iterator[tuple[tuple, Iterable[tuple]]]:
     """The one backtracker of both tableau families: the primed alphabet on
     a skew shifted shape (shifted True) or the unprimed one on an ordinary
     skew diagram, with row_ranges[i] the columns of row i + 1 and
-    row_floors[i] the lowest rank ST3 allows in it.
+    row_floors[i] the lowest rank ST3 allows in it, as _rows gives them.
 
     Yields one batch per last-row visit that has fillings, as (head, items):
     head is the tuple of the rows above the last non-empty row, and each
     item is the rest of one tableau, a filling of that row followed by the
-    empty rows below it; the callers build the records.
+    empty rows below it; the callers build the records.  Each row above
+    the last runs one _row_fillings stream per key it is reached with; an
+    empty row has one filling, the empty one.
     """
-    cells = [(i + 1, j) for i, cols in enumerate(row_ranges) for j in cols]
-    if not cells:
+    last = max((i for i, cols in enumerate(row_ranges) if cols), default=-1)
+    if last < 0:
         yield (), [((),) * len(row_ranges)]
         return
-
     alphabet = spec.primed_alphabet() if shifted else spec.unprimed_alphabet()
-    n_letters = len(alphabet)
     primed = [x.primed for x in alphabet]
-    # the floor that a cell of rank r sets on the cell right of it (QT1,
-    # QT3, ST1) and on the cell below it (QT2, QT4, ST2); each table ends in
-    # a 0, read at rank -1, the rank of an absent cell
-    from_left = [r + p for r, p in enumerate(primed)] + [0]
-    from_up = [r + 1 - p for r, p in enumerate(primed)] + [0]
-    n = len(cells)
-    at = {cell: pos for pos, cell in enumerate(cells)}
-    # per cell: its row, its ST3 floor, the position of its upper neighbour,
-    # and the position and floor table of the cell that bounds it from the
-    # left; n when absent, where rank[n] = -1
-    row_of = [i - 1 for i, _ in cells]
-    cell_floor = [row_floors[i - 1] for i, _ in cells]
-    up = [at.get((i - 1, j), n) for i, j in cells]
-    left = [at.get((i, j - 1), n) for i, j in cells]
-    left_floor = [from_left] * n
-    if shifted:
-        # QT5: a diagonal cell starts its row, so its left slot takes the
-        # previous diagonal cell, whose rank r sets the floor from_diag[r],
-        # the first rank of a higher index
-        from_diag = [
-            next((s for s in range(r, n_letters) if alphabet[s].index > x.index), n_letters)
-            for r, x in enumerate(alphabet)
-        ] + [0]
-        diag = n
-        for pos, (i, j) in enumerate(cells):
-            if i == j:
-                left[pos], left_floor[pos], diag = diag, from_diag, pos
-    # starts[i]: the position of row i + 1's first cell
-    starts = list(accumulate(map(len, row_ranges), initial=0))
-    # the last non-empty row, its first cell, its ST3 floor and the empty
-    # rows below it
-    last = max(i for i, cols in enumerate(row_ranges) if cols)
-    first = starts[last]
+    maps = _key_maps(spec, primed, shifted, row_ranges, row_floors)
     tail = ((),) * (len(row_ranges) - last - 1)
-    row_ups, row_floor = up[first + 1 :], row_floors[last]
-    rows = [()] * last
     get = alphabet.__getitem__
-    rank = [0] * n + [-1]
     memo = _LastRowMemo()
     items_of = memo.lists
-    pos, r, low = 0, cell_floor[0], 0
+    rows, streams = [()] * last, [iter(())] * last
+    i, key = 0, (row_floors[0],) * len(row_ranges[0])
     while True:
-        if pos == first:
+        if i < last:
+            streams[i] = _row_fillings(key, primed) if key else iter(((),))
+        else:
             # the last row in one step, keyed by the floors of its cells
-            key = (r, *[max(from_up[rank[u]], row_floor) for u in row_ups])
             items = items_of.get(key)
             if items is None:
                 fillings = _row_fillings(key, primed)
                 items = memo.fill(key, ((tuple(map(get, f)),) + tail for f in fillings))
             if items:
-                # rebuild the rows from that of the lowest cell assigned
-                # since the last batch down
-                for i in range(row_of[low], last):
-                    rows[i] = tuple(map(get, rank[starts[i] : starts[i + 1]]))
                 yield tuple(rows), items
-                low = pos
-        elif r < n_letters:
-            rank[pos] = r
-            pos += 1
-            r = left_floor[pos][rank[left[pos]]]
-            u = from_up[rank[up[pos]]]
-            if u > r:
-                r = u
-            if cell_floor[pos] > r:
-                r = cell_floor[pos]
-            continue
-        if not pos:
+            i -= 1
+        # the next filling of the lowest row above the last that has one
+        while i >= 0 and (f := next(streams[i], None)) is None:
+            i -= 1
+        if i < 0:
             return
-        pos -= 1
-        if pos < low:
-            low = pos
-        r = rank[pos] + 1
+        rows[i] = tuple(map(get, f))
+        gap, above, up, diag = maps[i]
+        key = gap + tuple(map(up, f[above])) if above else gap
+        if diag is not None and diag[f[0]] > key[0]:
+            key = (diag[f[0]], *key[1:])
+        i += 1
 
 
 def enum_qt(
@@ -442,25 +450,12 @@ def enum_qt(
     """
     if not lam.contains(mu):
         return
-    row_ranges = shifted_cells(lam, mu).rows()
     # tuple.__new__ is what the named tuple's generated __new__ calls, minus
     # one Python frame per tableau
     new = tuple.__new__
-    for head, rests in _walk(spec, True, row_ranges, [0] * len(row_ranges)):
+    for head, rests in _walk(spec, True, *_rows(spec, True, lam, mu)):
         for rest in rests:
             yield new(PrimedTableau, (lam, mu, head + rest))
-
-
-def _spt_rows(
-    spec: VariableSpec, outer: Partition, inner: Partition
-) -> tuple[list[range], list[int]]:
-    """The column ranges and ST3 floors of the rows of the ordinary skew
-    diagram outer/inner, inner inside outer, for enum_spt and the transfer."""
-    row_ranges = [range(inner.part(i) + 1, outer.part(i) + 1) for i in range(1, outer.length + 1)]
-    # the ST3 floor of row i: the rank of the unbarred letter i when i <= k,
-    # of the first plain letter when i > k, as the unprimed alphabet lists
-    # two letters per symplectic index
-    return row_ranges, [2 * min(i, spec.k) for i in range(outer.length)]
 
 
 def enum_spt(
@@ -475,7 +470,7 @@ def enum_spt(
     """
     if not outer.contains(inner):
         return
-    for head, rests in _walk(spec, False, *_spt_rows(spec, outer, inner)):
+    for head, rests in _walk(spec, False, *_rows(spec, False, outer, inner)):
         for rest in rests:
             yield SpTableau(outer, inner, head + rest)
 
@@ -486,13 +481,13 @@ def spt_weight_counts(
     """The weights of enum_spt(spec, outer, inner), counted, without the
     tableaux: {packed monomial key (see ring): number of tableaux}.
 
-    The transfer of the module docstring: down the rows, each key a row is
-    reached with and its fillings grouped by the key they set below (an
-    empty row has one filling, the empty one); then up the rows, V(i, key)
-    for each, one _add_products per group.  QSYM_MAX_TERMS is checked on
-    each group as fillings enter it and on each value after each row of a
-    product.  ExponentOverflow comes first when the shape spans 2^15
-    columns or more.
+    The transfer of the module docstring, on the rows of _rows and the keys
+    of _key_maps: down the rows, each key a row is reached with and its
+    fillings grouped by the key they set below (an empty row has one
+    filling, the empty one); then up the rows, V(i, key) for each, one
+    _add_products per group.  QSYM_MAX_TERMS is checked on each group as
+    fillings enter it and on each value after each row of a product.
+    ExponentOverflow comes first when the shape spans 2^15 columns or more.
     """
     if not outer.contains(inner):
         return {}
@@ -507,22 +502,19 @@ def spt_weight_counts(
         raise ExponentOverflow(
             f"the weights' exponents may reach {width}, the limit is {_LIMIT - 1}"
         )
-    row_ranges, row_floors = _spt_rows(spec, outer, inner)
+    row_ranges, row_floors = _rows(spec, False, outer, inner)
     budget = _term_budget()
     weights = [_pack(m) for m in spec.monomials()]
     weigh, primed = weights.__getitem__, [False] * len(weights)
     top = (row_floors[0],) * len(row_ranges[0]) if row_ranges else ()
     layers, keys = [], [top]
-    for cols, below, floor in zip(row_ranges, row_ranges[1:] + [range(0)], row_floors[1:] + [0]):
-        # the last `under` cells below have a cell above; the others take the ST3 floor alone
-        under = max(below.stop - cols.start, 0)
-        gap = (floor,) * (len(below) - under)
-        up = [max(r + 1, floor) for r in range(len(weights))].__getitem__
+    # an ordinary diagram has no diagonal, so no map has a QT5 floor
+    for gap, above, up, _ in _key_maps(spec, primed, False, row_ranges, row_floors):
         layer: dict[tuple[int, ...], dict[tuple[int, ...], dict[int, int]]] = {}
         for key in keys:
             groups = layer[key] = {}
             for f in _row_fillings(key, primed) if key else ((),):
-                key_below = gap + tuple(map(up, f[:under])) if under else gap
+                key_below = gap + tuple(map(up, f[above])) if above else gap
                 group = groups.get(key_below) or groups.setdefault(key_below, {})
                 w = sum(map(weigh, f))
                 group[w] = group.get(w, 0) + 1

@@ -2,6 +2,7 @@ import pytest
 
 import qsym.qfun
 import qsym.symfun
+import qsym.tableaux
 from qsym import LaurentPoly, VariableSpec, enum_qt, qI_tableau
 from qsym import checks
 from qsym.checks import (
@@ -224,6 +225,45 @@ def test_a_strip_rule_without_components_fails_both_step_checks(monkeypatch):
     for name in ("qfun.def-tableau-branch", "qfun.single-step"):
         assert not results[name].passed, name
         assert results[name].detail.startswith("lam=("), name
+
+
+def _lowered(maps):
+    """Every floor that tableaux._key_maps sets, one lower, clamped at 0."""
+    return [
+        (
+            tuple(max(g - 1, 0) for g in gap),
+            above,
+            lambda r, up=up: max(up(r) - 1, 0),
+            diag and [max(d - 1, 0) for d in diag],
+        )
+        for gap, above, up, diag in maps
+    ]
+
+
+@pytest.mark.parametrize(
+    "helper, wrapper, failing",
+    [
+        # QT3 off: a primed letter may repeat in a row
+        (
+            "_row_fillings",
+            lambda real: lambda floors, primed: real(floors, [False] * len(primed)),
+            ["qfun.def-tableau-branch", "qfun.one-row-series", "lgv.weight-sums",
+             "lgv.path-tableau-bijection"],
+        ),
+        # every floor set between rows one lower: QT2, QT4, QT5, ST2 and ST3 weakened
+        (
+            "_key_maps",
+            lambda real: lambda *args: _lowered(real(*args)),
+            ["schur.definition-vs-tableau", "qfun.def-tableau-branch", "lgv.weight-sums",
+             "lgv.path-tableau-bijection"],
+        ),
+    ],
+    ids=["qt3-off", "floors-lowered"],
+)
+def test_a_weakened_tableau_rule_fails_the_checks(monkeypatch, helper, wrapper, failing):
+    monkeypatch.setattr(qsym.tableaux, helper, wrapper(getattr(qsym.tableaux, helper)))
+    results = _by_name(run_suite("all", max_weight=2, max_vars=2))
+    assert [name for name in failing if results[name].passed] == []
 
 
 def test_all_suite_runs_these_checks():

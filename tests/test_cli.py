@@ -220,11 +220,21 @@ def test_domain_violation_exits_3_naming_the_condition(capsys, argv, named):
     assert named in err
 
 
-def test_a_refusal_names_the_route_that_refused(capsys):
+def test_a_refusal_names_the_route_that_refused(capsys, monkeypatch):
     code, out, err = run(capsys, "compute", "--family", "schur", "--lambda", "4,2,1",
                          "--mu", "2,1", "--m", "3", "--method", "all")
     assert (code, out) == (3, "")
     assert "tableau: needs a straight shape (mu empty), got mu = 2,1" in err
+    # a route stopped midway, by the exponent limit and by the term budget
+    code, out, err = run(capsys, "compute", "--family", "qI", "--lambda", "32768,1",
+                         "--mu", "1", "--m", "2")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: definition: the z^32768 coefficient's exponents")
+    monkeypatch.setenv("QSYM_MAX_TERMS", "100")
+    code, out, err = run(capsys, "compute", "--family", "qI", "--lambda", "6,4,2",
+                         "--k", "3", "--m", "2")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: definition: polynomial has 116 terms")
 
 
 def test_method_outside_family_exits_3(capsys):

@@ -140,10 +140,11 @@ def _columns_are_runs(cells):
     return all(max(rows) - min(rows) + 1 == len(rows) for rows in cols.values())
 
 
-# the tableau walker (tableaux._walk) checks QT3, QT4 and ST2 only against a
-# cell's left and upper neighbours: a repeated i' in a row, or a repeated
-# unprimed i in a column, is then adjacent, because every row and every
-# column of these shapes is one run of consecutive cells
+# the tableau rules check QT3 only against a cell's left neighbour
+# (tableaux._row_fillings), and QT4 and ST2 only against its upper one
+# (tableaux._key_maps): a repeated i' in a row, or a repeated unprimed i in
+# a column, is then adjacent, because every row and every column of these
+# shapes is one run of consecutive cells
 @given(lam=strict_parts, data=st.data())
 @settings(max_examples=80, deadline=None)
 def test_skew_shifted_columns_are_runs(lam, data):

@@ -362,6 +362,10 @@ def test_enum_spt_is_every_valid_filling_in_rank_order(outer, inner, spec):
         if _is_valid_spt(rows, row_ranges, spec)
     ]
     assert list(enum_spt(spec, outer, inner)) == expected
+    # enum_spt and the transfer read the same floors, so the transfer is
+    # checked against the brute-force list, not against the stream
+    counted = Counter(_pack(rows_weight(t.rows, spec.n)) for t in expected)
+    assert spt_weight_counts(spec, outer, inner) == counted
 
 
 def test_tableau_records_compare_by_class_and_fields():
