@@ -421,7 +421,9 @@ def qfun_checks(
     counts the cases where it is not: on a pure spec the definition's inner
     sum evaluates this same Pfaffian (the nu = mu term), and on a mixed
     straight two-row shape the 2x2 Pfaffian's only entry is the definition
-    value."""
+    value.  qfun.degenerations compares nothing of its own: it fails exactly
+    when qfun.def-tableau-branch fails on a pure spec, where the definition
+    is Schur's or Okada's Pfaffian, and never alone."""
     ctx = QContext()
     first: dict[str, str] = {}
     jp_cases = jp_pure = jp_two_row = 0
@@ -442,7 +444,6 @@ def qfun_checks(
             if not diff.is_zero():
                 detail = f"{case} definition-{method}: {diff}"
                 first.setdefault(check, detail)
-                # on a pure spec the definition is Schur's or Okada's Pfaffian
                 if method != "pfaffian" and not (spec.k and spec.m):
                     first.setdefault("qfun.degenerations", detail)
         if lam.length >= 2:

@@ -57,6 +57,8 @@ def cmd_compute(args) -> int:
             shapes[name] = route.domain.check(lam, mu, spec)
         for name, route in chosen.items():
             routes[name] = route.fn(*shapes[name], spec, ctx)
+    except ParseError:
+        raise  # a bad QSYM_MAX_TERMS, which no route is to blame for
     except QsymError as exc:
         raise type(exc)(f"{name}: {exc}") from exc
     first, ref = next(iter(routes.items()))

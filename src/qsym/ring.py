@@ -57,9 +57,9 @@ promoting, which keeps specialization maps honest.  `embed` re-indexes a
 polynomial into a wider ring explicitly.
 
 The optional environment variable QSYM_MAX_TERMS aborts any computation whose
-intermediate results grow beyond that many terms; a value that is not a
-nonnegative integer in ASCII digits raises ParseError.  Each ring operation
-reads it once.
+intermediate results grow beyond that many terms; both product paths check it
+and it chooses neither.  A value that is not a nonnegative integer in ASCII
+digits raises ParseError.  Each ring operation reads it once.
 """
 
 from __future__ import annotations
@@ -279,7 +279,7 @@ def _row_path_pays(products: list[_Product]) -> bool:
     return cost <= pairs
 
 
-def _add_row_products(out: dict[int, int], products: list[_Product]) -> None:
+def _add_row_products(out: dict[int, int], products: list[_Product], budget: int | None) -> None:
     """Add the sum of c * ta * tb into out as products of x1-rows.
 
     Each factor's row is one int with its x1 coefficients in width-bit slots
@@ -287,7 +287,9 @@ def _add_row_products(out: dict[int, int], products: list[_Product]) -> None:
     row key, all from the lowest of the products' lowest x1 exponents, then
     split back into terms.  No slot of any sum can exceed sum |c| * |ta|_1 *
     |tb|_1 in absolute value, and width leaves one bit over that for the sign,
-    so every slot reads back exactly in two's complement.
+    so every slot reads back exactly in two's complement.  The budget is
+    checked on the count of summed rows after each factor row, and on out
+    after each is split back, so work stops within one x1-row (< 2^16 terms).
     """
     norm = 0
     for ta, tb, c in products:
@@ -304,6 +306,8 @@ def _add_row_products(out: dict[int, int], products: list[_Product]) -> None:
             for rb, xb in rows_b.items():
                 r = ra + rb
                 acc[r] = get(r, 0) + xa * xb
+            if budget is not None and len(acc) > budget:
+                raise _over_budget(len(acc), budget)
     mask, half, full = (1 << width) - 1, 1 << (width - 1), 1 << width
     get = out.get
     for r, x in acc.items():
@@ -320,6 +324,8 @@ def _add_row_products(out: dict[int, int], products: list[_Product]) -> None:
             x = (x - v) >> width
             out[key] = get(key, 0) + v
             key += 1
+        if budget is not None and len(out) > budget:
+            raise _over_budget(len(out), budget)
 
 
 def sum_of_products(
@@ -353,10 +359,8 @@ def sum_of_products(
     products with a small factor, as `qI_branch` makes.
 
     Each product raises ExponentOverflow when its factors' bounds reach 2^15,
-    even when c is 0.  With a term budget set, every merged product takes the
-    dict loop as it comes and the budget is checked after each row, so a
-    large product stops within one row of passing it.  The result's bound is
-    the largest bound of any product.
+    even when c is 0.  Either path stops within one row of passing the term
+    budget.  The result's bound is the largest bound of any product.
     """
     budget = _term_budget()
     out: dict[int, int] = {}
@@ -385,19 +389,17 @@ def sum_of_products(
                 out.update(tb)
             else:
                 out = {ea + eb: ca * cb for eb, cb in tb.items()}
-            if budget is not None and len(out) > budget:
-                raise _over_budget(len(out), budget)
             continue
         merged = True
-        if budget is None and _ROW_TERM * (len(ta) + len(tb)) <= len(ta) * len(tb):
+        if _ROW_TERM * (len(ta) + len(tb)) <= len(ta) * len(tb):
             products.append((ta, tb, c))
         else:
             _add_products(out, ta, tb, c, budget)
     if products and _row_path_pays(products):
-        _add_row_products(out, products)
+        _add_row_products(out, products, budget)
     else:
         for ta, tb, c in products:
-            _add_products(out, ta, tb, c, None)
+            _add_products(out, ta, tb, c, budget)
     if merged and 0 in out.values():  # only a merge can cancel a term
         out = {e: c for e, c in out.items() if c}
     return _poly(n, out, bound)

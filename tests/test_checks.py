@@ -156,6 +156,16 @@ def _plus_one(fn):
     return wrapped
 
 
+def _plus_x1(fn):
+    """The value plus x1; on no variables there is no x1, and it is kept."""
+
+    def wrapped(*args):
+        got = fn(*args)
+        return got + LaurentPoly.variable(got.n, 0) if got.n else got
+
+    return wrapped
+
+
 def _each_twice(enum):
     def wrapped(*args):
         for item in enum(*args):
@@ -183,6 +193,17 @@ def _reversed(enum):
             "lam=() mu=() spec=(0,2) h-e: -1",
         ),
         ("linalg", "determinant", _plus_one, "linalg.pfaffian-square-random", "matrix 0 "),
+        ("ring", "sum_of_products", _plus_one, "ring.series-inverse", "n=3 nums="),
+        # the definition and tableau values both gain x1, so only symmetry breaks
+        ("schur", "inter_schur", _plus_x1, "schur.weyl-symmetry", "lam=() mu=() spec=(1,0)"),
+        (
+            "schur", "symp_schur", _plus_x1, "schur.symplectic-invariance",
+            "lam=() mu=() spec=(2,0) x1 -> 1/x1",
+        ),
+        (
+            "qfun", "pfaffian", _plus_one, "qfun.pfaffian-square",
+            "lam=(2,1) mu=() spec=(0,2) pfaffian^2-determinant: ",
+        ),
         # the step on the empty shape is 1, so the first pair is off by one
         (
             "qfun", "q_single_var", _plus_one, "qfun.single-step",
@@ -201,7 +222,8 @@ def _reversed(enum):
     ],
     ids=[
         "ring", "tableaux", "tableaux-spt", "schur", "linalg", "single-step", "lgv-twice",
-        "lgv-reversed",
+        "lgv-reversed", "series-inverse", "schur-weyl", "symplectic-invariance",
+        "pfaffian-square",
     ],
 )
 def test_failing_suite_names_its_first_case(monkeypatch, suite, dependency, corrupt, check, case):
@@ -212,6 +234,32 @@ def test_failing_suite_names_its_first_case(monkeypatch, suite, dependency, corr
     if dependency == "determinant":
         # the determinant is one too large, so the difference is -1
         assert bad.detail.endswith(" pfaffian^2-determinant: -1")
+
+
+def _non_commuting(monkeypatch):
+    """a * b gains a, so it differs from b * a whenever a and b differ."""
+    mul = LaurentPoly.__mul__
+    monkeypatch.setattr(LaurentPoly, "__mul__", lambda a, b: mul(a, b) + a)
+
+
+def _definition_plus_x1(monkeypatch):
+    route = ROUTES["qI", "definition"]
+    monkeypatch.setitem(ROUTES, ("qI", "definition"), Route(_plus_x1(route.fn), route.domain))
+
+
+@pytest.mark.parametrize(
+    "patch, suite, check, case",
+    [
+        (_non_commuting, "ring", "ring.axioms", "n=3 a="),
+        (_definition_plus_x1, "qfun", "qfun.weyl-symmetry", "lam=() mu=() spec=(1,0)"),
+    ],
+    ids=["ring-axioms", "qfun-weyl"],
+)
+def test_a_fault_outside_the_checks_names_its_first_case(monkeypatch, patch, suite, check, case):
+    patch(monkeypatch)
+    bad = _by_name(run_suite(suite, max_weight=2, max_vars=2))[check]
+    assert not bad.passed
+    assert bad.detail.startswith(case)
 
 
 def test_a_strip_rule_without_components_fails_both_step_checks(monkeypatch):

@@ -277,7 +277,8 @@ def test_bad_term_budget_exits_2(capsys, monkeypatch, budget):
     monkeypatch.setenv("QSYM_MAX_TERMS", budget)
     code, _, err = run(capsys, "compute", "--family", "qI", "--lambda", "1", "--k", "1")
     assert code == 2
-    assert "QSYM_MAX_TERMS" in err
+    # the variable is at fault, not the route that read it first
+    assert err.startswith("parse error: QSYM_MAX_TERMS")
 
 
 @pytest.mark.parametrize("method", ["lgv", "definition", "branch", "pfaffian"])

@@ -11,6 +11,7 @@ import qsym.ring
 import qsym.tableaux
 from qsym import (
     EMPTY,
+    ExponentOverflow,
     LaurentPoly,
     Partition,
     PreconditionError,
@@ -372,6 +373,14 @@ def test_term_budget_stops_a_step_table_as_it_grows(monkeypatch):
         q_single_var(sp(800), EMPTY, VariableSpec(1, 0), QContext())
     # budget + 1 kappas, each with the one nu it reaches
     assert drawn == 2 * (budget + 1)
+
+
+def test_a_step_past_the_exponent_limit_raises():
+    # one row of 40,000 boxes over the empty shape: the plain step is x^40000,
+    # and the symplectic step's strips reach x^40000 and x^-40000
+    for route, spec in ((qI_branch, VariableSpec(0, 1)), (q_single_var, VariableSpec(1, 0))):
+        with pytest.raises(ExponentOverflow, match="^exponent of size 40000, the limit is 32767$"):
+            route(sp(40000), EMPTY, spec, QContext())
 
 
 @pytest.mark.parametrize("spec", [VariableSpec(0, 1), VariableSpec(1, 0)])

@@ -1,10 +1,12 @@
 import itertools
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qsym.ring
 from conftest import poly_strategy
 from qsym import (
     ExponentOverflow,
@@ -558,7 +560,7 @@ def factor_strategy(n):
 def both_paths(placed, products):
     """The sums that the row path and the dict loop add onto `placed`."""
     by_rows, by_pairs = dict(placed), dict(placed)
-    _add_row_products(by_rows, products)
+    _add_row_products(by_rows, products, None)
     for ta, tb, c in products:
         _add_products(by_pairs, ta, tb, c, None)
     return [{e: c for e, c in out.items() if c} for out in (by_rows, by_pairs)]
@@ -619,6 +621,25 @@ def test_sum_of_products_takes_the_row_path_on_dense_factors():
     assert as_tuples(sum_of_products(2, terms)) == ref_sum_of_products(terms)
 
 
+def test_a_term_budget_leaves_the_row_path_in_place(monkeypatch):
+    # the factors of the test above, under a budget that is never reached
+    a = LaurentPoly(2, {(i - 10, j): i + 2 * j - 20 for i in range(30) for j in range(3)})
+    b = LaurentPoly(2, {(i, -j): 1 for i in range(30) for j in range(3)})
+    terms = [(v(2, 1, 5), a, 2), (a, b, 1), (b, b, -3)]
+    unset = sum_of_products(2, terms)
+    calls, real = 0, qsym.ring._add_row_products
+
+    def spy(*args):
+        nonlocal calls
+        calls += 1
+        real(*args)
+
+    monkeypatch.setattr(qsym.ring, "_add_row_products", spy)
+    monkeypatch.setenv("QSYM_MAX_TERMS", "1000000000")
+    assert sum_of_products(2, terms) == unset
+    assert calls == 1
+
+
 def test_a_row_path_product_stops_within_one_row_of_the_budget(monkeypatch):
     a = LaurentPoly(2, {(i, j): 1 for i in range(30) for j in range(3)})
     b = LaurentPoly(2, {(i, -j): 1 for i in range(30) for j in range(3)})
@@ -630,3 +651,38 @@ def test_a_row_path_product_stops_within_one_row_of_the_budget(monkeypatch):
             sum_of_products(2, terms)
         count = int(info.value.args[0].split()[2])
         assert 100 < count <= 100 + len(b.terms)
+
+
+def test_the_row_path_raises_within_one_x1_row_of_the_budget(monkeypatch):
+    # a dense factor in three variables, 30 x1-exponents on each of 100
+    # rows, squared: the sum has 59 x1-exponents on each of 361 rows; and an
+    # x1-only product, whose sum is one row of 3,999 terms
+    dense = LaurentPoly(3, {(i, j, l): 1 for i in range(30) for j in range(10) for l in range(10)})
+    x1_only = LaurentPoly(3, {(i, 0, 0): 1 for i in range(2000)})
+    walks, real = [], qsym.ring._x1_rows
+
+    class Rows(dict):
+        def items(self):
+            walks.append(len(self))
+            return super().items()
+
+    def counted(terms, width):
+        lo, rows = real(terms, width)
+        return lo, Rows(rows)
+
+    monkeypatch.setattr(qsym.ring, "_x1_rows", counted)
+    for a, multiplied in ((dense, 2), (x1_only, 1)):
+        assert _row_path_pays([(a.terms, a.terms, 1)])
+        longest = max(Counter(exps[1:] for exps in as_tuples(a * a)).values())
+        monkeypatch.setenv("QSYM_MAX_TERMS", "100")
+        walks.clear()
+        with pytest.raises(TermBudgetExceeded) as info:
+            a * a
+        monkeypatch.delenv("QSYM_MAX_TERMS")
+        assert info.traceback[-1].name == "_add_row_products"
+        count = int(info.value.args[0].split()[2])
+        assert 100 < count <= 100 + longest
+        # the first factor's rows are walked once, the second's once per row
+        # of the first: the dense square's summed rows pass 100 after two of
+        # its 100 rows, and the other 98 are never multiplied
+        assert len(walks) == 1 + multiplied
