@@ -59,7 +59,8 @@ polynomial into a wider ring explicitly.
 The optional environment variable QSYM_MAX_TERMS aborts any computation whose
 intermediate results grow beyond that many terms; both product paths check it
 and it chooses neither.  A value that is not a nonnegative integer in ASCII
-digits raises ParseError.  Each ring operation reads it once.
+digits raises ParseError.  Each ring operation reads it once, and a value is
+parsed once until it changes.
 """
 
 from __future__ import annotations
@@ -185,9 +186,15 @@ _BUDGET_KEY = os.environ.encodekey("QSYM_MAX_TERMS")
 
 
 def _term_budget() -> int | None:
-    if not _ENV_DATA.get(_BUDGET_KEY):
-        return None
-    return parse_count(os.environ["QSYM_MAX_TERMS"], "QSYM_MAX_TERMS")
+    raw = _ENV_DATA.get(_BUDGET_KEY)
+    return _parsed_budget(raw) if raw else None
+
+
+@lru_cache(maxsize=1)
+def _parsed_budget(raw: bytes) -> int:
+    """QSYM_MAX_TERMS's raw value parsed, once while the value stays; a bad
+    value raises on every read, as the cache keeps no exception."""
+    return parse_count(os.environ.decodevalue(raw), "QSYM_MAX_TERMS")
 
 
 def _over_budget(terms: int, budget: int) -> TermBudgetExceeded:

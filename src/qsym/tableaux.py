@@ -62,20 +62,24 @@ shifted shape or skew diagram is one run of consecutive cells, and its
 entries weakly increase, so a second i' in a row, or a second unprimed i in
 a column, could only sit next to the first.
 
-_walk holds one _row_fillings stream per row above the last non-empty row
-and runs them depth first: each filling of row i sets the key of row i + 1
-through _key_maps and opens that row's stream.  Both orders are ascending,
-so the tableaux come in the lexicographic order of their rank vectors.  The
-last row comes in one step from a memo keyed by its key, whose value lists
-the row's fillings as tuples of letters, each followed by the empty rows
+_walk runs the rows depth first: each filling of row i sets the key of row
+i + 1 through _key_maps, and that row's fillings under that key come next.
+Both orders are ascending, so the tableaux come in the lexicographic order
+of their rank vectors.  Every row's fillings under a key come from one memo
+keyed by (row, key), built on the first visit from _fillings_below, which
+pairs each filling of _row_fillings with the key it sets below: a row above
+the last non-empty row keeps its fillings as (letters, key below) pairs,
+and the last row as tuples of letters, each followed by the empty rows
 below; a batch is the rows above plus that list.  The memo pays when keys
-repeat, that is when the last row is short next to the rows above (in the
-sweep of shapes (4, 3, 2) and below, 99 % of enum_qt's last-row visits hit).
-It holds at most _MEMO_SIZE slots of key ints and of letters (_LastRowMemo),
-so it stays bounded however many keys a call meets.  Everything else a call
-holds, the rows' streams, keys and letters, is linear in its cells: a row's
-fillings are made as one list of ranks, changed in place, and read as they
-come.
+repeat within a call (in the sweep of shapes (4, 3, 2) and below, 82 % of
+enum_qt's visits to non-empty upper rows hit, 7,512 of 9,146, and 99 % of
+its last-row visits, 238,497 of 240,900).  It holds at most _MEMO_SIZE
+slots of key ints, letters and key-below ints over all rows together
+(_RowMemo), so it stays bounded however many keys a call meets; a list it
+drops while a row still iterates it lives until that row moves on, at most
+one per row.  Everything else a call holds, the rows' iterators, keys and
+letters, is linear in its cells: a row's fillings are made as one list of
+ranks, changed in place, and read as they come.
 
 spt_weight_counts sums the weights of enum_spt's tableaux without listing
 them, by a transfer over the rows (Stanley, EC1 section 4.7; lgv_weight_sum
@@ -83,8 +87,8 @@ runs one over columns) on the same fact: V(i, key), the weight counts of
 rows i, i + 1, ... under the floors key, sums x^w(f) * V(i + 1, key'(f))
 over the fillings f of row i, where key'(f) is the key _key_maps gives row
 i + 1.  Grouped by key', a row costs one product per distinct key', and no
-tableau or letter is built.  It reads _rows, _row_fillings and _key_maps as
-_walk does.
+tableau or letter is built.  It reads _rows, and _fillings_below's
+(filling, key below) pairs, as _walk does.
 
 Tableaux are named tuples.  enum_qt, the stream the tableau route weighs,
 builds each record as tuple.__new__(PrimedTableau, (outer, inner, rows)),
@@ -105,10 +109,10 @@ from .errors import ExponentOverflow, PreconditionError
 from .ring import _LIMIT, Monomial, _add_products, _over_budget, _pack, _term_budget
 from .shapes import EMPTY, Partition, StrictPartition
 
-# the most key ints plus row letters that the last-row memo of one _walk
-# call holds; uncapped, enum_qt's largest sweep case, shifted (4, 3)/(1) on
-# (3, 0), would reach about 14,300, and enum_spt's largest straight shape of
-# weight <= 7 on <= 4 variables, (7) on (4, 0), about 24,000
+# the most slots, key ints, letters and key-below ints, that the row memo
+# of one _walk call holds; uncapped, enum_qt's largest sweep case, shifted
+# (4, 3, 2)/(1) on (3, 0), would reach about 25,800, and enum_spt's largest
+# straight shape of weight <= 7 on <= 4 variables, (7) on (4, 0), about 24,000
 _MEMO_SIZE = 1 << 16
 
 # the most variables, k + m, that a VariableSpec may have: every route's
@@ -294,35 +298,46 @@ def _row_fillings(floors: Sequence[int], primed: list[bool]) -> Iterator[list[in
         r = rank[p] + 1
 
 
-class _LastRowMemo:
-    """The last row's value by key, for one call, at most _MEMO_SIZE big.
+class _RowMemo:
+    """Every row's list of items by (row, key), for one _walk call, at most
+    _MEMO_SIZE slots over all rows together.
 
-    A value is a list of items, and each item, the letters of one filling,
-    takes one slot per cell of the row, as many as its key has ints.  An
-    entry's size is its key's length plus its items' slots.  A miss reads
-    the items from their stream; when they would pass the cap on their own
-    they are not kept, and the items read so far come back followed by the
-    rest of the stream, unread.  When keeping them would take the memo past
-    the cap, it is emptied first.
+    A list holds a row's fillings in rank order.  A last-row item is the
+    letters of one filling followed by the empty rows below it, and takes one
+    slot per letter; an upper-row item is the letters of one filling and the
+    key it sets on the row below, and takes one slot per letter and per
+    key-below int.  An entry's size is its key's length plus its items'
+    slots.  A miss reads the items from their stream; when they would pass
+    the cap on their own they are not kept, and the items read so far come
+    back followed by the rest of the stream, unread.  When keeping them
+    would take the memo past the cap, every row's entries are dropped first;
+    the lists themselves are never changed, so one that a caller is still
+    iterating stays whole.
     """
 
-    __slots__ = ("lists", "size")
+    __slots__ = ("lists", "slots", "size")
 
-    def __init__(self):
-        self.lists: dict[tuple[int, ...], list] = {}
+    def __init__(self, slots: list[int]):
+        # slots[i]: the slots of one item of row i; lists[i]: its items by key
+        self.slots = slots
+        self.lists: list[dict[tuple[int, ...], list]] = [{} for _ in slots]
         self.size = 0
 
-    def fill(self, key: tuple[int, ...], stream: Iterator) -> Iterable:
-        limit = max(_MEMO_SIZE - len(key), 0) // len(key)
-        head = list(islice(stream, limit + 1))
+    def fill(self, i: int, key: tuple[int, ...], stream: Iterator) -> Iterable:
+        """Row i's items under key, read from stream."""
+        slots = self.slots[i]
+        # negative when the key alone passes the cap: no list is kept
+        limit = (_MEMO_SIZE - len(key)) // slots
+        head = list(islice(stream, max(limit + 1, 0)))
         if len(head) > limit:
             return chain(head, stream)
-        size = (len(head) + 1) * len(key)
+        size = len(key) + len(head) * slots
         self.size += size
         if self.size > _MEMO_SIZE:
-            self.lists.clear()
+            for lists in self.lists:
+                lists.clear()
             self.size = size
-        self.lists[key] = head
+        self.lists[i][key] = head
         return head
 
 
@@ -384,6 +399,21 @@ def _key_maps(
     return maps
 
 
+def _fillings_below(
+    key: tuple[int, ...], primed: list[bool], row_map: tuple
+) -> Iterator[tuple[Sequence[int], tuple[int, ...]]]:
+    """Each filling of a row with floors key, as ranks in _row_fillings'
+    order, with the key it sets on the row below through row_map, the row's
+    entry of _key_maps; an empty row has one filling, the empty one.  The
+    filling is _row_fillings' list, so a consumer reads it at once."""
+    gap, above, up, diag = row_map
+    for f in _row_fillings(key, primed) if key else ((),):
+        key_below = gap + tuple(map(up, f[above])) if above else gap
+        if diag is not None and diag[f[0]] > key_below[0]:
+            key_below = (diag[f[0]], *key_below[1:])
+        yield f, key_below
+
+
 def _walk(
     spec: VariableSpec, shifted: bool, row_ranges: list[range], row_floors: list[int]
 ) -> Iterator[tuple[tuple, Iterable[tuple]]]:
@@ -395,9 +425,10 @@ def _walk(
     Yields one batch per last-row visit that has fillings, as (head, items):
     head is the tuple of the rows above the last non-empty row, and each
     item is the rest of one tableau, a filling of that row followed by the
-    empty rows below it; the callers build the records.  Each row above
-    the last runs one _row_fillings stream per key it is reached with; an
-    empty row has one filling, the empty one.
+    empty rows below it; the callers build the records.  Every row's items
+    come from one _RowMemo by (row, key): a row above the last iterates its
+    (letters, key below) pairs from _fillings_below, and the last row hands
+    its list out whole.  An empty row has one item and no entry.
     """
     last = max((i for i, cols in enumerate(row_ranges) if cols), default=-1)
     if last < 0:
@@ -408,32 +439,33 @@ def _walk(
     maps = _key_maps(spec, primed, shifted, row_ranges, row_floors)
     tail = ((),) * (len(row_ranges) - last - 1)
     get = alphabet.__getitem__
-    memo = _LastRowMemo()
-    items_of = memo.lists
+    # an item's slots: its letters, and above the last row its key below
+    memo = _RowMemo([len(row_ranges[i]) + (i < last and len(row_ranges[i + 1]))
+                     for i in range(last + 1)])
+    lists = memo.lists
     rows, streams = [()] * last, [iter(())] * last
     i, key = 0, (row_floors[0],) * len(row_ranges[0])
     while True:
+        items = lists[i].get(key)
+        if items is None:
+            if i < last:
+                pairs = _fillings_below(key, primed, maps[i])
+                stream = ((tuple(map(get, f)), key_below) for f, key_below in pairs)
+            else:
+                stream = ((tuple(map(get, f)),) + tail for f in _row_fillings(key, primed))
+            items = memo.fill(i, key, stream) if key else list(stream)
         if i < last:
-            streams[i] = _row_fillings(key, primed) if key else iter(((),))
+            streams[i] = iter(items)
         else:
-            # the last row in one step, keyed by the floors of its cells
-            items = items_of.get(key)
-            if items is None:
-                fillings = _row_fillings(key, primed)
-                items = memo.fill(key, ((tuple(map(get, f)),) + tail for f in fillings))
             if items:
                 yield tuple(rows), items
             i -= 1
         # the next filling of the lowest row above the last that has one
-        while i >= 0 and (f := next(streams[i], None)) is None:
+        while i >= 0 and (item := next(streams[i], None)) is None:
             i -= 1
         if i < 0:
             return
-        rows[i] = tuple(map(get, f))
-        gap, above, up, diag = maps[i]
-        key = gap + tuple(map(up, f[above])) if above else gap
-        if diag is not None and diag[f[0]] > key[0]:
-            key = (diag[f[0]], *key[1:])
+        rows[i], key = item
         i += 1
 
 
@@ -508,13 +540,11 @@ def spt_weight_counts(
     weigh, primed = weights.__getitem__, [False] * len(weights)
     top = (row_floors[0],) * len(row_ranges[0]) if row_ranges else ()
     layers, keys = [], [top]
-    # an ordinary diagram has no diagonal, so no map has a QT5 floor
-    for gap, above, up, _ in _key_maps(spec, primed, False, row_ranges, row_floors):
+    for row_map in _key_maps(spec, primed, False, row_ranges, row_floors):
         layer: dict[tuple[int, ...], dict[tuple[int, ...], dict[int, int]]] = {}
         for key in keys:
             groups = layer[key] = {}
-            for f in _row_fillings(key, primed) if key else ((),):
-                key_below = gap + tuple(map(up, f[above])) if above else gap
+            for f, key_below in _fillings_below(key, primed, row_map):
                 group = groups.get(key_below) or groups.setdefault(key_below, {})
                 w = sum(map(weigh, f))
                 group[w] = group.get(w, 0) + 1

@@ -12,9 +12,13 @@ from qsym import (
     ExponentOverflow,
     LaurentPoly,
     ParseError,
+    QContext,
+    StrictPartition,
     TermBudgetExceeded,
     VariableCountMismatch,
+    VariableSpec,
     parse_poly,
+    qI_branch,
     series_from_linear_factors,
     sum_of_products,
 )
@@ -139,6 +143,36 @@ def test_term_budget(monkeypatch):
         LaurentPoly(1, {(0,): 1, (1,): 1, (2,): 1})
     monkeypatch.delenv("QSYM_MAX_TERMS")
     LaurentPoly(1, {(0,): 1, (1,): 1, (2,): 1})
+
+
+def test_term_budget_is_parsed_once_per_value(monkeypatch):
+    # a branch pass over (6, 4, 2) on (2, 2) makes thousands of ring
+    # operations, and each reads the budget
+    parses, real = [], qsym.ring.parse_count
+
+    def spy(text, what):
+        parses.append(text)
+        return real(text, what)
+
+    monkeypatch.setattr(qsym.ring, "parse_count", spy)
+    lam, spec = StrictPartition((6, 4, 2)), VariableSpec(2, 2)
+    monkeypatch.setenv("QSYM_MAX_TERMS", "987654321")
+    value = qI_branch(lam, StrictPartition(()), spec, QContext())
+    assert parses == ["987654321"]
+    # a new value is parsed at the next ring operation, and applies there
+    monkeypatch.setenv("QSYM_MAX_TERMS", "2")
+    with pytest.raises(TermBudgetExceeded, match="QSYM_MAX_TERMS=2"):
+        value + value
+    assert parses == ["987654321", "2"]
+    # a bad value raises on every read
+    monkeypatch.setenv("QSYM_MAX_TERMS", "-1")
+    for _ in range(2):
+        with pytest.raises(ParseError):
+            value + value
+    assert parses == ["987654321", "2", "-1", "-1"]
+    monkeypatch.delenv("QSYM_MAX_TERMS")
+    assert value + value == value.scale(2)
+    assert len(parses) == 4
 
 
 def test_term_budget_stops_a_product_before_it_is_built(monkeypatch):

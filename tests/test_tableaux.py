@@ -461,10 +461,55 @@ def test_a_small_memo_cap_keeps_the_streams(monkeypatch, size):
     spt_shapes = [(Partition((3, 3)), VariableSpec(0, 3)), (Partition((4, 2, 1)), VariableSpec(2, 1))]
     expect = [list(enum_qt(spec, lam, mu)) for lam, mu, spec in shapes]
     expect += [list(enum_spt(spec, lam)) for lam, spec in spt_shapes]
+    # per call: for each fill, whether its row is the last and its list kept
+    fills, real = [], tableaux._RowMemo.fill
+
+    def spy(memo, i, *args):
+        items = real(memo, i, *args)
+        fills[-1].add((i == len(memo.lists) - 1, type(items) is list))
+        assert memo.size <= size
+        return items
+
+    monkeypatch.setattr(tableaux._RowMemo, "fill", spy)
     monkeypatch.setattr(tableaux, "_MEMO_SIZE", size)
-    got = [list(enum_qt(spec, lam, mu)) for lam, mu, spec in shapes]
-    got += [list(enum_spt(spec, lam)) for lam, spec in spt_shapes]
+    got = []
+    for lam, mu, spec in shapes:
+        fills.append(set())
+        got.append(list(enum_qt(spec, lam, mu)))
+    for lam, spec in spt_shapes:
+        fills.append(set())
+        got.append(list(enum_spt(spec, lam)))
     assert all(expect) and got == expect
+    if size == 40:
+        # a split cap: on (4, 2) and (3, 3) an upper row's list passes the
+        # cap and streams unkept, while every last row's list is kept
+        assert fills[0] == fills[3] == {(False, False), (True, True)}
+
+
+@pytest.mark.parametrize(
+    "enum, args",
+    [
+        (enum_qt, (VariableSpec(1, 1), sp(5, 3, 1), sp(2))),
+        (enum_spt, (VariableSpec(2, 1), Partition((4, 2, 1)))),
+    ],
+)
+def test_each_row_key_reads_its_fillings_once(monkeypatch, enum, args):
+    # every row's fillings come from the one memo, upper rows included.  No
+    # row of either shape meets another row's key: row 1 of the primed shape
+    # is reached once, with all floors 0, which row 2 never gets under a
+    # cell of row 1, and the rows of the other shape differ in length.  So
+    # a repeated key is a repeated (row, key)
+    import qsym.tableaux as tableaux
+
+    keys, real = [], tableaux._row_fillings
+
+    def spy(floors, primed):
+        keys.append(tuple(floors))
+        return real(floors, primed)
+
+    monkeypatch.setattr(tableaux, "_row_fillings", spy)
+    assert list(enum(*args))
+    assert max(Counter(keys).values()) == 1
 
 
 @pytest.mark.parametrize("enum", [enum_qt, enum_spt])
