@@ -17,7 +17,7 @@ from itertools import chain, permutations
 from typing import Callable
 
 from .errors import ExponentOverflow, PreconditionError
-from .linalg import RingMatrix, determinant, pfaffian
+from .linalg import RingMatrix, determinant, pfaffian, skew
 from .ring import (
     _LIMIT,
     LaurentPoly,
@@ -452,9 +452,9 @@ def qfun_checks(
                 jp_pure += 1
             elif lam.length == 2 and not mu.parts:
                 jp_two_row += 1
-            mat = build_jp_matrix(lam, mu, spec, ctx)
-            pf = pfaffian(mat, spec.n)
-            diff = pf * pf - determinant(mat, spec.n)
+            upper = build_jp_matrix(lam, mu, spec, ctx)
+            pf = pfaffian(upper, spec.n)
+            diff = pf * pf - determinant(skew(upper, spec.n), spec.n)
             if not diff.is_zero():
                 detail = f"{case} pfaffian^2-determinant: {diff}"
                 first.setdefault("qfun.pfaffian-square", detail)
@@ -576,16 +576,11 @@ def pfaffian_random_checks(seed: int = 0, rounds: int = 200) -> list[CheckResult
     for r in range(rounds):
         size = 2 * rng.randint(1, 3)
         n = rng.randint(1, 2)
-        zero = LaurentPoly.zero(n)
-        rows = [[zero] * size for _ in range(size)]
-        for i in range(size):
-            for j in range(i + 1, size):
-                v = _random_poly(rng, n, terms=2)
-                rows[i][j] = v
-                rows[j][i] = -v
-        mat = RingMatrix.from_rows(rows)
-        pf = pfaffian(mat, n)
-        diff = pf * pf - determinant(mat, n)
+        upper = [
+            [_random_poly(rng, n, terms=2) for _ in range(i + 1, size)] for i in range(size)
+        ]
+        pf = pfaffian(upper, n)
+        diff = pf * pf - determinant(skew(upper, n), n)
         if not diff.is_zero():
             detail = f"matrix {r} ({size}x{size}, n={n}) pfaffian^2-determinant: {diff}"
             first.setdefault("linalg.pfaffian-square-random", detail)

@@ -19,7 +19,7 @@ class NotContained(QsymError):
 
 
 class MatrixError(QsymError):
-    """Matrix input violates a shape requirement (non-square, odd size, not skew)."""
+    """Matrix input violates a shape requirement (non-square, odd size, ragged triangle)."""
 
 
 class PreconditionError(QsymError):

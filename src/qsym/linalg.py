@@ -1,6 +1,7 @@
 """Division-free determinant and Pfaffian over the Laurent-polynomial ring.
 
-Both use one expansion, `_expand`, memoized on the bitmask of surviving
+A Pfaffian is given by its strict upper triangle, and `skew` builds its full
+matrix.  Both use one expansion, `_expand`, memoized on the bitmask of surviving
 column or index sets, so repeated sub-minors (ubiquitous in the Pfaffian formulas) are
 computed once.  Each expansion step, a signed sum of entry times sub-minor,
 is one `sum_of_products` call, so its products are never built one by one.
@@ -10,7 +11,7 @@ Matrix sizes here stay small, a dozen or so.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from .errors import MatrixError
 from .ring import LaurentPoly, sum_of_products
@@ -50,12 +51,15 @@ class RingMatrix:
 
 
 def _expand(
-    a: RingMatrix, nvars: int, size: int, pick: Callable[[int], tuple[int, int]]
+    entry: Callable[[int, int], LaurentPoly],
+    nvars: int,
+    size: int,
+    pick: Callable[[int], tuple[int, int]],
 ) -> LaurentPoly:
     """The expansion behind both, from the mask of all size indices: with
     (row, partners) = pick(mask), a mask's value is the sum over the j in
-    partners, signs alternating in index order, of a[row][j] times the value
-    of partners without j; the empty mask's value is 1."""
+    partners, signs alternating in index order, of entry(row, j) times the
+    value of partners without j; the empty mask's value is 1."""
     memo: dict[int, LaurentPoly] = {0: LaurentPoly.one(nvars)}
 
     def rec(mask: int) -> LaurentPoly:
@@ -68,7 +72,7 @@ def _expand(
         scan = partners
         while scan:
             low = scan & -scan
-            e = a.entry(row, low.bit_length() - 1)
+            e = entry(row, low.bit_length() - 1)
             if e.terms:
                 terms.append((rec(partners ^ low), e, sign))
             sign = -sign
@@ -89,38 +93,43 @@ def determinant(a: RingMatrix, nvars: int | None = None) -> LaurentPoly:
         # rows are consumed top-down, each along the surviving columns
         return n - bin(mask).count("1"), mask
 
-    return _expand(a, a.nvars() if nvars is None else nvars, n, pick)
+    return _expand(a.entry, a.nvars() if nvars is None else nvars, n, pick)
 
 
-def check_skew_symmetric(a: RingMatrix) -> None:
-    """Raise MatrixError unless a is square of even size with zero diagonal
-    and a[j][i] = -a[i][j].  Each pair is compared term by term, with no
-    negated polynomial built: equally many terms, each of the upper entry's
-    met by its negative in the lower one, make the lower entry the negative."""
-    if a.rows != a.cols:
-        raise MatrixError(f"Pfaffian of a {a.rows}x{a.cols} matrix")
-    if a.rows % 2 == 1:
-        raise MatrixError(f"Pfaffian of odd size {a.rows}")
-    for i in range(a.rows):
-        if not a.entry(i, i).is_zero():
-            raise MatrixError(f"nonzero diagonal entry at ({i}, {i})")
-        for j in range(i + 1, a.cols):
-            upper, lower = a.entry(i, j).terms, a.entry(j, i).terms
-            if len(upper) != len(lower) or any(lower.get(e) != -c for e, c in upper.items()):
-                raise MatrixError(f"skew-symmetry fails at ({i}, {j})")
+def _triangle_size(upper: Sequence[Sequence[LaurentPoly]]) -> int:
+    """len(upper) = s, once each row i is checked to hold s - 1 - i entries."""
+    size = len(upper)
+    for i, row in enumerate(upper):
+        if len(row) != size - 1 - i:
+            raise MatrixError(f"row {i} of a size-{size} triangle has {len(row)} entries")
+    return size
 
 
-def pfaffian(a: RingMatrix, nvars: int | None = None) -> LaurentPoly:
-    """Exact Pfaffian by first-index expansion memoized on surviving index sets.
+def skew(upper: Sequence[Sequence[LaurentPoly]], nvars: int) -> RingMatrix:
+    """The skew-symmetric matrix whose strict upper triangle is upper: zero
+    diagonal, and entry (j, i) the negative of entry (i, j)."""
+    size = _triangle_size(upper)
+    zero = LaurentPoly.zero(nvars)
+    return RingMatrix.from_rows(
+        [[-upper[j][i - j - 1] for j in range(i)] + [zero, *upper[i]] for i in range(size)]
+    )
 
-    Pf(A) = sum over partners j of the smallest surviving index i0, with
-    alternating signs by the partner's position, times Pf of the rest;
+
+def pfaffian(upper: Sequence[Sequence[LaurentPoly]], nvars: int) -> LaurentPoly:
+    """Exact Pfaffian of the skew matrix of even size s = len(upper) whose
+    strict upper triangle is upper: row i holds entries (i, i+1), ..., (i, s-1).
+
+    By first-index expansion memoized on surviving index sets: Pf(A) = sum
+    over partners j of the smallest surviving index i0, with alternating
+    signs by the partner's position, of A[i0][j] times Pf of the rest;
     Pf of the empty matrix is 1.
     """
-    check_skew_symmetric(a)
+    size = _triangle_size(upper)
+    if size % 2 == 1:
+        raise MatrixError(f"Pfaffian of odd size {size}")
 
     def pick(mask: int) -> tuple[int, int]:
         low = mask & -mask
         return low.bit_length() - 1, mask ^ low
 
-    return _expand(a, a.nvars() if nvars is None else nvars, a.rows, pick)
+    return _expand(lambda i, j: upper[i][j - i - 1], nvars, size, pick)

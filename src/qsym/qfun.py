@@ -19,8 +19,8 @@ is cached between such calls; callers that want reuse pass the same context
 to each call.
 
 Conventions used throughout: a negative subscript means the zero polynomial;
-for matrix entries, the two-row value at (r, r) is zero, at (r, 0) it is the
-one-row value, and swapping the rows negates it.
+for matrix entries, the two-row value at (r, 0) is the one-row value, and a
+Pfaffian is given by its strict upper triangle, so only r > s is ever taken.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 
 from .errors import ExponentOverflow, PreconditionError
-from .linalg import RingMatrix, pfaffian
+from .linalg import pfaffian
 from .ring import (
     GrowingSeries,
     LaurentPoly,
@@ -149,28 +149,21 @@ def build_jp_matrix(
     mu: StrictPartition,
     spec: VariableSpec,
     ctx: QContext | None = None,
-) -> RingMatrix:
-    """Padded block matrix [[M, N], [-N^T, 0]] with two-row M and one-row N
-    entries.  N pairs row i with the (m+1-j)-th inner part, i.e. the inner
-    parts are consumed in reverse order across the columns."""
+) -> list[list[LaurentPoly]]:
+    """Strict upper triangle, as `linalg.pfaffian` takes it, of the padded
+    block matrix [[M, N], [-N^T, 0]] with two-row M and one-row N entries.
+    N pairs row i with the (m+1-j)-th inner part, i.e. the inner parts are
+    consumed in reverse order across the columns."""
     ctx = _ctx(ctx)
     lam_parts, mu_parts = pad_for_pfaffian(lam, mu)
     l, m = len(lam_parts), len(mu_parts)
-    size = l + m
-    n = spec.n
-    zero = LaurentPoly.zero(n)
-    rows = [[zero] * size for _ in range(size)]
-    for i in range(l):
-        for j in range(i + 1, l):
-            v = _pair_value(lam_parts[i], lam_parts[j], spec, ctx)
-            rows[i][j] = v
-            rows[j][i] = -v
-    for i in range(l):
-        for j in range(m):
-            v = q_row(lam_parts[i] - mu_parts[m - 1 - j], spec, ctx)
-            rows[i][l + j] = v
-            rows[l + j][i] = -v
-    return RingMatrix.from_rows(rows)
+    upper = [
+        [_pair_value(lam_parts[i], lam_parts[j], spec, ctx) for j in range(i + 1, l)]
+        + [q_row(lam_parts[i] - mu_parts[m - 1 - j], spec, ctx) for j in range(m)]
+        for i in range(l)
+    ]
+    zero = LaurentPoly.zero(spec.n)
+    return upper + [[zero] * (m - 1 - j) for j in range(m)]
 
 
 def qI_def(

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from qsym import LaurentPoly, MatrixError, RingMatrix, determinant, pfaffian
+from qsym import LaurentPoly, MatrixError, RingMatrix, determinant, pfaffian, skew
 
 
 def const(c, n=1):
@@ -59,8 +59,7 @@ def test_det_matches_cofactor_second_row():
 
 def test_pfaffian_two_by_two():
     a = v(1, 0)
-    m = RingMatrix.from_rows([[const(0), a], [-a, const(0)]])
-    assert pfaffian(m) == a
+    assert pfaffian([[a], []], 1) == a
 
 
 def test_pfaffian_four_by_four():
@@ -71,72 +70,68 @@ def test_pfaffian_four_by_four():
         for j in range(i + 1, 4):
             names[(i, j)] = v(n, idx)
             idx += 1
-    zero = LaurentPoly.zero(n)
-    rows = [[zero] * 4 for _ in range(4)]
-    for (i, j), val in names.items():
-        rows[i][j] = val
-        rows[j][i] = -val
-    got = pfaffian(RingMatrix.from_rows(rows))
+    upper = [[names[(i, j)] for j in range(i + 1, 4)] for i in range(4)]
+    got = pfaffian(upper, n)
     expect = names[(0, 1)] * names[(2, 3)] - names[(0, 2)] * names[(1, 3)] + names[(0, 3)] * names[(1, 2)]
     assert got == expect
 
 
 def test_pfaffian_empty():
-    assert pfaffian(RingMatrix(0, 0, ()), nvars=2) == LaurentPoly.one(2)
+    assert pfaffian([], 2) == LaurentPoly.one(2)
 
 
 def test_pfaffian_shape_errors():
-    with pytest.raises(MatrixError):
-        pfaffian(RingMatrix.from_rows([[const(0)]]))  # odd size
-    bad = RingMatrix.from_rows([[const(0), const(1)], [const(1), const(0)]])
-    with pytest.raises(MatrixError, match=r"\(0, 1\)"):
-        pfaffian(bad)
-    diag = RingMatrix.from_rows([[const(2), const(1)], [-const(1), const(0)]])
-    with pytest.raises(MatrixError, match=r"\(0, 0\)"):
-        pfaffian(diag)
-    # a 50-term entry against a lower one that differs in one coefficient,
-    # and against one with an extra term
-    terms = {(i, 1 - i): i + 1 for i in range(50)}
-    upper = LaurentPoly(2, terms)
-    one_off = LaurentPoly(2, {**{e: -c for e, c in terms.items()}, (7, -6): -7})
-    extra = LaurentPoly(2, {**{e: -c for e, c in terms.items()}, (0, 0): 1})
-    zero = LaurentPoly.zero(2)
-    for lower in (one_off, extra):
-        rows = [[zero] * 4 for _ in range(4)]
-        rows[1][2], rows[2][1] = upper, lower
-        rows[0][3], rows[3][0] = upper, -upper
-        with pytest.raises(MatrixError, match=r"skew-symmetry fails at \(1, 2\)"):
-            pfaffian(RingMatrix.from_rows(rows))
+    with pytest.raises(MatrixError, match="odd size 1"):
+        pfaffian([[]], 1)
+    with pytest.raises(MatrixError, match="odd size 3"):
+        pfaffian([[const(1), const(2)], [const(3)], []], 1)
+    # row 1 of a size-4 triangle holds 2 entries
+    ragged = [[const(1)] * 3, [const(1)] * 3, [const(1)], []]
+    with pytest.raises(MatrixError, match="row 1 of a size-4 triangle has 3 entries"):
+        pfaffian(ragged, 1)
+    with pytest.raises(MatrixError, match="row 3 of a size-4 triangle"):
+        pfaffian([[const(1)] * 3, [const(1)] * 2, [const(1)], [const(1)]], 1)
+    with pytest.raises(MatrixError, match="row 1"):
+        skew(ragged, 1)
 
 
-def _random_skew(rng, size, n):
-    zero = LaurentPoly.zero(n)
-    rows = [[zero] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(i + 1, size):
-            terms = {
-                tuple(rng.randint(-2, 2) for _ in range(n)): rng.randint(-5, 5)
-                for _ in range(rng.randint(0, 2))
-            }
-            val = LaurentPoly(n, terms)
-            rows[i][j] = val
-            rows[j][i] = -val
-    return RingMatrix.from_rows(rows)
+def _random_upper(rng, size, n):
+    def entry():
+        terms = {
+            tuple(rng.randint(-2, 2) for _ in range(n)): rng.randint(-5, 5)
+            for _ in range(rng.randint(0, 2))
+        }
+        return LaurentPoly(n, terms)
+
+    return [[entry() for _ in range(i + 1, size)] for i in range(size)]
+
+
+def test_skew_is_the_full_matrix_of_its_triangle():
+    rng = random.Random(3)
+    for size in range(5):
+        upper = _random_upper(rng, size, 2)
+        m = skew(upper, 2)
+        assert (m.rows, m.cols) == (size, size)
+        for i in range(size):
+            assert m.entry(i, i) == LaurentPoly.zero(2)
+            for j in range(i):
+                assert m.entry(i, j) == -m.entry(j, i)
+        assert [[m.entry(i, j) for j in range(i + 1, size)] for i in range(size)] == upper
 
 
 def test_pfaffian_square_is_determinant():
     rng = random.Random(11)
     for _ in range(40):
-        m = _random_skew(rng, 2 * rng.randint(1, 3), rng.randint(1, 2))
-        p = pfaffian(m, m.nvars() or 1)
-        assert p * p == determinant(m, m.nvars() or 1)
+        size, n = 2 * rng.randint(1, 3), rng.randint(1, 2)
+        upper = _random_upper(rng, size, n)
+        p = pfaffian(upper, n)
+        assert p * p == determinant(skew(upper, n), n)
 
 
 def test_pfaffian_swap_negates():
     rng = random.Random(7)
-    m = _random_skew(rng, 4, 1)
+    upper = _random_upper(rng, 4, 1)
+    m = skew(upper, 1)
     perm = [1, 0, 2, 3]
-    swapped = RingMatrix.from_rows(
-        [[m.entry(perm[i], perm[j]) for j in range(4)] for i in range(4)]
-    )
-    assert pfaffian(swapped, 1) == -pfaffian(m, 1)
+    swapped = [[m.entry(perm[i], perm[j]) for j in range(i + 1, 4)] for i in range(4)]
+    assert pfaffian(swapped, 1) == -pfaffian(upper, 1)

@@ -134,8 +134,8 @@ def test_qI_def_skips_only_factors_that_vanish_by_length():
     ctx = QContext()
     pairs = 0
     for outer, inner, spec in _pairs_past_qt5():
-        mat = build_jp_matrix(outer, inner, spec, ctx)
-        assert pfaffian(mat, spec.n).is_zero(), (outer, inner, spec)
+        upper = build_jp_matrix(outer, inner, spec, ctx)
+        assert pfaffian(upper, spec.n).is_zero(), (outer, inner, spec)
         pairs += 1
     assert pairs == 1122
 
@@ -180,6 +180,19 @@ def test_qI_jp_examples():
     # one-row fallback
     assert qI_jp(sp(3), sp(1), spec) == q_row(2, spec)
     assert qI_jp(EMPTY, EMPTY, spec) == LaurentPoly.one(2)
+
+
+def test_qI_jp_negates_no_entry(monkeypatch):
+    # the JP matrix is only its strict upper triangle, so no entry of it, and
+    # none of a mixed spec's inner two-row Pfaffians, is ever negated
+    lam, spec = sp(3, 2, 1), VariableSpec(2, 1)
+    expect = qI_branch(lam, EMPTY, spec)
+
+    def no_neg(self):
+        raise AssertionError("qI_jp negated a polynomial")
+
+    monkeypatch.setattr(LaurentPoly, "__neg__", no_neg)
+    assert qI_jp(lam, EMPTY, spec) == expect
 
 
 def test_two_row_shape_frozen_value():
