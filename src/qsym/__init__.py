@@ -32,7 +32,7 @@ from .shapes import (
     pad_for_pfaffian,
     shifted_cells,
 )
-from .linalg import RingMatrix, determinant, pfaffian, skew
+from .linalg import determinant, pfaffian, skew
 from .tableaux import (
     Letter,
     PrimedTableau,

@@ -37,7 +37,7 @@ intermediate of the determinant passes stops a fresh value but not a hit.
 from __future__ import annotations
 
 from .errors import PreconditionError
-from .linalg import RingMatrix, determinant
+from .linalg import determinant
 from .ring import (
     GrowingSeries,
     LaurentPoly,
@@ -80,7 +80,7 @@ def schur_skew(lam: Partition, mu: Partition, spec: VariableSpec) -> LaurentPoly
         [complete_h(lam.part(i) - mu.part(j) - i + j, spec) for j in range(1, size + 1)]
         for i in range(1, size + 1)
     ]
-    return determinant(RingMatrix.from_rows(rows), spec.n)
+    return determinant(rows, spec.n)
 
 
 def schur_skew_e(lam: Partition, mu: Partition, spec: VariableSpec) -> LaurentPoly:
@@ -93,7 +93,7 @@ def schur_skew_e(lam: Partition, mu: Partition, spec: VariableSpec) -> LaurentPo
         [elementary_e(lt.part(i) - mt.part(j) - i + j, spec) for j in range(1, size + 1)]
         for i in range(1, size + 1)
     ]
-    return determinant(RingMatrix.from_rows(rows), spec.n)
+    return determinant(rows, spec.n)
 
 
 def symp_schur_on(lam: Partition, spec: VariableSpec) -> LaurentPoly:
@@ -112,7 +112,7 @@ def symp_schur_on(lam: Partition, spec: VariableSpec) -> LaurentPoly:
             complete_h(d + j, spec) + complete_h(d - j + 2, spec) for j in range(2, size + 1)
         ]
         rows.append(row)
-    return determinant(RingMatrix.from_rows(rows), spec.n)
+    return determinant(rows, spec.n)
 
 
 _SP_CACHE: dict[tuple[tuple[int, ...], int], LaurentPoly] = {}
